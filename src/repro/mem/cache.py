@@ -9,6 +9,11 @@ C-speed ``list.index`` scan and the eviction victim is always the last
 live slot.  The hot simulator loops additionally reach into this storage
 directly (``repro.mem.hierarchy`` inlines the L1 probe), which is the
 point of keeping it as plain indexed arrays rather than per-set dicts.
+
+The compiled columnar kernel (``repro.sim.columnar``) keeps an int64
+image of this storage between its calls.  The lists stay the source of
+truth: the mutators below drop the image, and so does every other
+Python writer of the lists (see that module's docstring).
 """
 
 from __future__ import annotations
@@ -67,12 +72,17 @@ class SetAssociativeCache:
         self.lines: list[int] = [EMPTY] * (self.num_sets * self.stride)
         self.sizes: list[int] = [0] * self.num_sets
         self.stats = CacheStats()
+        #: The compiled kernel's resident copy of ``lines``/``sizes``
+        #: (``repro.sim.columnar``), or None.  Every mutator below drops
+        #: it, because it must equal the lists whenever it exists.
+        self.image = None
 
     def _set_index(self, line: int) -> int:
         return line % self.num_sets
 
     def lookup(self, line: int, update_lru: bool = True) -> bool:
         """Probe for ``line``; on a hit optionally promote it to MRU."""
+        self.image = None
         set_index = line % self.num_sets
         base = set_index * self.stride
         lines = self.lines
@@ -102,6 +112,7 @@ class SetAssociativeCache:
 
     def install(self, line: int) -> int | None:
         """Insert ``line`` as MRU; return the evicted line, if any."""
+        self.image = None
         set_index = line % self.num_sets
         base = set_index * self.stride
         lines = self.lines
@@ -127,6 +138,7 @@ class SetAssociativeCache:
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if present; returns whether it was resident."""
+        self.image = None
         set_index = line % self.num_sets
         base = set_index * self.stride
         lines = self.lines
@@ -144,6 +156,7 @@ class SetAssociativeCache:
         return True
 
     def flush(self) -> None:
+        self.image = None
         self.lines[:] = [EMPTY] * (self.num_sets * self.stride)
         self.sizes[:] = [0] * self.num_sets
 

@@ -27,6 +27,12 @@ label, so returning a tuple would be pure allocation overhead.
 schemes, the co-runner).  Because the closure captures the underlying
 lists and stat objects, every mutating operation must stay in place
 (``flush``/``reset_stats`` reuse the same containers).
+
+The closure writes the lists without dropping the compiled kernel's
+resident cache images (`repro.sim.columnar`), so its callers do:
+``access_line`` here, the simulators' record loops and the public
+walker entry points before they start.  ``prefetch_line``, ``warm``
+and ``flush`` go through the cache mutators, which drop their own.
 """
 
 from __future__ import annotations
@@ -228,8 +234,14 @@ class CacheHierarchy:
 
     def access_line(self, line: int, now: int = 0) -> AccessResult:
         """Demand access to ``line``; installs into upper levels on miss."""
+        self.drop_images()
         latency = self.access(line, now)
         return AccessResult(latency, self.last_level[0])
+
+    def drop_images(self) -> None:
+        """Drop the compiled kernel's resident images of all three
+        caches; call before writing their lists through ``access``."""
+        self.l1.image = self.l2.image = self.l3.image = None
 
     def access_addr(self, phys_addr: int, now: int = 0) -> AccessResult:
         return self.access_line(phys_addr >> 6, now)

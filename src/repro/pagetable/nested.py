@@ -142,6 +142,7 @@ class NestedPageWalker:
         ``collect=False`` the per-step service records are skipped (the
         returned outcome carries an empty list); pricing is unchanged.
         """
+        self.hierarchy.drop_images()
         records: list[tuple[str, str]] | None = [] if collect else None
         t = now + self.guest_pwc.latency
         skip_from = self.guest_pwc.probe(path.va)

@@ -60,6 +60,7 @@ class PageWalker:
         *useful* ASAP prefetch (wrong-address prefetches, e.g. into region
         holes, must not be passed here — they help nobody).
         """
+        self.hierarchy.drop_images()
         records: list[tuple[int, str]] = []
         t = now + self.pwc.latency
         skip_from = self.pwc.probe(path.va)
@@ -105,6 +106,8 @@ class PageWalker:
         probe and insert run inline on the per-level flat arrays and
         ``records`` is appended to only when the caller needs service
         records, keeping the measurement-off path allocation-free.
+        Unlike :meth:`walk` it does not drop the compiled kernel's cache
+        images: its callers, the record loops, drop them once up front.
         """
         from repro.tlb.tlb import EMPTY
 
@@ -228,6 +231,7 @@ class PageWalker:
         still overlap and shorten detection when the reserved regions make
         those entry locations computable.
         """
+        self.hierarchy.drop_images()
         records: list[tuple[int, str]] = []
         t = now + self.pwc.latency
         access = self.hierarchy.access

@@ -15,7 +15,33 @@ the system C compiler) and drives it one TraceSource chunk at a time:
   probe with LRU promotion, PWC probe/insert, per-level cache walk
   steps, TLB fill, and the data access — mutating images of the same
   flat arrays the scalar path uses and accumulating the same counters,
-  which are written back once per run.
+  which are written back at the end of every ``run()`` call.
+
+Resident cache images.  A multi-tenant schedule makes one ``run()``
+call per quantum, and converting the L3 (16,384 sets x 21 slots) to
+numpy and back on every call would cost far more than the few hundred
+records a quantum replays.  So each ``SetAssociativeCache`` keeps its
+int64 image as ``cache.image`` between calls, and the kernel raises a
+per-set touched flag whenever it changes a set; the write-back copies
+only the flagged sets into the lists.  The invariant: **the Python
+lists stay the source of truth, and an image, whenever one exists,
+equals its lists.**  Every Python write to the lists outside this
+write-back therefore drops the image (``cache.image = None``; the next
+call rebuilds it):
+
+* the ``SetAssociativeCache`` mutators ``lookup``, ``install``,
+  ``invalidate`` and ``flush``;
+* ``CacheHierarchy.access_line``, and through the cache mutators
+  ``prefetch_line``, ``warm`` and ``flush``;
+* the start of every scalar record loop — ``NativeSimulation.run``'s
+  scalar branch and ``VirtualizedSimulation.run`` — whose inlined
+  ``access`` closures write the lists directly, and the public walker
+  entry points (``PageWalker.walk``/``walk_to_fault``,
+  ``NestedPageWalker.walk``).
+
+The TLBs, PWCs (about 4k slots together, flushed between quanta), the
+MSHR file and every counter are still loaded and written back whole on
+each call.
 
 Byte-identity with the scalar path is a hard invariant (the scalar
 kernel is the differential oracle; see tests/test_columnar_differential
@@ -246,15 +272,27 @@ static void pwc_insert(i64 *tags, i64 *frames, i64 *sizes,
     frames[base] = 1;
 }
 
+/* One data cache's resident image: the flat LRU lines/sizes plus one
+   touched flag per set.  Every routine below that changes a set's
+   lines or size raises its flag, so the Python side writes back only
+   the flagged sets (the guard-slot write of a scan is restored before
+   returning and changes nothing). */
+typedef struct {
+    i64 *lines;
+    i64 *sizes;
+    unsigned char *touched;
+    i64 nsets, stride, ways;
+} cache_t;
+
 /* One cache level: MRU shortcut + guard scan + promote.  1 = hit. */
-static int cache_probe(i64 *lines, const i64 *sizes,
-                       i64 nsets, i64 stride, i64 line)
+static int cache_probe(const cache_t *c, i64 line)
 {
-    i64 set_index = line & (nsets - 1);
-    i64 base = set_index * stride;
+    i64 *lines = c->lines;
+    i64 set_index = line & (c->nsets - 1);
+    i64 base = set_index * c->stride;
     if (lines[base] == line)
         return 1;
-    i64 guard = base + sizes[set_index];
+    i64 guard = base + c->sizes[set_index];
     lines[guard] = line;
     i64 pos = base;
     while (lines[pos] != line)
@@ -264,37 +302,38 @@ static int cache_probe(i64 *lines, const i64 *sizes,
         return 0;
     memmove(lines + base + 1, lines + base, (pos - base) * sizeof(i64));
     lines[base] = line;
+    c->touched[set_index] = 1;
     return 1;
 }
 
-static void cache_install(i64 *lines, i64 *sizes, i64 nsets, i64 stride,
-                          i64 ways, i64 line, i64 *evictions)
+static void cache_install(const cache_t *c, i64 line, i64 *evictions)
 {
-    i64 set_index = line & (nsets - 1);
-    i64 base = set_index * stride;
-    i64 size = sizes[set_index];
+    i64 *lines = c->lines;
+    i64 set_index = line & (c->nsets - 1);
+    i64 base = set_index * c->stride;
+    i64 size = c->sizes[set_index];
     i64 count;
-    if (size >= ways) {
-        count = ways - 1;
+    if (size >= c->ways) {
+        count = c->ways - 1;
         (*evictions)++;
     } else {
         count = size;
-        sizes[set_index] = size + 1;
+        c->sizes[set_index] = size + 1;
     }
     memmove(lines + base + 1, lines + base, count * sizeof(i64));
     lines[base] = line;
+    c->touched[set_index] = 1;
 }
 
 /* Cache.install for a line that may already be present (Victima's park
    path uses the generic Cache.install): promote if found, LRU-evict
    otherwise. */
-static void cache_install_scan(i64 *lines, i64 *sizes, i64 nsets,
-                               i64 stride, i64 ways, i64 line,
-                               i64 *evictions)
+static void cache_install_scan(const cache_t *c, i64 line, i64 *evictions)
 {
-    i64 set_index = line & (nsets - 1);
-    i64 base = set_index * stride;
-    i64 size = sizes[set_index];
+    i64 *lines = c->lines;
+    i64 set_index = line & (c->nsets - 1);
+    i64 base = set_index * c->stride;
+    i64 size = c->sizes[set_index];
     i64 limit = base + size;
     lines[limit] = line;
     i64 pos = base;
@@ -303,24 +342,26 @@ static void cache_install_scan(i64 *lines, i64 *sizes, i64 nsets,
     lines[limit] = EMPTY;
     if (pos != limit) {
         memmove(lines + base + 1, lines + base, (pos - base) * sizeof(i64));
-    } else if (size >= ways) {
-        memmove(lines + base + 1, lines + base, (ways - 1) * sizeof(i64));
+    } else if (size >= c->ways) {
+        memmove(lines + base + 1, lines + base,
+                (c->ways - 1) * sizeof(i64));
         (*evictions)++;
     } else {
         memmove(lines + base + 1, lines + base, size * sizeof(i64));
-        sizes[set_index] = size + 1;
+        c->sizes[set_index] = size + 1;
     }
     lines[base] = line;
+    c->touched[set_index] = 1;
 }
 
 /* Cache.invalidate: shift the tail down over the (known-present) line.
    No stats, exactly like the scalar method. */
-static void cache_invalidate(i64 *lines, i64 *sizes, i64 nsets,
-                             i64 stride, i64 line)
+static void cache_invalidate(const cache_t *c, i64 line)
 {
-    i64 set_index = line & (nsets - 1);
-    i64 base = set_index * stride;
-    i64 size = sizes[set_index];
+    i64 *lines = c->lines;
+    i64 set_index = line & (c->nsets - 1);
+    i64 base = set_index * c->stride;
+    i64 size = c->sizes[set_index];
     i64 limit = base + size;
     lines[limit] = line;
     i64 pos = base;
@@ -331,7 +372,8 @@ static void cache_invalidate(i64 *lines, i64 *sizes, i64 nsets,
         return;
     memmove(lines + pos, lines + pos + 1, (limit - 1 - pos) * sizeof(i64));
     lines[limit - 1] = EMPTY;
-    sizes[set_index] = size - 1;
+    c->sizes[set_index] = size - 1;
+    c->touched[set_index] = 1;
 }
 
 /* --- MSHR file: mshr[0] = live count, lines at mshr+1, completion
@@ -400,13 +442,11 @@ static i64 mshr_inflight(i64 *mshr, i64 cap, i64 line, i64 now, i64 *k)
    issued by an earlier record can still be in flight).  Returns the
    latency; *level_out = SERVICE_LABELS column (1 L1, 2 MSHR, 3 L2,
    4 L3, 5 MEM). */
-static i64 cache_access(i64 *c1_lines, i64 *c1_sizes,
-                        i64 *c2_lines, i64 *c2_sizes,
-                        i64 *c3_lines, i64 *c3_sizes,
-                        const i64 *g, i64 *k, i64 line, i64 *level_out,
-                        i64 now, i64 *mshr)
+static i64 cache_access(const cache_t *c1, const cache_t *c2,
+                        const cache_t *c3, const i64 *g, i64 *k, i64 line,
+                        i64 *level_out, i64 now, i64 *mshr)
 {
-    if (cache_probe(c1_lines, c1_sizes, g[G_C1], g[G_C1 + 1], line)) {
+    if (cache_probe(c1, line)) {
         k[K_C1_H]++;
         k[K_SRV_L1]++;
         *level_out = 1;
@@ -417,21 +457,20 @@ static i64 cache_access(i64 *c1_lines, i64 *c1_sizes,
         i64 merged = mshr_inflight(mshr, g[G_MSHR_CAP], line, now, k);
         if (merged >= 0 && merged > now) {
             /* the in-flight fill lands in the L1; no served[] credit */
-            cache_install(c1_lines, c1_sizes, g[G_C1], g[G_C1 + 1],
-                          g[G_C1 + 2], line, &k[K_C1_E]);
+            cache_install(c1, line, &k[K_C1_E]);
             *level_out = 2;
             return merged - now;
         }
     }
     i64 latency, level;
-    if (cache_probe(c2_lines, c2_sizes, g[G_C2], g[G_C2 + 1], line)) {
+    if (cache_probe(c2, line)) {
         k[K_C2_H]++;
         latency = g[G_LAT2];
         level = 3;
         k[K_SRV_L2]++;
     } else {
         k[K_C2_M]++;
-        if (cache_probe(c3_lines, c3_sizes, g[G_C3], g[G_C3 + 1], line)) {
+        if (cache_probe(c3, line)) {
             k[K_C3_H]++;
             latency = g[G_LAT3];
             level = 4;
@@ -441,15 +480,12 @@ static i64 cache_access(i64 *c1_lines, i64 *c1_sizes,
             latency = g[G_LATM];
             level = 5;
             k[K_SRV_MEM]++;
-            cache_install(c3_lines, c3_sizes, g[G_C3], g[G_C3 + 1],
-                          g[G_C3 + 2], line, &k[K_C3_E]);
+            cache_install(c3, line, &k[K_C3_E]);
         }
         /* L3 and MEM serves both refill the L2. */
-        cache_install(c2_lines, c2_sizes, g[G_C2], g[G_C2 + 1],
-                      g[G_C2 + 2], line, &k[K_C2_E]);
+        cache_install(c2, line, &k[K_C2_E]);
     }
-    cache_install(c1_lines, c1_sizes, g[G_C1], g[G_C1 + 1],
-                  g[G_C1 + 2], line, &k[K_C1_E]);
+    cache_install(c1, line, &k[K_C1_E]);
     *level_out = level;
     return latency;
 }
@@ -527,8 +563,7 @@ static void park_unlink(i64 *pool, i64 *hash, i64 *meta, i64 slot,
    place, keeping FIFO position), install the parked line in the L2
    data cache, count it. */
 static void park_entry(i64 *pool, i64 *hash, i64 *meta, const i64 *g,
-                       i64 *k, i64 vpn, i64 frame,
-                       i64 *c2_lines, i64 *c2_sizes)
+                       i64 *k, i64 vpn, i64 frame, const cache_t *c2)
 {
     const i64 hcap = g[G_PARK_HCAP];
     i64 slot = park_find(pool, hash, hcap, vpn);
@@ -553,8 +588,7 @@ static void park_entry(i64 *pool, i64 *hash, i64 *meta, const i64 *g,
         if ((meta[0] + meta[4]) * 2 >= hcap)
             park_rehash(pool, hash, hcap, meta);
     }
-    cache_install_scan(c2_lines, c2_sizes, g[G_C2], g[G_C2 + 1],
-                       g[G_C2 + 2], PARK_BASE | vpn, &k[K_C2_E]);
+    cache_install_scan(c2, PARK_BASE | vpn, &k[K_C2_E]);
     k[K_V_PARKED]++;
 }
 
@@ -571,7 +605,7 @@ static void tlb_fill_small(i64 vpn, i64 frame, const i64 *g, i64 *k,
                            i64 *t_tags, i64 *t_frames, i64 *t_sizes,
                            i64 *u_tags, i64 *u_frames, i64 *u_sizes,
                            int vmode, i64 *pool, i64 *hash, i64 *meta,
-                           i64 *c2_lines, i64 *c2_sizes)
+                           const cache_t *c2)
 {
     const i64 stag = vpn << 1;
     const i64 t_set = stag & (g[G_T] - 1);
@@ -587,8 +621,7 @@ static void tlb_fill_small(i64 vpn, i64 frame, const i64 *g, i64 *k,
     }
     lru_install(u_tags, u_frames, u_sizes, u_set, base, ways, stag, frame);
     if (vmode && vt != EMPTY && !(vt & 1))
-        park_entry(pool, hash, meta, g, k, vt >> 1, vf,
-                   c2_lines, c2_sizes);
+        park_entry(pool, hash, meta, g, k, vt >> 1, vf, c2);
 }
 
 i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
@@ -600,12 +633,18 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
                   i64 *p2_tags, i64 *p2_frames, i64 *p2_sizes,
                   i64 *p3_tags, i64 *p3_frames, i64 *p3_sizes,
                   i64 *p4_tags, i64 *p4_frames, i64 *p4_sizes,
-                  i64 *c1_lines, i64 *c1_sizes,
-                  i64 *c2_lines, i64 *c2_sizes,
-                  i64 *c3_lines, i64 *c3_sizes,
+                  i64 *c1_lines, i64 *c1_sizes, unsigned char *c1_touched,
+                  i64 *c2_lines, i64 *c2_sizes, unsigned char *c2_touched,
+                  i64 *c3_lines, i64 *c3_sizes, unsigned char *c3_touched,
                   i64 *mshr, i64 *park_meta, i64 *park_hash,
                   i64 *park_pool)
 {
+    const cache_t c1 = {c1_lines, c1_sizes, c1_touched,
+                        g[G_C1], g[G_C1 + 1], g[G_C1 + 2]};
+    const cache_t c2 = {c2_lines, c2_sizes, c2_touched,
+                        g[G_C2], g[G_C2 + 1], g[G_C2 + 2]};
+    const cache_t c3 = {c3_lines, c3_sizes, c3_touched,
+                        g[G_C3], g[G_C3 + 1], g[G_C3 + 2]};
     i64 now = carry[CAR_NOW];
     i64 measuring = carry[CAR_MEASURING];
     i64 acc = carry[CAR_ACC];
@@ -718,11 +757,9 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
                 if (slot >= 0) {
                     const i64 idx = park_hash[slot];
                     const i64 pline = PARK_BASE | vpn;
-                    if (cache_probe(c2_lines, c2_sizes,
-                                    g[G_C2], g[G_C2 + 1], pline)) {
+                    if (cache_probe(&c2, pline)) {
                         k[K_C2_H]++;
-                        cache_invalidate(c2_lines, c2_sizes,
-                                         g[G_C2], g[G_C2 + 1], pline);
+                        cache_invalidate(&c2, pline);
                         frame = park_pool[idx * 4 + 1];
                         park_unlink(park_pool, park_hash, park_meta,
                                     slot, idx);
@@ -732,7 +769,7 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
                                        t_tags, t_frames, t_sizes,
                                        u_tags, u_frames, u_sizes,
                                        1, park_pool, park_hash,
-                                       park_meta, c2_lines, c2_sizes);
+                                       park_meta, &c2);
                         if (measuring)
                             walk_c += translation;
                         walked = 0;
@@ -767,25 +804,20 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
                         if (pline < 0)
                             continue;
                         i64 completion;
-                        if (cache_probe(c1_lines, c1_sizes,
-                                        g[G_C1], g[G_C1 + 1], pline)) {
+                        if (cache_probe(&c1, pline)) {
                             k[K_C1_H]++;
                             k[K_SRV_L1]++;
                             completion = now + g[G_LAT1];
                         } else {
                             k[K_C1_M]++;
                             i64 lvl, lat;
-                            if (cache_probe(c2_lines, c2_sizes,
-                                            g[G_C2], g[G_C2 + 1],
-                                            pline)) {
+                            if (cache_probe(&c2, pline)) {
                                 k[K_C2_H]++;
                                 lvl = 3;
                                 lat = g[G_LAT2];
                             } else {
                                 k[K_C2_M]++;
-                                if (cache_probe(c3_lines, c3_sizes,
-                                                g[G_C3], g[G_C3 + 1],
-                                                pline)) {
+                                if (cache_probe(&c3, pline)) {
                                     k[K_C3_H]++;
                                     lvl = 4;
                                     lat = g[G_LAT3];
@@ -804,19 +836,11 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
                                 k[K_PF_DROPNM]++;
                                 continue;
                             }
-                            cache_install(c1_lines, c1_sizes, g[G_C1],
-                                          g[G_C1 + 1], g[G_C1 + 2],
-                                          pline, &k[K_C1_E]);
+                            cache_install(&c1, pline, &k[K_C1_E]);
                             if (lvl >= 4)
-                                cache_install(c2_lines, c2_sizes,
-                                              g[G_C2], g[G_C2 + 1],
-                                              g[G_C2 + 2], pline,
-                                              &k[K_C2_E]);
+                                cache_install(&c2, pline, &k[K_C2_E]);
                             if (lvl == 5)
-                                cache_install(c3_lines, c3_sizes,
-                                              g[G_C3], g[G_C3 + 1],
-                                              g[G_C3 + 2], pline,
-                                              &k[K_C3_E]);
+                                cache_install(&c3, pline, &k[K_C3_E]);
                             if (lvl == 3) k[K_SRV_L2]++;
                             else if (lvl == 4) k[K_SRV_L3]++;
                             else k[K_SRV_MEM]++;
@@ -872,15 +896,12 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
                 const i64 line = P[j];
                 i64 level = 1;
                 i64 lat;
-                const i64 c1_set = line & (g[G_C1] - 1);
-                if (c1_lines[c1_set * g[G_C1 + 1]] == line) {
+                if (c1.lines[(line & (c1.nsets - 1)) * c1.stride] == line) {
                     k[K_C1_H]++;
                     k[K_SRV_L1]++;
                     lat = g[G_LAT1];
                 } else {
-                    lat = cache_access(c1_lines, c1_sizes, c2_lines,
-                                       c2_sizes, c3_lines, c3_sizes,
-                                       g, k, line, &level,
+                    lat = cache_access(&c1, &c2, &c3, g, k, line, &level,
                                        t_clock, mshr);
                 }
                 t_clock += lat;
@@ -917,7 +938,7 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
                                t_tags, t_frames, t_sizes,
                                u_tags, u_frames, u_sizes,
                                mode == 2, park_pool, park_hash,
-                               park_meta, c2_lines, c2_sizes);
+                               park_meta, &c2);
             }
             if (measuring) {
                 walk_c += translation;
@@ -931,15 +952,12 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
             const i64 line = (frame << 6) | ((va & 0xFFF) >> 6);
             i64 level;
             i64 dlat;
-            const i64 c1_set = line & (g[G_C1] - 1);
-            if (c1_lines[c1_set * g[G_C1 + 1]] == line) {
+            if (c1.lines[(line & (c1.nsets - 1)) * c1.stride] == line) {
                 k[K_C1_H]++;
                 k[K_SRV_L1]++;
                 dlat = g[G_LAT1];
             } else {
-                dlat = cache_access(c1_lines, c1_sizes, c2_lines,
-                                    c2_sizes, c3_lines, c3_sizes,
-                                    g, k, line, &level,
+                dlat = cache_access(&c1, &c2, &c3, g, k, line, &level,
                                     now + translation, mshr);
             }
             now += base_cycles + translation + dlat;
@@ -971,9 +989,9 @@ long long col_run_chunk(const long long *va_arr, long long n,
     long long *p2_tags, long long *p2_frames, long long *p2_sizes,
     long long *p3_tags, long long *p3_frames, long long *p3_sizes,
     long long *p4_tags, long long *p4_frames, long long *p4_sizes,
-    long long *c1_lines, long long *c1_sizes,
-    long long *c2_lines, long long *c2_sizes,
-    long long *c3_lines, long long *c3_sizes,
+    long long *c1_lines, long long *c1_sizes, unsigned char *c1_touched,
+    long long *c2_lines, long long *c2_sizes, unsigned char *c2_touched,
+    long long *c3_lines, long long *c3_sizes, unsigned char *c3_touched,
     long long *mshr, long long *park_meta, long long *park_hash,
     long long *park_pool);
 void col_park_seed(long long *meta, long long *hash,
@@ -1280,6 +1298,36 @@ def _as_array(lst: list) -> np.ndarray:
     return np.asarray(lst, dtype=np.int64)
 
 
+class _CacheImage:
+    """The kernel's resident copy of one ``SetAssociativeCache``.
+
+    ``lines``/``sizes`` mirror the cache's lists slot for slot;
+    ``touched`` holds one flag per set, raised by the C kernel whenever
+    it changes that set.  Between calls the image hangs off the cache as
+    ``cache.image`` and equals its lists (see the module docstring).
+    """
+
+    __slots__ = ("lines", "sizes", "touched")
+
+    def __init__(self, cache) -> None:
+        self.lines = _as_array(cache.lines)
+        self.sizes = _as_array(cache.sizes)
+        self.touched = np.zeros(cache.num_sets, dtype=np.uint8)
+
+    def write_back(self, cache) -> None:
+        """Copy the touched sets into the cache's lists; clear the flags."""
+        touched = np.flatnonzero(self.touched)
+        stride = cache.stride
+        lines, sizes = cache.lines, cache.sizes
+        rows = self.lines.reshape(-1, stride)[touched].tolist()
+        for set_index, row, size in zip(touched.tolist(), rows,
+                                        self.sizes[touched].tolist()):
+            base = set_index * stride
+            lines[base:base + stride] = row
+            sizes[set_index] = size
+        self.touched[touched] = 0
+
+
 def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
                  collect_service: bool, stats, carry: tuple,
                  obs_probe=None, mode: str = "plain") -> tuple:
@@ -1296,6 +1344,11 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
     flat-array state and stats owners mutated exactly as the scalar
     loop would have left them.  ``warmup`` is the run-global warmup
     index (this function tracks the chunk offset itself).
+
+    Per call, the TLB/PWC arrays, the MSHR file and every counter are
+    loaded from their owners and written back whole; the three data
+    caches reuse their resident images and write back only the sets
+    the kernel touched.
 
     ``obs_probe`` (a :class:`repro.obs.probe.SimProbe`, or ``None``)
     snapshots counters at each chunk boundary.  The snapshot reads the
@@ -1457,10 +1510,14 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
         "p3_sizes": _as_array(p3.sizes),
         "p4_tags": _as_array(p4.tags), "p4_frames": _as_array(p4.frames),
         "p4_sizes": _as_array(p4.sizes),
-        "c1_lines": _as_array(c1.lines), "c1_sizes": _as_array(c1.sizes),
-        "c2_lines": _as_array(c2.lines), "c2_sizes": _as_array(c2.sizes),
-        "c3_lines": _as_array(c3.lines), "c3_sizes": _as_array(c3.sizes),
     }
+    # Reuse each cache's resident image, or build it from the lists.
+    # It stays detached until the write-back below has run, so an
+    # interrupted write-back cannot leave a stale image attached.
+    caches = (c1, c2, c3)
+    images = [cache.image or _CacheImage(cache) for cache in caches]
+    for cache in caches:
+        cache.image = None
 
     def ptr(arr: np.ndarray):
         return ffi.cast("long long *", arr.ctypes.data)
@@ -1468,9 +1525,10 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
     struct_ptrs = [ptr(arrays[name]) for name in (
         "t_tags", "t_frames", "t_sizes", "u_tags", "u_frames", "u_sizes",
         "p2_tags", "p2_frames", "p2_sizes", "p3_tags", "p3_frames",
-        "p3_sizes", "p4_tags", "p4_frames", "p4_sizes",
-        "c1_lines", "c1_sizes", "c2_lines", "c2_sizes",
-        "c3_lines", "c3_sizes")]
+        "p3_sizes", "p4_tags", "p4_frames", "p4_sizes")]
+    for image in images:
+        struct_ptrs += [ptr(image.lines), ptr(image.sizes),
+                        ffi.cast("unsigned char *", image.touched.ctypes.data)]
 
     if vscheme is not None:
         lib.col_park_seed(ptr(park_meta), ptr(park_hash), ptr(park_pool),
@@ -1509,7 +1567,11 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
                     tlb_misses=int(k[K_TM]))
     finally:
         # Write every structure image and counter back to its owner, so
-        # post-run state is indistinguishable from a scalar run.
+        # post-run state is indistinguishable from a scalar run.  The
+        # cache images then equal their lists again and are re-attached.
+        for cache, image in zip(caches, images):
+            image.write_back(cache)
+            cache.image = image
         l1t.tags[:] = arrays["t_tags"].tolist()
         l1t.frames[:] = arrays["t_frames"].tolist()
         l1t.sizes[:] = arrays["t_sizes"].tolist()
@@ -1525,12 +1587,6 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
         p4.tags[:] = arrays["p4_tags"].tolist()
         p4.frames[:] = arrays["p4_frames"].tolist()
         p4.sizes[:] = arrays["p4_sizes"].tolist()
-        c1.lines[:] = arrays["c1_lines"].tolist()
-        c1.sizes[:] = arrays["c1_sizes"].tolist()
-        c2.lines[:] = arrays["c2_lines"].tolist()
-        c2.sizes[:] = arrays["c2_sizes"].tolist()
-        c3.lines[:] = arrays["c3_lines"].tolist()
-        c3.sizes[:] = arrays["c3_sizes"].tolist()
 
         tlbs.stats.hits = int(k[K_TH])
         tlbs.stats.misses = int(k[K_TM])

@@ -259,6 +259,10 @@ def _drive(sims, traces, evict_hooks, mt: MultiTenantSpec, warmup: int,
         _merge_segment(agg, seg)
         final_stats[tenant] = seg
         active = tenant
+    # The compiled kernel's cache images stay resident only so the next
+    # quantum can reuse them; after the last one, free them now rather
+    # than whenever the collector gets to this schedule's hierarchy.
+    hierarchy.drop_images()
     if recorder is not None:
         recorder.counter("mt_schedule", "mt", tenants=len(sims),
                          quanta=len(schedule), switches=switches,

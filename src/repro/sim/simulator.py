@@ -894,42 +894,49 @@ class NativeSimulation:
                    and tlbs.l2_evict_hook is None
                    and not tlbs.infinite and not clustered
                    and len(self.pwc.view) == 3)
-        #: The execution-chunk stream; under observation it is re-cut at
-        #: the warmup boundary and sample intervals (chunking-invariant,
-        #: so statistics are unchanged — pinned by tests/test_traces.py).
-        if obs is not None:
-            obs.run_begin(kernel=self.kernel)
-            chunk_stream = obs.chunks(iter_trace_chunks(trace))
-        else:
-            chunk_stream = iter_trace_chunks(trace)
+        #: The compiled kernel's mode for this call, or None for the
+        #: scalar loop below; decided before the obs log names it.
+        mode = None
         if self.kernel == "columnar":
             from repro.sim import columnar as _columnar
 
             mode = _columnar.engine_mode(self, fast_ok)
-            if mode is not None:
-                # Whole-chunk C engine (byte-identical to the loop
-                # below; see repro.sim.columnar).  Covers the fast-sweep
-                # configuration plus the compiled ASAP and Victima
-                # state machines; falls back to scalar otherwise.
+        #: The execution-chunk stream; under observation it is re-cut at
+        #: the warmup boundary and sample intervals (chunking-invariant,
+        #: so statistics are unchanged — pinned by tests/test_traces.py).
+        if obs is not None:
+            obs.run_begin(kernel=mode or "scalar")
+            chunk_stream = obs.chunks(iter_trace_chunks(trace))
+        else:
+            chunk_stream = iter_trace_chunks(trace)
+        if mode is not None:
+            # Whole-chunk C engine (byte-identical to the loop below;
+            # see repro.sim.columnar).  Covers the fast-sweep
+            # configuration plus the compiled ASAP and Victima state
+            # machines; everything else takes the scalar loop.
+            (now, measuring, acc, data_c, walk_c, walk_count,
+             tlb_l1_base, tlb_l2_base) = _columnar.run_columnar(
+                self, chunk_stream, warmup,
+                collect_service, stats,
                 (now, measuring, acc, data_c, walk_c, walk_count,
-                 tlb_l1_base, tlb_l2_base) = _columnar.run_columnar(
-                    self, chunk_stream, warmup,
-                    collect_service, stats,
-                    (now, measuring, acc, data_c, walk_c, walk_count,
-                     tlb_l1_base, tlb_l2_base), obs_probe=obs,
-                    mode=mode)
-                stats.accesses = acc
-                stats.base_cycles = acc * base_cycles
-                stats.data_cycles = data_c
-                stats.walk_cycles = walk_c
-                stats.walks = walk_count
-                stats.cycles = acc * base_cycles + data_c + walk_c
-                stats.tlb_l1_hits = tlbs.l1_hits - tlb_l1_base
-                stats.tlb_l2_hits = tlbs.l2_hits - tlb_l2_base
-                scheme.finalize(stats)
-                if obs is not None:
-                    obs.run_end(stats)
-                return stats
+                 tlb_l1_base, tlb_l2_base), obs_probe=obs,
+                mode=mode)
+            stats.accesses = acc
+            stats.base_cycles = acc * base_cycles
+            stats.data_cycles = data_c
+            stats.walk_cycles = walk_c
+            stats.walks = walk_count
+            stats.cycles = acc * base_cycles + data_c + walk_c
+            stats.tlb_l1_hits = tlbs.l1_hits - tlb_l1_base
+            stats.tlb_l2_hits = tlbs.l2_hits - tlb_l2_base
+            scheme.finalize(stats)
+            if obs is not None:
+                obs.run_end(stats)
+            return stats
+        # The scalar paths below write the cache lists directly (the
+        # inlined ``access`` closure, the fast sweep), so the compiled
+        # kernel's resident cache images would go stale: drop them.
+        hierarchy.drop_images()
         #: Run-detection seam state: the cache-line block and (biased)
         #: vpn of the previous chunk's last record.  A chunk whose first
         #: record shares that block continues the carried run, and its

@@ -357,6 +357,10 @@ class VirtualizedSimulation:
             chunk_stream = obs.chunks(iter_trace_chunks(trace))
         else:
             chunk_stream = iter_trace_chunks(trace)
+        # The loop writes the cache lists through the inlined ``access``
+        # closure: drop the compiled kernel's resident images (see the
+        # native simulator).
+        hierarchy.drop_images()
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:

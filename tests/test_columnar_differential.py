@@ -18,6 +18,12 @@ the documented wholesale fallback instead.  The scheme-state seam tests
 pin the hardest part of the compiled scheme paths: in-flight prefetch
 MSHRs and the parked-victim pool must round-trip through the per-chunk
 writeback/reload exactly, even when every record lands on its own seam.
+
+The kernel keeps its data-cache images resident between ``run()`` calls
+and writes back only the sets it touched.  An autouse fixture checks
+that every image it reuses still equals its cache's lists, and the
+multi-tenant and mixed-kernel tests compare the whole machine state
+left behind, not only the statistics.
 """
 
 from __future__ import annotations
@@ -27,11 +33,18 @@ import random
 import pytest
 
 from repro.experiments.common import SCHEMES
-from repro.sim import columnar
+from repro.kernelsim.buddy import BuddyAllocator
+from repro.kernelsim.phys import PhysicalMemory
+from repro.mem.hierarchy import CacheHierarchy
+from repro.pagetable.pwc import SplitPwc
+from repro.pagetable.walker import PageWalker
+from repro.params import DEFAULT_MACHINE
+from repro.sim import columnar, multitenant
 from repro.sim.multitenant import MultiTenantSpec, run_native_mt, \
     run_virtualized_mt
 from repro.sim.runner import Scale, run_native, run_virtualized
 from repro.sim.simulator import NativeSimulation
+from repro.tlb.hierarchy import TlbHierarchy
 from repro.traces.source import ArraySource
 from repro.workloads.suite import get as get_workload
 
@@ -42,6 +55,46 @@ pytestmark = pytest.mark.skipif(
 SCALE = Scale(trace_length=6_000, warmup=1_200, seed=11)
 
 SCHEME_NAMES = ("baseline", "asap", "victima", "revelator")
+
+
+@pytest.fixture(autouse=True)
+def reused_images(monkeypatch):
+    """Wrap ``run_columnar``: every cache image a call reuses must equal
+    its lists (and carry no touched flags) when the call starts.  Yields
+    one tuple per compiled call naming the caches whose image it reused.
+    """
+    original = columnar.run_columnar
+    calls = []
+
+    def checked(sim, *args, **kwargs):
+        reused = []
+        for cache in (sim.hierarchy.l1, sim.hierarchy.l2, sim.hierarchy.l3):
+            image = cache.image
+            if image is not None:
+                assert image.lines.tolist() == cache.lines, cache.name
+                assert image.sizes.tolist() == cache.sizes, cache.name
+                assert not image.touched.any(), cache.name
+                reused.append(cache.name)
+        calls.append(tuple(reused))
+        return original(sim, *args, **kwargs)
+
+    monkeypatch.setattr(columnar, "run_columnar", checked)
+    yield calls
+
+
+def _machine_state(sim) -> dict:
+    """Everything a run leaves in the shared hardware structures."""
+    hierarchy = sim.hierarchy
+    state = {cache.name: (list(cache.lines), list(cache.sizes))
+             for cache in (hierarchy.l1, hierarchy.l2, hierarchy.l3)}
+    units = [sim.tlbs.l1, sim.tlbs.l2_plain]
+    units += [unit for _, unit in sim.pwc.view]
+    state["tlb_pwc"] = [(list(unit.tags), list(unit.frames),
+                         list(unit.sizes)) for unit in units]
+    mshrs = hierarchy.mshrs
+    state["mshrs"] = (list(mshrs._inflight.items()), mshrs.allocations,
+                      mshrs.rejections, mshrs.merges)
+    return state
 
 
 def _native_pair(name: str, **kwargs):
@@ -223,13 +276,39 @@ def test_randomized_differential(seed, monkeypatch):
 # multi-tenant: per-quantum sections through the chunk kernel
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("policy", ("flush", "asid"))
-def test_multitenant_native_differential(policy):
+def test_multitenant_native_differential(policy, reused_images,
+                                         monkeypatch):
+    """Statistics *and* the state left after the schedule: a partial
+    write-back that missed a set would show up in the structures even
+    where the statistics happen to agree."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    drive = multitenant._drive
+    shared = []
+
+    def capturing_drive(sims, *args, **kwargs):
+        shared.append(sims[0])
+        return drive(sims, *args, **kwargs)
+
+    monkeypatch.setattr(multitenant, "_drive", capturing_drive)
     mt = MultiTenantSpec(tenants=2, quantum=700, switch_policy=policy)
-    scalar, col = [
-        run_native_mt("mc80", mt=mt, scale=SCALE, kernel=kernel)
-        for kernel in ("scalar", "columnar")
-    ]
-    assert scalar == col
+    for name in ("baseline", "asap"):
+        entry = SCHEMES[name]
+        scalar, col = [
+            run_native_mt("mc80", entry.native_config, mt=mt, scale=SCALE,
+                          scheme=entry.spec, kernel=kernel)
+            for kernel in ("scalar", "columnar")
+        ]
+        assert scalar == col, name
+        assert _machine_state(shared[-2]) == _machine_state(shared[-1]), \
+            name
+        # The schedule releases its resident images once it ends.
+        hierarchy = shared[-1].hierarchy
+        assert [hierarchy.l1.image, hierarchy.l2.image,
+                hierarchy.l3.image] == [None, None, None], name
+    # Each scenario built its images once; every later quantum reused
+    # all three.
+    assert reused_images.count(()) == 2
+    assert set(reused_images) == {(), ("L1", "L2", "L3")}
 
 
 @pytest.mark.parametrize("name", ("asap", "victima"))
@@ -245,6 +324,84 @@ def test_multitenant_scheme_differential(name):
         for kernel in ("scalar", "columnar")
     ]
     assert scalar == col
+
+
+def _mixed_kernel_replay(kernel: str) -> list:
+    """A Victima simulation on ``kernel`` and a scalar baseline one share
+    one hierarchy/TLB/PWC set; their ``run()`` calls alternate, with
+    public cache mutations in between.  Returns each call's statistics
+    with the machine state it left behind."""
+    machine = DEFAULT_MACHINE
+    hierarchy = CacheHierarchy(machine.hierarchy)
+    tlbs = TlbHierarchy(machine.tlb)
+    pwc = SplitPwc(machine.pwc, top_level=4)
+    shared = dict(hierarchy=hierarchy, tlbs=tlbs, pwc=pwc,
+                  walker=PageWalker(hierarchy, pwc))
+    buddy = BuddyAllocator(PhysicalMemory(2 << 41), seed=3)
+    entry = SCHEMES["victima"]
+    sims, traces = [], []
+    # The plain simulation is built first: Victima's bind installs its
+    # park hook on the shared TLBs, and its compiled mode needs that
+    # hook to be its own.
+    for index, (workload, config, scheme, sim_kernel) in enumerate((
+            ("mcf", SCHEMES["baseline"].native_config, None, "scalar"),
+            ("mc80", entry.native_config, entry.spec, kernel))):
+        spec = get_workload(workload)
+        process = spec.build_process(
+            asap_levels=config.native_levels, seed=60 + index, buddy=buddy,
+            data_pool=f"data{index}", pt_pool=f"pt{index}")
+        sim = NativeSimulation(process, asap=config, scheme=scheme,
+                               asid=index, kernel=sim_kernel, **shared)
+        trace = spec.generate_trace(6_000, seed=60 + index)
+        sim.populate(trace, order=spec.init_order)
+        sims.append(sim)
+        traces.append(trace)
+    plain, victima = sims
+
+    def install_foreign_lines():
+        for line in range(1 << 30, (1 << 30) + 4096 * 3, 3):
+            hierarchy.l2.install(line)
+
+    schedule = (victima, victima, plain, victima, install_foreign_lines,
+                victima, victima.scheme.on_translation_flush, victima,
+                hierarchy.flush, victima, plain, victima, victima)
+    cursors = [0, 0]
+    results = []
+    for step in schedule:
+        if not isinstance(step, NativeSimulation):
+            step()
+            continue
+        which = sims.index(step)
+        start = cursors[which]
+        cursors[which] = start + 600
+        stats = step.run(traces[which][start:start + 600], populate=False)
+        state = _machine_state(step)
+        state["parked"] = list(victima.scheme._parked.items())
+        state["victima"] = dict(victima.scheme.stats)
+        results.append((stats, state))
+    return results
+
+
+def test_mixed_kernels_share_one_hierarchy(reused_images, monkeypatch):
+    """Compiled and scalar ``run()`` calls interleaved on one machine,
+    with ``l2.install``, ``hierarchy.flush()`` and a Victima flush in
+    between, must match an all-scalar replay call for call."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    scalar = _mixed_kernel_replay("scalar")
+    assert reused_images == []
+    compiled = _mixed_kernel_replay("columnar")
+    for call, (expected, got) in enumerate(zip(scalar, compiled)):
+        assert got[0] == expected[0], f"call {call}"
+        assert got[1] == expected[1], f"call {call}"
+    assert scalar[-1][1]["victima"]["parked"] > 0
+    # All eight Victima quanta ran compiled.  Resident images were
+    # reused where nothing wrote the caches in between (back-to-back
+    # quanta; the L1/L3 across the L2-only mutations) and rebuilt after
+    # every scalar quantum and the full flush.
+    full = ("L1", "L2", "L3")
+    assert reused_images == [
+        (), full, (), ("L1", "L3"), ("L1", "L3"), (), (), full,
+    ]
 
 
 def test_multitenant_virtualized_differential():

@@ -1,5 +1,7 @@
 """Unit tests for the three-level cache hierarchy and prefetch path."""
 
+import pytest
+
 from repro.mem.hierarchy import CacheHierarchy
 from repro.params import CacheParams, HierarchyParams
 
@@ -107,3 +109,33 @@ def test_warm_preinstalls(hierarchy):
     hierarchy.warm([1, 2, 3])
     for line in (1, 2, 3):
         assert hierarchy.access_line(line).level == "L1"
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda h: h.access_line(7),
+    lambda h: h.prefetch_line(7, now=0),
+    lambda h: h.warm([7]),
+    lambda h: h.flush(),
+    lambda h: h.drop_images(),
+], ids=["access_line", "prefetch_line", "warm", "flush", "drop_images"])
+def test_public_writes_drop_resident_images(hierarchy, mutate):
+    """The compiled kernel's resident cache images must never outlive a
+    Python-side write to the cache lists (repro.sim.columnar)."""
+    for cache in (hierarchy.l1, hierarchy.l2, hierarchy.l3):
+        cache.image = object()
+    mutate(hierarchy)
+    assert [hierarchy.l1.image, hierarchy.l2.image,
+            hierarchy.l3.image] == [None, None, None]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda c: c.lookup(7),
+    lambda c: c.install(7),
+    lambda c: c.invalidate(7),
+    lambda c: c.flush(),
+], ids=["lookup", "install", "invalidate", "flush"])
+def test_cache_mutators_drop_resident_image(hierarchy, mutate):
+    cache = hierarchy.l2
+    cache.image = object()
+    mutate(cache)
+    assert cache.image is None

@@ -138,3 +138,16 @@ def test_walk_statistics():
     assert walker.walks == 2
     assert walker.average_latency > 0
     assert walker.total_accesses > 0
+
+
+def test_walk_drops_resident_cache_images():
+    """The 2D walk writes the caches through the inlined ``access``
+    closure, so it drops the compiled kernel's images."""
+    walker, hierarchy = make_walker()
+    vm = make_vm()
+    vm.touch(HEAP)
+    for cache in (hierarchy.l1, hierarchy.l2, hierarchy.l3):
+        cache.image = object()
+    walker.walk(vm.nested_path(HEAP))
+    assert [hierarchy.l1.image, hierarchy.l2.image,
+            hierarchy.l3.image] == [None, None, None]

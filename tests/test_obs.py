@@ -237,6 +237,30 @@ class TestDeterminism:
 
 
 # ----------------------------------------------------------------------
+# the logged kernel is the one that ran
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(not columnar.columnar_available(),
+                    reason="no C compiler/cffi for the columnar backend")
+@pytest.mark.parametrize("name, expected", [
+    # The mt victim router wraps Victima's park hook, so every quantum
+    # falls back to the scalar loop; baseline quanta run compiled.
+    ("victima", "scalar"),
+    ("baseline", "plain"),
+])
+def test_simulate_span_logs_effective_kernel(name, expected, monkeypatch):
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    entry = SCHEMES[name]
+    mt = MultiTenantSpec(tenants=2, quantum=700, switch_policy="asid")
+    with capture() as recorder:
+        run_native_mt("mc80", entry.native_config, mt=mt, scale=TINY,
+                      scheme=entry.spec, kernel="columnar")
+    kernels = [event["args"]["kernel"] for event in recorder.events
+               if event["type"] == "B" and event["name"] == "simulate"]
+    assert len(kernels) == 6  # 2 tenants x 2000 records / quantum 700
+    assert set(kernels) == {expected}
+
+
+# ----------------------------------------------------------------------
 # engine integration
 # ----------------------------------------------------------------------
 def _jobs(n=3):

@@ -137,3 +137,17 @@ def test_fault_detection_accelerated_by_prefetch():
     completion = hierarchy.prefetch_line(fault.resolved_steps[-1].line, 0)
     accelerated = walker.walk_to_fault(fault, 0, {1: completion}).latency
     assert accelerated < baseline
+
+
+def test_public_walks_drop_resident_cache_images():
+    """Both public entry points write the caches through the inlined
+    ``access`` closure, so they drop the compiled kernel's images."""
+    walker, hierarchy, _ = make_walker()
+    pt = mapped_pt()
+    for walk in (lambda: walker.walk(pt.walk_path(VA)),
+                 lambda: walker.walk_to_fault(pt.fault_path(VA + 4096))):
+        for cache in (hierarchy.l1, hierarchy.l2, hierarchy.l3):
+            cache.image = object()
+        walk()
+        assert [hierarchy.l1.image, hierarchy.l2.image,
+                hierarchy.l3.image] == [None, None, None]
