@@ -126,10 +126,7 @@ class VirtualMachine:
         """Map [gframe, gframe+count) to contiguous host frames."""
         if self.host_page_level == 1:
             hbase = self.host_buddy.reserve_contiguous(count)
-            for i in range(count):
-                if self.hpt.lookup((gframe + i) << c.PAGE_SHIFT) is None:
-                    self.hpt.map_page((gframe + i) << c.PAGE_SHIFT,
-                                      hbase + i, 1)
+            self.hpt.map_contiguous(gframe, hbase, count)
         else:
             first_large = gframe >> c.LEVEL_BITS
             last_large = (gframe + count - 1) >> c.LEVEL_BITS

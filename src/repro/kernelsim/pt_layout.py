@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.kernelsim.buddy import BuddyAllocator
-from repro.kernelsim.vma import Vma
+from repro.kernelsim.vma import Vma, VmaTree
 from repro.pagetable import constants as c
 
 
@@ -163,3 +163,24 @@ class AsapPtLayout:
     @property
     def total_reserved_bytes(self) -> int:
         return sum(r.capacity for r in self._regions.values()) * c.PAGE_SIZE
+
+
+class VmaHoleChecker:
+    """The prefetcher's ``hole_checker(va, level)`` for one address space.
+
+    True when ``va`` lies in no VMA of ``vmas`` or its level-``level``
+    node is a hole of that VMA's region (see :meth:`AsapPtLayout.is_hole`).
+    The verdict reads only the VMA and the node tag, so it is the same
+    for every address of one VMA that shares a node — the rule the
+    columnar kernel relies on to evaluate it once per node.
+    """
+
+    __slots__ = ("vmas", "layout")
+
+    def __init__(self, vmas: VmaTree, layout: AsapPtLayout) -> None:
+        self.vmas = vmas
+        self.layout = layout
+
+    def __call__(self, va: int, level: int) -> bool:
+        vma = self.vmas.find(va)
+        return vma is None or self.layout.is_hole(vma, level, va)

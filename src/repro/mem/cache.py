@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.params import CacheParams
 
 #: Sentinel marking an empty slot; real line numbers are non-negative.
@@ -135,6 +137,54 @@ class SetAssociativeCache:
             self.sizes[set_index] = size + 1
         lines[base] = line
         return victim
+
+    def install_many(self, lines: np.ndarray) -> None:
+        """``install`` every line of ``lines`` in order, victims dropped.
+
+        Installs into different sets commute, so the lines are grouped
+        by set (install order kept) and each set is updated once.  When a
+        set's new lines are distinct and none is resident, LRU leaves the
+        set holding its last ``ways`` new lines, newest first, then its
+        old lines, cut at ``ways`` (everything cut is an eviction).  Any
+        other set takes the per-line path.
+        """
+        new = np.asarray(lines, dtype=np.int64)
+        if not new.size:
+            return
+        self.image = None
+        # Each temporary goes before the next is built, which keeps the
+        # peak near the per-line loop's (the co-runner prefill feeds a
+        # whole L3's worth of lines).
+        sets = new % self.num_sets
+        counts = np.bincount(sets, minlength=self.num_sets).tolist()
+        order = np.argsort(sets, kind="stable")
+        del sets
+        grouped = new[order]
+        del order
+        grouped = grouped.tolist()
+        store, sizes = self.lines, self.sizes
+        stride, ways = self.stride, self.ways
+        evictions = 0
+        end = 0
+        for set_index, count in enumerate(counts):
+            if not count:
+                continue
+            batch = grouped[end:end + count]
+            end += count
+            base = set_index * stride
+            size = sizes[set_index]
+            old = store[base:base + size]
+            fresh = set(batch)
+            if len(fresh) != count or not fresh.isdisjoint(old):
+                for line in batch:
+                    self.install(line)
+                continue
+            batch.reverse()
+            kept = batch[:ways] + old[:max(ways - count, 0)]
+            store[base:base + len(kept)] = kept
+            sizes[set_index] = len(kept)
+            evictions += size + count - len(kept)
+        self.stats.evictions += evictions
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if present; returns whether it was resident."""

@@ -164,6 +164,29 @@ class RadixPageTable:
             self._large[c.vpn(va) >> c.LEVEL_BITS] = frame
         return created
 
+    def map_contiguous(self, first_vpn: int, first_frame: int,
+                       count: int) -> None:
+        """Map each unmapped 4KB page of ``[first_vpn, first_vpn +
+        count)`` to ``first_frame`` plus its offset.
+
+        The same tables as calling :meth:`map_page` in order for every
+        page whose :meth:`lookup` is None, one leaf node (512 pages) at a
+        time: the node's first such page creates any missing nodes, and
+        the rest only need their leaf entries.
+        """
+        pages = self._pages
+        offset = first_frame - first_vpn
+        vpn, end = first_vpn, first_vpn + count
+        while vpn < end:
+            stop = min(end, (vpn | (c.ENTRIES_PER_NODE - 1)) + 1)
+            if (vpn >> c.LEVEL_BITS) not in self._large:
+                missing = [v for v in range(vpn, stop) if v not in pages]
+                if missing:
+                    head = missing[0]
+                    self.map_page(head << c.PAGE_SHIFT, head + offset)
+                    pages.update((v, v + offset) for v in missing[1:])
+            vpn = stop
+
     def unmap_page(self, va: int) -> bool:
         """Remove a leaf mapping (nodes are not reclaimed, as in Linux)."""
         if self._pages.pop(c.vpn(va), None) is not None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from repro.core.config import AsapConfig
 from repro.core.prefetcher import AsapPrefetcher
 from repro.core.range_registers import RangeRegisterFile
+from repro.kernelsim.pt_layout import VmaHoleChecker
 from repro.schemes.base import SchemeSpec, TranslationScheme, WalkStartHook
 
 
@@ -45,19 +46,12 @@ class AsapScheme(TranslationScheme):
             build_native_descriptors(process,
                                      sim.machine.asap.range_registers)
         )
-        layout = process.asap_layout
-        vmas = process.vmas
-
-        def hole_checker(va: int, level: int) -> bool:
-            vma = vmas.find(va)
-            return vma is None or layout.is_hole(vma, level, va)
-
         prefetcher = AsapPrefetcher(
             sim.hierarchy,
             registers,
             levels=config.native_levels,
             require_mshr=sim.machine.asap.require_free_mshr,
-            hole_checker=hole_checker,
+            hole_checker=VmaHoleChecker(process.vmas, process.asap_layout),
         )
         sim.prefetcher = prefetcher
         self._prefetchers.append(prefetcher)
@@ -81,19 +75,13 @@ class AsapScheme(TranslationScheme):
                     "and a VM backing guest PT regions contiguously"
                 )
             registers.load(descriptors)
-            layout = vm.guest.asap_layout
-            vmas = vm.guest.vmas
-
-            def hole_checker(va: int, level: int) -> bool:
-                vma = vmas.find(va)
-                return vma is None or layout.is_hole(vma, level, va)
-
+            guest = vm.guest
             guest_prefetcher = AsapPrefetcher(
                 sim.hierarchy,
                 registers,
                 levels=config.guest_levels,
                 require_mshr=sim.machine.asap.require_free_mshr,
-                hole_checker=hole_checker,
+                hole_checker=VmaHoleChecker(guest.vmas, guest.asap_layout),
             )
             sim.guest_prefetcher = guest_prefetcher
             self._prefetchers.append(guest_prefetcher)

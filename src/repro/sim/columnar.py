@@ -8,9 +8,9 @@ the system C compiler) and drives it one TraceSource chunk at a time:
 
 * Python precomputes, per chunk, a *path row* for every distinct VPN —
   the page-table node cache lines the walker would touch, the three PWC
-  tags, the leaf level and frame — using vectorized numpy over the radix
-  table's node maps.  Rows are cached across chunks in a
-  :class:`_PathTable` (the page table cannot change mid-run).
+  tags, the leaf level and frame — with whole-array numpy passes over
+  the radix table's leaf and node maps.  Rows are cached across chunks
+  in a :class:`_PathTable` (the page table cannot change mid-run).
 * The C kernel then replays the per-record state machine: L1/L2 TLB
   probe with LRU promotion, PWC probe/insert, per-level cache walk
   steps, TLB fill, and the data access — mutating images of the same
@@ -59,6 +59,17 @@ the scalar loop, so every scheme still runs.  MSHR state is
 round-tripped in every mode and the C ``cache_access`` has the merge
 branch, so in-flight prefetches straddle chunk seams byte-identically.
 
+The node-constancy rule.  ``asap`` rows carry the prefetcher's hole
+verdict per target level, and ``_PathTable`` evaluates it once per
+(descriptor, level, page-table node), not once per page.  That is exact
+only if the verdict is the same for every page of one descriptor that
+shares a node.  It holds for the :class:`~repro.kernelsim.pt_layout.
+VmaHoleChecker` that ``AsapScheme`` binds: its verdict reads only the
+VMA and the node tag, and a descriptor that lies inside one VMA sees
+that VMA for all of its pages.  ``engine_mode`` enforces the rule: any
+other checker, or a descriptor that is not page-aligned or not inside
+one VMA of the checker's tree, keeps the run on the scalar loop.
+
 The backend is optional: without a C compiler or cffi the simulator
 silently stays scalar.  Set ``REPRO_REQUIRE_CCORE=1`` to turn backend
 unavailability into an error (CI does this for the columnar jobs).
@@ -72,10 +83,14 @@ import subprocess
 import sys
 import tempfile
 import threading
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.kernelsim.pt_layout import VmaHoleChecker
+from repro.pagetable.constants import node_tag
+from repro.sim.order import run_starts
 from repro.tlb.tlb import ASID_SHIFT, asid_bias
 from repro.traces.source import kernel_chunk
 
@@ -144,9 +159,14 @@ _SERVICE_LABELS = ("PWC", "L1", "MSHR", "L2", "L3", "MEM")
 #: Path-row layout: lines l4 l3 l2 l1, tg2 tg3 tg4, leaf, pframe, large
 #: (cols 0-9, the plain walk) plus the ASAP replay columns — descriptor
 #: flag (10), per-slot prefetch target lines or -1 (11-14) and per-slot
-#: hole flags (15-18).  The ASAP columns are page-constant because the
-#: dispatch precondition requires page-aligned descriptors and VMAs.
+#: hole flags (15-18).  The ASAP columns are exact under the
+#: node-constancy rule that ``engine_mode`` enforces (module docstring).
 _PATH_COLS = 19
+
+#: A path row before its columns are written: no level-1 line (large
+#: pages), no descriptor hit, no prefetch targets (-1), no holes.
+_EMPTY_ROW = np.zeros(_PATH_COLS, dtype=np.int64)
+_EMPTY_ROW[11:15] = -1
 
 _C_SOURCE = r"""
 #include <string.h>
@@ -1079,17 +1099,30 @@ def _pow2_geometry(sim: "NativeSimulation") -> bool:
     return not any(unit.num_sets & (unit.num_sets - 1) for unit in units)
 
 
-def _asap_pages_aligned(sim: "NativeSimulation", prefetcher) -> bool:
-    """The ASAP path-row columns are computed once per page, so every
-    boundary the replay consults (descriptor cover, VMA find for the
-    hole check) must be page-aligned — true for every workload the
-    layout builder produces, checked here so a hand-built misaligned
-    region falls back to the scalar oracle."""
-    for descriptor in prefetcher.registers._descriptors:
+def _asap_rows_exact(prefetcher) -> bool:
+    """Whether ``_PathTable`` can precompute this prefetcher's replay
+    columns exactly (the node-constancy rule in the module docstring).
+
+    Hit flags and targets are computed per page, so every descriptor
+    boundary must be page-aligned.  Hole verdicts are computed once per
+    (descriptor, level, node), so the checker must be absent or a
+    :class:`~repro.kernelsim.pt_layout.VmaHoleChecker` (whose verdict
+    reads only the VMA and the node tag), and each descriptor must lie
+    inside one VMA of the tree that checker consults.  A hand-built
+    register file or a custom checker falls back to the scalar oracle.
+    """
+    descriptors = prefetcher.registers._descriptors
+    for descriptor in descriptors:
         if (descriptor.start | descriptor.end) & 0xFFF:
             return False
-    for vma in sim.process.vmas:
-        if (vma.start | vma.end) & 0xFFF:
+    checker = prefetcher.hole_checker
+    if checker is None:
+        return True
+    if type(checker) is not VmaHoleChecker:
+        return False
+    for descriptor in descriptors:
+        vma = checker.vmas.find(descriptor.start)
+        if vma is None or descriptor.end > vma.end:
             return False
     return True
 
@@ -1133,7 +1166,7 @@ def engine_mode(sim: "NativeSimulation", fast_ok: bool) -> str | None:
                     and prefetcher.levels
                     and len(prefetcher.levels) <= 4
                     and all(1 <= lv <= 4 for lv in prefetcher.levels)
-                    and _asap_pages_aligned(sim, prefetcher)):
+                    and _asap_rows_exact(prefetcher)):
                 mode = "asap"
         elif probe is not None and walk_start is None:
             from repro.schemes.victima import VictimaLike
@@ -1163,6 +1196,12 @@ class _PathTable:
     large-page flag.  Rows are immutable once built (the page table is
     static during a run); ``clear()`` drops them on translation flush,
     coherently with the scalar path caches.
+
+    Rows are built in bulk, with whole-array passes over a chunk's new
+    VPNs in sorted order: leaf frames from one dict lookup per VPN, node
+    lines from one node-map lookup per distinct node, ASAP columns per
+    descriptor as a contiguous slice of the sorted pages.  Every column
+    is written straight into the grown ``paths`` matrix.
     """
 
     def __init__(self) -> None:
@@ -1175,103 +1214,64 @@ class _PathTable:
         self.__init__()
 
     def rows_for(self, vpns: np.ndarray, process, vbias: int,
-                 asap=None) -> np.ndarray:
+                 prefetcher=None) -> np.ndarray:
         """Row index for every element of ``vpns`` (biased), building
-        rows for VPNs not seen before.  ``asap`` is ``None`` or the
-        ``(starts, descriptors, levels, hole_checker)`` replay context
-        used to precompute the prefetch-target columns."""
-        uniq = np.unique(vpns)
+        rows for VPNs not seen before.  ``prefetcher`` is ``None`` or
+        the :class:`~repro.core.prefetcher.AsapPrefetcher` whose replay
+        columns the rows carry.
+
+        One sort per chunk maps records to rows: the distinct VPNs are
+        looked up in (or added to) ``known``, and the inverse index
+        spreads their row ids back over the records.
+        """
+        uniq, inverse = np.unique(vpns, return_inverse=True)
+        ids = np.empty(uniq.size, dtype=np.int64)
+        fresh = np.ones(uniq.size, dtype=bool)
         if self.known.size:
             slot = np.searchsorted(self.known, uniq)
-            hit = (self.known[np.minimum(slot, self.known.size - 1)]
-                   == uniq)
-            new = uniq[~hit]
-        else:
-            new = uniq
-        if new.size:
-            self._add(new, process, vbias, asap)
-        return self.rows[np.searchsorted(self.known, vpns)]
+            hit = self.known[np.minimum(slot, self.known.size - 1)] == uniq
+            ids[hit] = self.rows[slot[hit]]
+            fresh = ~hit
+        if fresh.any():
+            ids[fresh] = self._add(uniq[fresh], process, vbias,
+                                   prefetcher)
+        return ids[inverse]
 
     def _add(self, new: np.ndarray, process, vbias: int,
-             asap=None) -> None:
+             prefetcher=None) -> np.ndarray:
+        """Build and commit rows for the sorted, unseen VPNs ``new``;
+        returns their row ids.  An unmapped VPN raises before any row
+        is committed."""
         pt = process.page_table
         raw = new & ((1 << ASID_SHIFT) - 1) if vbias else new
+        leaf, pframe = self._leaves(raw, process)
         count = new.size
-        pages, large = pt.leaf_maps()
-        leaf = np.empty(count, dtype=np.int64)
-        pframe = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            vpn = int(raw[i])
-            frame = pages.get(vpn)
-            if frame is not None:
-                leaf[i] = 1
-                pframe[i] = frame
-                continue
-            lframe = large.get(vpn >> 9)
-            if lframe is not None:
-                leaf[i] = 2
-                pframe[i] = lframe + (vpn & 511)
-                continue
-            # Unmapped: raise the PageFault the scalar walk would (at
-            # chunk pre-scan rather than at the faulting record — the
-            # only observable divergence, and only on faulting traces).
-            process.flat_walk(vpn << 12)
-            raise AssertionError("flat_walk did not raise for an "
-                                 "unmapped vpn")
-
-        rows = np.empty((count, _PATH_COLS), dtype=np.int64)
+        start = self.count
+        needed = start + count
+        if needed > self.paths.shape[0]:
+            # Doubling past `needed` leaves room for the next chunks'
+            # rows without another copy; rows never written are never
+            # paged in.
+            grown = np.empty((max(2 * needed, 1024), _PATH_COLS),
+                             dtype=np.int64)
+            grown[:start] = self.paths[:start]
+            self.paths = grown
+        rows = self.paths[start:needed]
+        rows[:] = _EMPTY_ROW
         rows[:, 0] = self._node_lines(raw, 4, pt)
         rows[:, 1] = self._node_lines(raw, 3, pt)
         rows[:, 2] = self._node_lines(raw, 2, pt)
-        rows[:, 3] = 0
-        sel = leaf == 1
-        if sel.any():
-            rows[sel, 3] = self._node_lines(raw[sel], 1, pt)
+        small = leaf == 1
+        if small.any():
+            rows[small, 3] = self._node_lines(raw[small], 1, pt)
         rows[:, 4] = (raw >> 9) | vbias
         rows[:, 5] = (raw >> 18) | vbias
         rows[:, 6] = (raw >> 27) | vbias
         rows[:, 7] = leaf
         rows[:, 8] = pframe
-        rows[:, 9] = (leaf == 2).astype(np.int64)
-        rows[:, 10] = 0
-        rows[:, 11:15] = -1
-        rows[:, 15:19] = 0
-        if asap is not None:
-            # ASAP replay columns.  Range-register lookup replayed as a
-            # side-effect-free bisect (the hit/miss counters live in the
-            # kernel); entry addresses and hole flags are page-constant
-            # because the dispatch precondition requires page-aligned
-            # descriptors and VMAs, so the page-base VA stands in for
-            # every record VA on the page.
-            from bisect import bisect_right
-
-            starts, descriptors, levels, hole_checker = asap
-            for i in range(count):
-                va = int(raw[i]) << 12
-                idx = bisect_right(starts, va) - 1
-                if idx < 0:
-                    continue
-                descriptor = descriptors[idx]
-                if not (descriptor.start <= va < descriptor.end):
-                    continue
-                rows[i, 10] = 1
-                for s, level in enumerate(levels):
-                    target = descriptor.entry_addr(va, level)
-                    if target is None:
-                        continue
-                    rows[i, 11 + s] = target >> 6
-                    if (hole_checker is not None
-                            and hole_checker(va, level)):
-                        rows[i, 15 + s] = 1
-
-        start = self.count
-        needed = start + count
-        if needed > self.paths.shape[0]:
-            capacity = max(needed, 2 * self.paths.shape[0], 1024)
-            grown = np.empty((capacity, _PATH_COLS), dtype=np.int64)
-            grown[:start] = self.paths[:start]
-            self.paths = grown
-        self.paths[start:needed] = rows
+        rows[:, 9] = ~small
+        if prefetcher is not None:
+            self._asap_columns(rows, raw << 12, prefetcher)
         self.count = needed
 
         ids = np.arange(start, needed, dtype=np.int64)
@@ -1280,18 +1280,84 @@ class _PathTable:
         at = np.searchsorted(self.known, new)
         self.known = np.insert(self.known, at, new)
         self.rows = np.insert(self.rows, at, ids)
+        return ids
+
+    @staticmethod
+    def _leaves(raw: np.ndarray, process) -> tuple[np.ndarray, np.ndarray]:
+        """``(leaf level, frame)`` per (raw, sorted) vpn: the 4KB map
+        first, then the 2MB map for the misses.  The first unmapped vpn
+        raises the PageFault the scalar walk would (at chunk pre-scan
+        rather than at the faulting record — the only observable
+        divergence, and only on faulting traces)."""
+        pages, large = process.page_table.leaf_maps()
+        pframe = np.fromiter(map(pages.get, raw.tolist(), repeat(-1)),
+                             dtype=np.int64, count=raw.size)
+        leaf = np.ones(raw.size, dtype=np.int64)
+        miss = np.flatnonzero(pframe < 0)
+        if miss.size:
+            vpns = raw[miss]
+            bases = np.fromiter(
+                map(large.get, (vpns >> 9).tolist(), repeat(-1)),
+                dtype=np.int64, count=miss.size)
+            unmapped = np.flatnonzero(bases < 0)
+            if unmapped.size:
+                process.flat_walk(int(vpns[unmapped[0]]) << 12)
+                raise AssertionError("flat_walk did not raise for an "
+                                     "unmapped vpn")
+            leaf[miss] = 2
+            pframe[miss] = bases + (vpns & 511)
+        return leaf, pframe
 
     @staticmethod
     def _node_lines(raw: np.ndarray, level: int, pt) -> np.ndarray:
-        """Cache line of the level-``level`` node entry per (raw) vpn —
-        ``flat_walk``'s line arithmetic, vectorized over the node map."""
+        """Cache line of the level-``level`` node entry per (raw, sorted)
+        vpn — ``flat_walk``'s line arithmetic, one node-map lookup per
+        distinct node."""
         node_map = pt.leaf_nodes(level)
         keys = raw >> (9 * level)
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        bases = np.fromiter((node_map[int(key)] for key in uniq),
-                            dtype=np.int64, count=uniq.size)
+        first, runs = _runs(keys)
+        bases = np.fromiter(map(node_map.__getitem__, keys[first].tolist()),
+                            dtype=np.int64, count=first.size)
         index = (raw >> (9 * (level - 1))) & 511
-        return (bases[inverse] + index * 8) >> 6
+        return (np.repeat(bases, runs) + index * 8) >> 6
+
+    @staticmethod
+    def _asap_columns(rows: np.ndarray, vas: np.ndarray, prefetcher) -> None:
+        """The ASAP replay columns for page-base addresses ``vas``
+        (sorted).  Descriptors are sorted and disjoint, so the pages a
+        descriptor covers are one slice of ``vas``: the range-register
+        hit, replayed without touching the register counters (those
+        live in the kernel).  Targets come from the descriptor's own
+        base-plus-offset arithmetic over the slice; hole verdicts once
+        per (descriptor, level, node), which the module's node-constancy
+        rule makes exact."""
+        levels = prefetcher.levels
+        hole_checker = prefetcher.hole_checker
+        for descriptor in prefetcher.registers._descriptors:
+            lo, hi = np.searchsorted(vas, (descriptor.start, descriptor.end))
+            if lo == hi:
+                continue
+            block = rows[lo:hi]
+            pages = vas[lo:hi]
+            block[:, 10] = 1
+            for s, level in enumerate(levels):
+                target = descriptor.entry_addr(pages, level)
+                if target is None:
+                    continue
+                block[:, 11 + s] = target >> 6
+                if hole_checker is None:
+                    continue
+                first, runs = _runs(node_tag(pages, level))
+                verdicts = [hole_checker(va, level)
+                            for va in pages[first].tolist()]
+                block[:, 15 + s] = np.repeat(verdicts, runs)
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of each run of equal values in the sorted
+    array ``keys``."""
+    first = np.flatnonzero(run_starts(keys))
+    return first, np.diff(first, append=keys.size)
 
 
 def _as_array(lst: list) -> np.ndarray:
@@ -1436,7 +1502,6 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
     k[K_MSHR_MERGE] = mshrs.merges
 
     prefetcher = None
-    asap_ctx = None
     if mode == "asap":
         prefetcher = sim.scheme.walk_start_hook().__self__
         geom[_G_REQ_MSHR] = 1 if prefetcher.require_mshr else 0
@@ -1444,8 +1509,6 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
         for s, level in enumerate(prefetcher.levels):
             geom[_G_PF_L + s] = level
         registers = prefetcher.registers
-        asap_ctx = (registers._starts, registers._descriptors,
-                    prefetcher.levels, prefetcher.hole_checker)
         k[K_RR_H] = registers.hits
         k[K_RR_M] = registers.misses
         k[K_PF_ISSUED] = prefetcher.stats.issued
@@ -1543,7 +1606,7 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
                 continue
             vpns = (addresses >> 12) | vbias
             rowidx = np.ascontiguousarray(
-                state.rows_for(vpns, sim.process, vbias, asap_ctx))
+                state.rows_for(vpns, sim.process, vbias, prefetcher))
             local_warmup = min(max(warmup - chunk_base, 0), n)
             lib.col_run_chunk(
                 ptr(addresses), n, local_warmup,

@@ -37,8 +37,8 @@ def streaming_first_touch_order(
     if order == "sequential":
         unique: np.ndarray | None = None
         for chunk in chunks:
-            piece = np.unique(chunk)
-            unique = piece if unique is None else np.unique(
+            piece = _sorted_unique(chunk)
+            unique = piece if unique is None else _sorted_unique(
                 np.concatenate([unique, piece]))
         if unique is None:
             return np.empty(0, dtype=np.int64)
@@ -48,8 +48,7 @@ def streaming_first_touch_order(
     seen = np.empty(0, dtype=np.int64)  # kept sorted
     pieces: list[np.ndarray] = []
     for chunk in chunks:
-        _, first_index = np.unique(chunk, return_index=True)
-        chunk_demand = chunk[np.sort(first_index)]
+        chunk_demand = chunk[_first_occurrences(chunk)]
         if seen.size:
             slot = np.searchsorted(seen, chunk_demand)
             known = seen[np.minimum(slot, seen.size - 1)] == chunk_demand
@@ -66,6 +65,34 @@ def streaming_first_touch_order(
     if order == "demand":
         return demand
     return _chunk_regroup(demand)
+
+
+def run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in the
+    sorted array ``ordered``."""
+    start = np.empty(ordered.size, dtype=bool)
+    start[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
+    return start
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by sorting: numpy's hash-based unique is
+    several times slower than a sort on int64 page numbers."""
+    ordered = np.sort(values)
+    return ordered[run_starts(ordered)]
+
+
+def _first_occurrences(values: np.ndarray) -> np.ndarray:
+    """Ascending index of the first occurrence of each distinct value —
+    ``np.sort(np.unique(values, return_index=True)[1])`` with a
+    quicksort instead of a stable sort: the minimum original index over
+    each run of equal sorted values."""
+    perm = np.argsort(values)
+    first = np.minimum.reduceat(
+        perm, np.flatnonzero(run_starts(values[perm])))
+    first.sort()
+    return first
 
 
 def _chunk_regroup(demand: np.ndarray) -> np.ndarray:

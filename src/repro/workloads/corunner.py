@@ -100,22 +100,27 @@ class Corunner:
         """
         total = hierarchy.params.l3.lines + hierarchy.params.l2.lines
         step = max(1, self.footprint_lines // (total + 1))
-        line = _CORUNNER_LINE_BASE
-        for _ in range(total):
-            hierarchy.l1.install(line)
-            hierarchy.l2.install(line)
-            hierarchy.l3.install(line)
-            line += step
+        lines = _CORUNNER_LINE_BASE + step * np.arange(total, dtype=np.int64)
+        # Each level installs the same lines in the same order, and an
+        # install touches only its own level.
+        for cache in (hierarchy.l1, hierarchy.l2, hierarchy.l3):
+            cache.install_many(lines)
 
     def step(self, hierarchy: CacheHierarchy, now: int) -> None:
-        """One co-runner slot (data + walk lines) through the hierarchy."""
+        """One co-runner slot (data + walk lines) through the hierarchy.
+
+        Each line is a demand access (``access_line`` without building
+        the result the co-runner never reads).
+        """
+        hierarchy.drop_images()
+        access = hierarchy.access
         for _ in range(self.intensity):
             if self._take_cursor >= len(self._takes):
                 self._refill()
             take = self._takes[self._take_cursor]
             cursor = self._cursor
             for offset in range(take):
-                hierarchy.access_line(self._buffer[cursor + offset], now)
+                access(self._buffer[cursor + offset], now)
             self._cursor = cursor + take
             self._take_cursor += 1
         self.accesses += 1

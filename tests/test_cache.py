@@ -1,6 +1,9 @@
 """Unit tests for the set-associative cache model."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mem.cache import SetAssociativeCache
 from repro.params import CacheParams
@@ -90,3 +93,36 @@ def test_hit_rate():
     cache.lookup(1)
     cache.lookup(2)
     assert cache.stats.hit_rate == pytest.approx(0.5)
+
+
+def _state(cache: SetAssociativeCache):
+    return cache.lines, cache.sizes, cache.stats
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ways=st.sampled_from([1, 2, 4]),
+    sets=st.sampled_from([1, 2, 4, 8]),
+    setup=st.lists(st.tuples(st.sampled_from(["install", "install",
+                                              "lookup", "invalidate"]),
+                             st.integers(0, 40)), max_size=40),
+    batch=st.lists(st.integers(0, 60), max_size=40),
+    distinct=st.booleans(),
+)
+def test_install_many_equals_installs_in_order(ways, sets, setup, batch,
+                                               distinct):
+    """Bulk install leaves lines, sizes and counters exactly as the same
+    installs one by one — from any reachable state, on the bulk path
+    (distinct, non-resident lines) and on the per-line one."""
+    if distinct:
+        batch = [line + 100 for line in dict.fromkeys(batch)]
+    one, bulk = small_cache(ways, sets), small_cache(ways, sets)
+    for cache in (one, bulk):
+        for op, line in setup:
+            getattr(cache, op)(line)
+    for line in batch:
+        one.install(line)
+    bulk.image = object()
+    bulk.install_many(np.array(batch, dtype=np.int64))
+    assert _state(bulk) == _state(one)
+    assert bulk.image is None or not batch

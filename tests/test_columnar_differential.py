@@ -130,6 +130,34 @@ def test_native_schemes_differential(name, monkeypatch):
     assert scalar.service._counts == col.service._counts
 
 
+@pytest.mark.parametrize("workload", ("mc80", "bfs"))
+@pytest.mark.parametrize("hole_rate", (0.05, 0.5, 1.0))
+def test_native_asap_holes_differential(workload, hole_rate, monkeypatch):
+    """Region holes (§3.7.2) put 1s into the path rows' hole columns:
+    those prefetches are issued but never overlap the walk.  The cells
+    must compile, and scalar and columnar must agree on everything."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    verdicts = []
+    engine_mode = columnar.engine_mode
+
+    def recording(*args, **kwargs):
+        verdicts.append(engine_mode(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(columnar, "engine_mode", recording)
+    entry = SCHEMES["asap"]
+    scale = Scale(trace_length=20_000, warmup=4_000, seed=13)
+    scalar, col = [
+        run_native(workload, entry.native_config, scheme=entry.spec,
+                   scale=scale, hole_rate=hole_rate, kernel=kernel)
+        for kernel in ("scalar", "columnar")
+    ]
+    assert verdicts == ["asap"]
+    assert scalar == col
+    assert scalar.service._counts == col.service._counts
+    assert col.scheme_stats["wasted_on_hole"] > 0
+
+
 @pytest.mark.parametrize("name", ("baseline", "asap"))
 def test_virtualized_schemes_differential(name):
     scalar, col = _virt_pair(name)

@@ -1,7 +1,10 @@
 """Unit tests for the SMT co-runner."""
 
+import random
+
 from repro.mem.hierarchy import CacheHierarchy
-from repro.workloads.corunner import Corunner
+from repro.params import CacheParams, HierarchyParams
+from repro.workloads.corunner import _CORUNNER_LINE_BASE, Corunner
 
 
 def test_step_generates_cache_traffic():
@@ -43,6 +46,62 @@ def test_prefill_fills_all_cache_levels():
     assert hierarchy.l3.occupancy == hierarchy.params.l3.lines
     assert hierarchy.l2.occupancy == hierarchy.params.l2.lines
     assert hierarchy.l1.occupancy == hierarchy.params.l1.lines
+
+
+def _prefill_one_by_one(corunner: Corunner, hierarchy: CacheHierarchy):
+    total = hierarchy.params.l3.lines + hierarchy.params.l2.lines
+    step = max(1, corunner.footprint_lines // (total + 1))
+    line = _CORUNNER_LINE_BASE
+    for _ in range(total):
+        hierarchy.l1.install(line)
+        hierarchy.l2.install(line)
+        hierarchy.l3.install(line)
+        line += step
+
+
+def _cache_state(hierarchy: CacheHierarchy):
+    return [(c.lines, c.sizes, c.stats)
+            for c in (hierarchy.l1, hierarchy.l2, hierarchy.l3)]
+
+
+#: A scaled-down Table 5 hierarchy (same ways, 1/8 to 1/64 of the sets),
+#: so the per-line reference stays quick.
+_SMALL = HierarchyParams(
+    l1=CacheParams(size_bytes=4 * 1024, ways=8, latency=4),
+    l2=CacheParams(size_bytes=32 * 1024, ways=8, latency=12),
+    l3=CacheParams(size_bytes=320 * 1024, ways=20, latency=40),
+)
+
+
+def test_prefill_equals_line_by_line_installs():
+    """The bulk prefill leaves every level exactly as installing its
+    lines one at a time does: on a fresh hierarchy, over application
+    lines, and over an earlier prefill (the per-line path)."""
+    for earlier in ("none", "app", "prefill"):
+        fast, slow = CacheHierarchy(_SMALL), CacheHierarchy(_SMALL)
+        for hierarchy in (fast, slow):
+            rng = random.Random(5)
+            if earlier == "app":
+                for _ in range(5_000):
+                    hierarchy.access_line(rng.randrange(1 << 30))
+            elif earlier == "prefill":
+                _prefill_one_by_one(Corunner(seed=4), hierarchy)
+        Corunner(seed=3).prefill(fast)
+        _prefill_one_by_one(Corunner(seed=3), slow)
+        assert _cache_state(fast) == _cache_state(slow), earlier
+
+
+def test_prefill_and_step_drop_resident_images():
+    """Both write the cache lists, so neither may leave a compiled-kernel
+    image behind (repro.sim.columnar)."""
+    for act in (lambda h: Corunner(seed=1).prefill(h),
+                lambda h: Corunner(seed=1).step(h, 0)):
+        hierarchy = CacheHierarchy(_SMALL)
+        for cache in (hierarchy.l1, hierarchy.l2, hierarchy.l3):
+            cache.image = object()
+        act(hierarchy)
+        assert [hierarchy.l1.image, hierarchy.l2.image,
+                hierarchy.l3.image] == [None, None, None]
 
 
 def test_prefill_lines_are_evictable_junk():

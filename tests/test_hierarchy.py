@@ -133,7 +133,8 @@ def test_public_writes_drop_resident_images(hierarchy, mutate):
     lambda c: c.install(7),
     lambda c: c.invalidate(7),
     lambda c: c.flush(),
-], ids=["lookup", "install", "invalidate", "flush"])
+    lambda c: c.install_many([7, 8]),
+], ids=["lookup", "install", "invalidate", "flush", "install_many"])
 def test_cache_mutators_drop_resident_image(hierarchy, mutate):
     cache = hierarchy.l2
     cache.image = object()

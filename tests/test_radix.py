@@ -161,3 +161,39 @@ def test_node_placer_receives_level_and_tag():
     pt.map_page(VA, frame=1)
     levels = [lvl for lvl, _ in seen]
     assert levels == [4, 3, 2, 1]  # root first, then the fault path
+
+
+def test_map_contiguous_equals_map_page_per_unmapped_page():
+    """Same nodes, placer calls (in order), leaf entries and leaf-map
+    insertion order as the per-page loop it replaces — across leaf-node
+    boundaries, around pages already mapped at 4KB and inside a 2MB
+    mapping."""
+    first_vpn = (VA >> c.PAGE_SHIFT) + 500
+    count = 3 * c.ENTRIES_PER_NODE
+
+    def build():
+        calls = []
+
+        def placer(level, tag):
+            calls.append((level, tag))
+            return (len(calls) + 1) * c.NODE_BYTES
+
+        pt = RadixPageTable(node_placer=placer)
+        pt.map_page((first_vpn + 3) << c.PAGE_SHIFT, frame=9)
+        pt.map_page((first_vpn + 700) << c.PAGE_SHIFT, frame=11)
+        large_vpn = (first_vpn + c.ENTRIES_PER_NODE) & ~(c.ENTRIES_PER_NODE - 1)
+        pt.map_page(large_vpn << c.PAGE_SHIFT, frame=1 << 20, leaf_level=2)
+        return pt, calls
+
+    one, one_calls = build()
+    for i in range(count):
+        va = (first_vpn + i) << c.PAGE_SHIFT
+        if one.lookup(va) is None:
+            one.map_page(va, 5000 + i, 1)
+    bulk, bulk_calls = build()
+    bulk.map_contiguous(first_vpn, 5000, count)
+
+    assert bulk_calls == one_calls
+    assert bulk._nodes_by_level == one._nodes_by_level
+    assert list(bulk._pages.items()) == list(one._pages.items())
+    assert bulk._large == one._large
