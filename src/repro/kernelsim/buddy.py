@@ -25,8 +25,12 @@ headroom remains and fails afterwards, which is how ASAP "holes" arise.
 
 from __future__ import annotations
 
+import heapq
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.kernelsim.phys import PhysicalMemory
 
@@ -181,6 +185,67 @@ class BuddyAllocator:
 
     def alloc_frames(self, count: int, pool: str = "data") -> list[int]:
         return [self.alloc_frame(pool) for _ in range(count)]
+
+    def replay_frames(
+        self, pools: Sequence[str], requests: np.ndarray
+    ) -> np.ndarray:
+        """Serve interleaved single-frame requests one run at a time.
+
+        ``requests[i]`` indexes ``pools`` (distinct names).  Returns the
+        frames, and leaves the same allocator state, that
+        ``[self.alloc_frame(pools[k]) for k in requests]`` would.  The
+        per-frame loop draws from the shared RNG only where a request
+        finds its pool's run exhausted; this replay calls
+        :meth:`_start_run` at exactly those requests, in the same
+        global order (a heap keyed by the request index of each pool's
+        next run start), and fills in every other frame with array
+        arithmetic.
+        """
+        requests = np.asarray(requests, dtype=np.int64)
+        frames = np.empty(len(requests), dtype=np.int64)
+        if not len(requests):
+            return frames
+        if len(set(pools)) != len(pools):
+            raise ValueError("replayed pools must have distinct names")
+        codes, first = np.unique(requests, return_index=True)
+        #: Per pool: state, its request positions, and the pool-local
+        #: index and base frame of each run that serves them.
+        plans = []
+        heap: list[tuple[int, int, int]] = []
+        # Pools are created on first use, in first-request order.
+        for k in codes[np.argsort(first)].tolist():
+            state = self._pool(pools[k])
+            positions = np.flatnonzero(requests == k)
+            served = min(max(state.remaining, 0), len(positions))
+            plans.append((state, positions, positions.tolist(), [0],
+                          [state.next_frame]))
+            state.next_frame += served
+            state.remaining -= served
+            if served < len(positions):
+                heap.append((int(positions[served]), len(plans) - 1, served))
+        heapq.heapify(heap)
+        while heap:
+            _, plan, index = heapq.heappop(heap)
+            state, _, position_list, run_first, run_base = plans[plan]
+            self._start_run(state)
+            run_first.append(index)
+            run_base.append(state.next_frame)
+            end = index + state.remaining
+            if end < len(position_list):
+                heapq.heappush(heap, (position_list[end], plan, end))
+                state.next_frame += state.remaining
+                state.remaining = 0
+            else:
+                state.next_frame += len(position_list) - index
+                state.remaining -= len(position_list) - index
+        for state, positions, _, run_first, run_base in plans:
+            starts = np.array(run_first, dtype=np.int64)
+            lengths = np.diff(starts, append=len(positions))
+            offsets = np.array(run_base, dtype=np.int64) - starts
+            frames[positions] = (np.repeat(offsets, lengths)
+                                 + np.arange(len(positions)))
+        self.stats.frames_allocated += len(requests)
+        return frames
 
     def alloc_run(
         self, count: int, pool: str = "data", aligned: bool = True

@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.kernelsim.buddy import BuddyAllocator
 from repro.kernelsim.phys import PhysicalMemory
 from repro.kernelsim.process import ProcessAddressSpace, TouchResult
-from repro.kernelsim.pt_layout import AsapPtLayout
+from repro.kernelsim.pt_layout import AsapPtLayout, PtNodePlacer
 from repro.kernelsim.vma import Vma, VmaKind
 from repro.pagetable import constants as c
 from repro.pagetable.nested import NestedStep, NestedWalkPath
@@ -62,7 +62,8 @@ class VirtualMachine:
             )
             self.host_asap_layout.register_vma(self.host_vma)
         self.back_guest_pt_contiguously = back_guest_pt_contiguously
-        self.hpt = RadixPageTable(4, node_placer=self._place_host_node)
+        self.hpt = RadixPageTable(4, node_placer=PtNodePlacer(
+            self.host_buddy, "hpt", self.host_asap_layout, self.host_vma))
         self._host_chain_cache: dict[int, tuple[tuple[WalkStep, ...], int]] = {}
         self._backed_ranges: list[tuple[int, int]] = []  # (gframe, count)
         if back_guest_pt_contiguously and guest.asap_layout is not None:
@@ -74,11 +75,6 @@ class VirtualMachine:
     # ------------------------------------------------------------------
     # host-side placement
     # ------------------------------------------------------------------
-    def _place_host_node(self, level: int, tag: int) -> int:
-        if self.host_asap_layout is not None:
-            return self.host_asap_layout.place_node(self.host_vma, level, tag)
-        return self.host_buddy.alloc_frame("hpt") << c.PAGE_SHIFT
-
     def _map_gpa_page(self, gframe: int) -> None:
         gpa = gframe << c.PAGE_SHIFT
         if self.hpt.lookup(gpa) is not None:

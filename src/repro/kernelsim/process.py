@@ -15,11 +15,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.kernelsim.buddy import BuddyAllocator
-from repro.kernelsim.pt_layout import AsapPtLayout
+from repro.kernelsim.pt_layout import AsapPtLayout, PtNodePlacer
 from repro.kernelsim.vma import Vma, VmaKind, VmaTree
 from repro.pagetable import constants as c
 from repro.pagetable.radix import FaultPath, RadixPageTable, WalkPath
+
+
+#: Vpns per whole-array pass of :meth:`ProcessAddressSpace.populate`.
+#: Bounds its transient memory (a few dozen int64 arrays this long)
+#: while keeping the per-pass overhead small.
+POPULATE_SLICE = 16384
+
+
+def _member(keys: np.ndarray, table: dict) -> np.ndarray:
+    """Whether each of ``keys`` is a key of ``table``."""
+    return np.fromiter(map(table.__contains__, keys.tolist()), dtype=bool,
+                       count=len(keys))
 
 
 class SegmentationFault(Exception):
@@ -53,8 +67,8 @@ class ProcessAddressSpace:
         self.data_pool = data_pool
         self.pt_pool = pt_pool
         self._page_levels: dict[int, int] = {}  # id(vma) -> leaf level
-        self._fault_vma: Vma | None = None
-        self.page_table = RadixPageTable(levels, node_placer=self._place_node)
+        self._placer = PtNodePlacer(self.buddy, pt_pool, asap_layout)
+        self.page_table = RadixPageTable(levels, node_placer=self._placer)
         self.faults = 0
 
     # ------------------------------------------------------------------
@@ -93,12 +107,6 @@ class ProcessAddressSpace:
     # ------------------------------------------------------------------
     # demand paging
     # ------------------------------------------------------------------
-    def _place_node(self, level: int, tag: int) -> int:
-        vma = self._fault_vma
-        if self.asap_layout is not None:
-            return self.asap_layout.place_node(vma, level, tag)
-        return self.buddy.alloc_frame(self.pt_pool) << c.PAGE_SHIFT
-
     def touch(self, va: int) -> TouchResult:
         """Translate ``va``, faulting the page in on first access."""
         hit = self.page_table.lookup(va)
@@ -115,11 +123,11 @@ class ProcessAddressSpace:
             )
         else:
             frame = self.buddy.alloc_frame(self.data_pool)
-        self._fault_vma = vma
+        self._placer.vma = vma
         try:
             created = self.page_table.map_page(va, frame, leaf_level)
         finally:
-            self._fault_vma = None
+            self._placer.vma = None
         self.faults += 1
         if leaf_level == 2:
             # The 4KB frame within the large page, as lookup() reports it.
@@ -131,54 +139,147 @@ class ProcessAddressSpace:
         """Pre-fault a sequence of vpns (steady-state warm-up); returns the
         number of faults taken.
 
-        Same faulting pipeline as :meth:`touch` per vpn, inline: the
-        warm-up loop runs once per distinct page of every simulation, and
-        it needs neither the :class:`TouchResult` nor the created-node
-        inventory that the general path materialises.
+        Leaves exactly the state that calling :meth:`touch` on each vpn
+        in order would — frames, page-table nodes, ASAP holes, allocator
+        RNG and counters — and raises the same :class:`SegmentationFault`
+        after committing the faults before an address outside every VMA.
+        It gets there with whole-array passes over
+        :data:`POPULATE_SLICE` vpns at a time (see :meth:`_populate_slice`).
+        An :class:`~repro.kernelsim.buddy.OutOfMemoryError` leaves the
+        slice it hit uncommitted.
         """
+        if not isinstance(vpns, np.ndarray):
+            vpns = np.fromiter(vpns, dtype=np.int64)
+        vpns = vpns.astype(np.int64, copy=False)
         before = self.faults
-        page_table = self.page_table
-        map_page = page_table.map_page
-        find_vma = self.vmas.find
-        page_levels = self._page_levels
-        pages, large = page_table.leaf_maps()
-        pte_nodes = page_table.leaf_nodes(1)
-        buddy = self.buddy
-        alloc_frame = buddy.alloc_frame
-        data_pool = self.data_pool
-        faults = 0
-        try:
-            for vpn in vpns:
-                vpn = int(vpn)
-                if vpn in pages or (vpn >> c.LEVEL_BITS) in large:
-                    continue
-                va = vpn << c.PAGE_SHIFT
-                vma = find_vma(va)
-                if vma is None:
-                    raise SegmentationFault(
-                        f"{va:#x} is not mapped by any VMA")
-                leaf_level = page_levels[id(vma)]
-                self._fault_vma = vma
-                if leaf_level == 1:
-                    frame = alloc_frame(data_pool)
-                    if (vpn >> c.LEVEL_BITS) in pte_nodes:
-                        # Interior nodes exist: install the leaf directly
-                        # (what map_page's fast path would do).
-                        pages[vpn] = frame
-                    else:
-                        map_page(va, frame, 1)
-                else:
-                    frame = buddy.alloc_run(
-                        c.ENTRIES_PER_NODE, pool=data_pool, aligned=True)
-                    map_page(va, frame, 2)
-                faults += 1
-        finally:
-            # Count even the faults a mid-loop SegmentationFault strands:
-            # their frames were allocated and leaves installed, exactly
-            # as the per-vpn touch() loop this replaced counted them.
-            self._fault_vma = None
-            self.faults += faults
+        for lo in range(0, len(vpns), POPULATE_SLICE):
+            self._populate_slice(vpns[lo:lo + POPULATE_SLICE])
         return self.faults - before
+
+    def _populate_slice(self, vpns: np.ndarray) -> None:
+        """One slice of :meth:`populate`.
+
+        1. Skip vpns already mapped, stop at the first other vpn outside
+           every VMA, and keep the first vpn per page (per 2MB page in a
+           2MB-backed VMA): these are the faults, in order.
+        2. At each level, a new node is the first fault with a node tag
+           the level's map lacks; creation order is fault order, root
+           first within a fault, as :meth:`RadixPageTable.map_page` goes.
+        3. Requests go in fault order, each fault's data frame before its
+           new nodes; with an ASAP layout each node's placement is
+           decided in creation order and only out-of-region nodes
+           request a frame.  The buddy replays the single-frame requests
+           one run at a time; a 2MB fault's ``alloc_run`` splits them.
+        4. Commit the node maps in creation order and the leaf maps in
+           fault order.
+        """
+        page_table = self.page_table
+        pages, large = page_table.leaf_maps()
+        unmapped = np.ones(len(vpns), dtype=bool)
+        if pages:
+            unmapped &= ~_member(vpns, pages)
+        if large:
+            unmapped &= ~_member(vpns >> c.LEVEL_BITS, large)
+        vma_index = self.vmas.locate(vpns << c.PAGE_SHIFT)
+        outside = np.flatnonzero(unmapped & (vma_index < 0))
+        stop = int(outside[0]) if len(outside) else len(vpns)
+        candidates = np.flatnonzero(unmapped[:stop])
+        vmas = list(self.vmas)
+        level_of_vma = np.array(
+            [self._page_levels[id(vma)] for vma in vmas], dtype=np.int64)
+        leaf = level_of_vma[vma_index[candidates]]
+        page_key = vpns[candidates]
+        page_key = np.where(leaf == 2, page_key & ~(c.ENTRIES_PER_NODE - 1),
+                            page_key)
+        _, first = np.unique(page_key, return_index=True)
+        first.sort()
+        fault_vpns = vpns[candidates[first]]
+        fault_leaf = leaf[first]
+        fault_vma = vma_index[candidates[first]]
+        if len(fault_vpns):
+            self._fault_in(fault_vpns, fault_leaf, fault_vma, vmas)
+        if stop < len(vpns):
+            va = int(vpns[stop]) << c.PAGE_SHIFT
+            raise SegmentationFault(f"{va:#x} is not mapped by any VMA")
+
+    def _fault_in(self, fault_vpns: np.ndarray, fault_leaf: np.ndarray,
+                  fault_vma: np.ndarray, vmas: list[Vma]) -> None:
+        """Steps 2-4 of :meth:`_populate_slice` for distinct, unmapped
+        pages in fault order."""
+        page_table = self.page_table
+        top = page_table.levels
+        # --- new nodes, in creation order ------------------------------
+        node_fault, node_level, node_tag = [], [], []
+        for level in range(top, 0, -1):
+            holders = (np.arange(len(fault_vpns)) if level > 1
+                       else np.flatnonzero(fault_leaf == 1))
+            tags = fault_vpns[holders] >> (c.LEVEL_BITS * level)
+            tags, first = np.unique(tags, return_index=True)
+            new = ~_member(tags, page_table.leaf_nodes(level))
+            node_fault.append(holders[first[new]])
+            node_level.append(np.full(int(new.sum()), level, np.int64))
+            node_tag.append(tags[new])
+        node_fault = np.concatenate(node_fault)
+        node_level = np.concatenate(node_level)
+        node_tag = np.concatenate(node_tag)
+        # Requests sort by (fault, slot): slot 0 is the data frame, slot
+        # 1 + top - level a node, so a fault's nodes follow it root first.
+        slots = top + 2
+        node_key = node_fault * slots + 1 + top - node_level
+        created = np.argsort(node_key)
+        node_fault = node_fault[created]
+        node_level = node_level[created]
+        node_tag = node_tag[created]
+        node_key = node_key[created]
+        node_base = np.zeros(len(node_tag), dtype=np.int64)
+        needs_frame = np.ones(len(node_tag), dtype=bool)
+        layout = self.asap_layout
+        if layout is not None:
+            place = layout.place_in_region
+            vma_of = [vmas[i] for i in fault_vma[node_fault].tolist()]
+            for i, (vma, level, tag) in enumerate(zip(
+                    vma_of, node_level.tolist(), node_tag.tolist())):
+                addr = place(vma, level, tag)
+                if addr is not None:
+                    node_base[i] = addr
+                    needs_frame[i] = False
+        # --- frame requests, replayed in fault order -------------------
+        request_key = np.concatenate(
+            [np.arange(len(fault_vpns)) * slots, node_key[needs_frame]])
+        order = np.argsort(request_key)
+        request_key = request_key[order]
+        is_node = order >= len(fault_vpns)
+        node_pool = self.pt_pool if layout is None else layout.fallback_pool
+        pools = [self.data_pool]
+        if node_pool != self.data_pool:
+            pools.append(node_pool)
+        codes = np.where(is_node, len(pools) - 1, 0)
+        large_runs = np.flatnonzero(
+            ~is_node & (fault_leaf[request_key // slots] == 2))
+        frames = np.empty(len(order), dtype=np.int64)
+        lo = 0
+        for cut in large_runs.tolist() + [len(order)]:
+            frames[lo:cut] = self.buddy.replay_frames(pools, codes[lo:cut])
+            if cut < len(order):
+                frames[cut] = self.buddy.alloc_run(
+                    c.ENTRIES_PER_NODE, pool=self.data_pool, aligned=True)
+            lo = cut + 1
+        data_frames = frames[~is_node]
+        node_base[needs_frame] = frames[is_node] << c.PAGE_SHIFT
+        # --- commit ----------------------------------------------------
+        for level in range(top, 0, -1):
+            at_level = node_level == level
+            page_table.leaf_nodes(level).update(zip(
+                node_tag[at_level].tolist(), node_base[at_level].tolist()))
+        pages, large = page_table.leaf_maps()
+        small = fault_leaf == 1
+        pages.update(zip(fault_vpns[small].tolist(),
+                         data_frames[small].tolist()))
+        if not small.all():
+            large.update(zip(
+                (fault_vpns[~small] >> c.LEVEL_BITS).tolist(),
+                data_frames[~small].tolist()))
+        self.faults += len(fault_vpns)
 
     # ------------------------------------------------------------------
     # translation services for the simulator

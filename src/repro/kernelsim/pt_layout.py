@@ -108,38 +108,50 @@ class AsapPtLayout:
     # ------------------------------------------------------------------
     def place_node(self, vma: Vma | None, level: int, tag: int) -> int:
         """Physical base address for a new node (fault-time placement)."""
+        addr = self.place_in_region(vma, level, tag)
+        if addr is None:
+            addr = self.buddy.alloc_frame(self.fallback_pool) << c.PAGE_SHIFT
+        return addr
+
+    def place_in_region(
+        self, vma: Vma | None, level: int, tag: int
+    ) -> int | None:
+        """The placement decision of :meth:`place_node`, without the
+        fallback allocation: the node's address in ``vma``'s reserved
+        region, or None when it goes out of region to a frame from
+        :attr:`fallback_pool` (recorded as a hole if the VMA has a
+        region at ``level``).
+
+        Draws only from the layout's own RNG, never the buddy's, so a
+        bulk populate can decide every new node in creation order first
+        and replay the fallback frame requests afterwards.
+        """
         region = None if vma is None else self._regions.get((id(vma), level))
         if region is None:
-            return self._fallback(None, level, tag)
-        if region.covers(tag):
-            return self._place_in_region(region, tag)
-        # The VMA grew beyond the reservation: try the asynchronous
-        # background extension (§3.7.2).
-        if not region.extension_dead:
+            return None
+        if not region.covers(tag):
+            # The VMA grew beyond the reservation: try the asynchronous
+            # background extension (§3.7.2).
+            if region.extension_dead:
+                return self._hole(region, tag)
             needed = tag - (region.first_tag + region.capacity) + 1
-            if needed > 0 and self.buddy.try_extend(region.base_frame, needed):
-                region.capacity += needed
-                return self._place_in_region(region, tag)
-            region.extension_dead = True
-        return self._fallback(region, level, tag)
-
-    def _place_in_region(self, region: PtRegion, tag: int) -> int:
+            if needed <= 0 or not self.buddy.try_extend(region.base_frame,
+                                                        needed):
+                region.extension_dead = True
+                return self._hole(region, tag)
+            region.capacity += needed
         if (
             self.pinned_failure_prob
             and self._rng.random() < self.pinned_failure_prob
         ):
-            return self._fallback(region, region.level, tag)
+            return self._hole(region, tag)
         self.nodes_placed_in_region += 1
         return region.node_addr(tag)
 
-    def _fallback(
-        self, region: PtRegion | None, level: int, tag: int
-    ) -> int:
-        frame = self.buddy.alloc_frame(self.fallback_pool)
-        if region is not None:
-            region.holes.add(tag)
-            self.holes_created += 1
-        return frame << c.PAGE_SHIFT
+    def _hole(self, region: PtRegion, tag: int) -> None:
+        region.holes.add(tag)
+        self.holes_created += 1
+        return None
 
     # ------------------------------------------------------------------
     def is_hole(self, vma: Vma, level: int, va: int) -> bool:
@@ -163,6 +175,32 @@ class AsapPtLayout:
     @property
     def total_reserved_bytes(self) -> int:
         return sum(r.capacity for r in self._regions.values()) * c.PAGE_SIZE
+
+
+class PtNodePlacer:
+    """The ``placer(level, tag)`` of one radix page table.
+
+    New nodes go through ``layout`` when there is one (with :attr:`vma`,
+    the faulting VMA, choosing the region), else to a frame from
+    ``buddy``'s ``pool``.  It holds no reference to the address space
+    that owns the table, so a finished process, its tables and its
+    allocator are freed by reference counting alone.
+    """
+
+    __slots__ = ("buddy", "pool", "layout", "vma")
+
+    def __init__(self, buddy: BuddyAllocator, pool: str,
+                 layout: AsapPtLayout | None = None,
+                 vma: Vma | None = None) -> None:
+        self.buddy = buddy
+        self.pool = pool
+        self.layout = layout
+        self.vma = vma
+
+    def __call__(self, level: int, tag: int) -> int:
+        if self.layout is not None:
+            return self.layout.place_node(self.vma, level, tag)
+        return self.buddy.alloc_frame(self.pool) << c.PAGE_SHIFT
 
 
 class VmaHoleChecker:

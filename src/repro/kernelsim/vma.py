@@ -17,6 +17,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 
 class VmaKind(Enum):
     HEAP = "heap"
@@ -86,6 +88,16 @@ class VmaTree:
             return None
         vma = self._vmas[idx]
         return vma if vma.contains(va) else None
+
+    def locate(self, vas: np.ndarray) -> np.ndarray:
+        """:meth:`find` over an int64 array of addresses: each one's
+        VMA as its index in tree order, or -1 outside every VMA."""
+        starts = np.array(self._starts, dtype=np.int64)
+        ends = np.array([vma.end for vma in self._vmas], dtype=np.int64)
+        index = np.searchsorted(starts, vas, side="right") - 1
+        inside = index >= 0
+        inside[inside] = vas[inside] < ends[index[inside]]
+        return np.where(inside, index, -1)
 
     def extend(self, vma: Vma, delta: int) -> None:
         """Grow ``vma`` upward by ``delta`` bytes (brk/sbrk, §3.7.2)."""

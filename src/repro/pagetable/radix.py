@@ -314,15 +314,16 @@ class RadixPageTable:
 
         ``pages`` is vpn -> frame for 4KB mappings, ``large`` is
         ``vpn >> 9`` -> base frame for 2MB ones.  Exposed (read/write)
-        for the kernelsim's bulk population loop, which installs leaves
-        directly once the interior nodes exist; everyone else should go
-        through :meth:`lookup` / :meth:`map_page`.
+        for the kernelsim's bulk populate, which writes whole slices of
+        faults at once in :meth:`map_page`'s order; everyone else should
+        go through :meth:`lookup` / :meth:`map_page`.
         """
         return self._pages, self._large
 
-    def leaf_nodes(self, leaf_level: int) -> dict[int, int]:
-        """The node map for ``leaf_level`` (see :meth:`leaf_maps`)."""
-        return self._nodes_by_level[leaf_level]
+    def leaf_nodes(self, level: int) -> dict[int, int]:
+        """The node map (tag -> phys base) of ``level``, any level
+        (see :meth:`leaf_maps`)."""
+        return self._nodes_by_level[level]
 
     @property
     def mapped_pages(self) -> int:

@@ -36,17 +36,43 @@ class WalkOutcome:
     prefetched_levels: tuple[int, ...] = ()
 
 
+class _WalkCounters:
+    """The walker's counters, shared with its :meth:`walk_flat` closure
+    (which therefore needs no reference back to the walker)."""
+
+    __slots__ = ("walks", "total_latency")
+
+    def __init__(self) -> None:
+        self.walks = 0
+        self.total_latency = 0
+
+
 class PageWalker:
     """Walks :class:`WalkPath` objects against a shared cache hierarchy."""
 
     def __init__(self, hierarchy: CacheHierarchy, pwc: SplitPwc) -> None:
         self.hierarchy = hierarchy
         self.pwc = pwc
-        self.walks = 0
-        self.total_latency = 0
+        self._counters = _WalkCounters()
         #: Inlined fast path over pre-flattened walk paths (closure; the
         #: simulators' record loops call this once per walk).
         self.walk_flat = self._build_walk_flat()
+
+    @property
+    def walks(self) -> int:
+        return self._counters.walks
+
+    @walks.setter
+    def walks(self, value: int) -> None:
+        self._counters.walks = value
+
+    @property
+    def total_latency(self) -> int:
+        return self._counters.total_latency
+
+    @total_latency.setter
+    def total_latency(self, value: int) -> None:
+        self._counters.total_latency = value
 
     def walk(
         self,
@@ -86,8 +112,9 @@ class PageWalker:
             t = finish
         self.pwc.insert(path.va, path.leaf_level)
         latency = t - now
-        self.walks += 1
-        self.total_latency += latency
+        counters = self._counters
+        counters.walks += 1
+        counters.total_latency += latency
         return WalkOutcome(
             latency=latency,
             records=records,
@@ -108,6 +135,9 @@ class PageWalker:
         records, keeping the measurement-off path allocation-free.
         Unlike :meth:`walk` it does not drop the compiled kernel's cache
         images: its callers, the record loops, drop them once up front.
+        It counts through :attr:`_counters`, never ``self``, so the
+        walker and the cache hierarchy it holds are freed by reference
+        counting once a run lets go of them.
         """
         from repro.tlb.tlb import EMPTY
 
@@ -122,6 +152,7 @@ class PageWalker:
         )
         access = self.hierarchy.access
         last_level = self.hierarchy.last_level
+        counters = self._counters
 
         def walk_flat(lines, levels, pwc_tags, leaf_level, now,
                       prefetches, records):
@@ -212,8 +243,8 @@ class PageWalker:
                 vtags[base] = tag
                 vframes[base] = 1
             latency = t - now
-            self.walks += 1
-            self.total_latency += latency
+            counters.walks += 1
+            counters.total_latency += latency
             return latency
 
         return walk_flat
@@ -245,8 +276,9 @@ class PageWalker:
                     finish = completion
             records.append((step.level, last_level[0]))
             t = finish
-        self.walks += 1
-        self.total_latency += t - now
+        counters = self._counters
+        counters.walks += 1
+        counters.total_latency += t - now
         return WalkOutcome(latency=t - now, records=records, faulted=True)
 
     @property

@@ -43,7 +43,6 @@ class VictimaLike(TranslationScheme):
         self.max_parked = int(spec.param("parked_entries", 4096))
         self._parked: dict[int, int] = {}  # vpn -> frame
         self._hierarchy = None
-        self._tlbs = None
         self._probe_latency = 0
         self.stats = {
             "parked": 0,
@@ -60,7 +59,6 @@ class VictimaLike(TranslationScheme):
                 "VictimaLike parks plain L2 S-TLB victims; it does not "
                 "compose with the clustered TLB")
         self._hierarchy = sim.hierarchy
-        self._tlbs = tlbs
         self._probe_latency = sim.hierarchy.latency_of("L2")
         tlbs.l2_evict_hook = self._park
 

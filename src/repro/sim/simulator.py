@@ -219,7 +219,7 @@ class NativeSimulation:
         """
         ordered = streaming_first_touch_order(
             (chunk >> 12 for chunk in iter_trace_chunks(trace)), order)
-        faults = self.process.populate(ordered.tolist())
+        faults = self.process.populate(ordered)
         if self.tlbs.infinite:
             for vpn in ordered.tolist():
                 frame = self.process.frame_of(int(vpn))

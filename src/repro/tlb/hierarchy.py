@@ -47,6 +47,78 @@ def _large_tag(vpn: int) -> int:
     return ((vpn >> LEVEL_BITS) << 1) | 1
 
 
+class _TlbState:
+    """What :class:`TlbHierarchy`'s hot-path closures share: the TLB
+    structures, the hit counters, the large-probe switch and the L2
+    evict hook, with the generic L2 probe and fill over them.
+
+    It holds no reference to the hierarchy, so the closures the
+    hierarchy stores on itself form no reference cycle with it, and a
+    finished run's TLBs are freed by reference counting.
+    """
+
+    __slots__ = ("l1", "l2_plain", "l2_clustered", "large_side",
+                 "infinite_store", "infinite", "probe_large", "l1_hits",
+                 "l2_hits", "l2_evict_hook")
+
+    def __init__(self, l1: Tlb, l2_plain: Tlb | None,
+                 l2_clustered: ClusteredTlb | None,
+                 large_side: Tlb | None, infinite: bool) -> None:
+        self.l1 = l1
+        self.l2_plain = l2_plain
+        self.l2_clustered = l2_clustered
+        self.large_side = large_side
+        self.infinite_store: dict[int, int] = {}
+        self.infinite = infinite
+        self.probe_large = [True]
+        self.l1_hits = 0
+        self.l2_hits = 0
+        self.l2_evict_hook: Callable[[int, int], None] | None = None
+
+    def l2_lookup(self, vpn: int) -> int | None:
+        if self.l2_clustered is not None:
+            frame = self.l2_clustered.lookup(vpn)
+            if frame is not None:
+                return frame
+            if not self.probe_large[0]:
+                return None
+            return self.large_side.lookup(_large_tag(vpn))
+        assert self.l2_plain is not None
+        frame = self.l2_plain.lookup(_small_tag(vpn))
+        if frame is None and self.probe_large[0]:
+            frame = self.l2_plain.lookup(_large_tag(vpn))
+        return frame
+
+    def fill(
+        self,
+        vpn: int,
+        frame: int,
+        large: bool = False,
+        neighbour_frames: Sequence[int | None] | None = None,
+    ) -> None:
+        if self.infinite:
+            self.infinite_store[vpn] = frame
+            return
+        if large:
+            tag = _large_tag(vpn)
+            self.l1.fill(tag, frame)
+            if self.l2_clustered is not None:
+                self.large_side.fill(tag, frame)
+            else:
+                assert self.l2_plain is not None
+                self.l2_plain.fill(tag, frame)
+            return
+        self.l1.fill(_small_tag(vpn), frame)
+        if self.l2_clustered is not None:
+            self.l2_clustered.fill(vpn, frame, neighbour_frames)
+        else:
+            assert self.l2_plain is not None
+            victim = self.l2_plain.fill(_small_tag(vpn), frame)
+            if victim is not None and self.l2_evict_hook is not None \
+                    and not (victim[0] & 1):
+                self.l2_evict_hook(victim[0] >> 1, victim[1])
+
+
 class TlbHierarchy:
     """L1 + L2 TLBs with unified miss accounting (walk triggers)."""
 
@@ -62,30 +134,55 @@ class TlbHierarchy:
         self.l1 = Tlb(self.params.l1, name="L1-DTLB")
         self.l2_plain: Tlb | None = None
         self.l2_clustered: ClusteredTlb | None = None
+        self._large_side: Tlb | None = None
         if clustered:
             self.l2_clustered = ClusteredTlb(self.params.l2, name="L2-STLB")
             # Large pages do not coalesce; they get a small private array.
             self._large_side = Tlb(self.params.l2, name="L2-large")
         else:
             self.l2_plain = Tlb(self.params.l2, name="L2-STLB")
-        self._infinite_store: dict[int, int] = {}
+        self._state = _TlbState(self.l1, self.l2_plain, self.l2_clustered,
+                                self._large_side, infinite)
+        self._infinite_store = self._state.infinite_store
         self.stats = TlbStats()
-        self.l1_hits = 0
-        self.l2_hits = 0
-        #: Optional observer for small-page L2 S-TLB evictions,
-        #: ``hook(vpn, frame)`` — translation schemes that recycle
-        #: victims (e.g. Victima parking them in the data cache) attach
-        #: here at bind time.  None costs one test per walk-path fill.
-        self.l2_evict_hook: Callable[[int, int], None] | None = None
         #: One-element cell read by the lookup closure: the simulators
         #: clear it when the (immutable, pre-populated) page table holds
         #: no 2MB mappings, so the large-tag probes — which can then
         #: never hit — are skipped.  Behaviour-neutral either way.
-        self.probe_large: list[bool] = [True]
+        self.probe_large: list[bool] = self._state.probe_large
         #: Inlined hot-path probe (closure; see module docstring).
         self.lookup: Callable[[int], int | None] = self._build_lookup()
         #: Inlined fill for the simulators' post-miss fills (closure).
         self.fill_fast: Callable[..., None] = self._build_fill_fast()
+
+    @property
+    def l1_hits(self) -> int:
+        return self._state.l1_hits
+
+    @l1_hits.setter
+    def l1_hits(self, value: int) -> None:
+        self._state.l1_hits = value
+
+    @property
+    def l2_hits(self) -> int:
+        return self._state.l2_hits
+
+    @l2_hits.setter
+    def l2_hits(self, value: int) -> None:
+        self._state.l2_hits = value
+
+    @property
+    def l2_evict_hook(self) -> Callable[[int, int], None] | None:
+        """Optional observer for small-page L2 S-TLB evictions,
+        ``hook(vpn, frame)`` — translation schemes that recycle victims
+        (e.g. Victima parking them in the data cache) attach here at
+        bind time.  None costs one test per walk-path fill."""
+        return self._state.l2_evict_hook
+
+    @l2_evict_hook.setter
+    def l2_evict_hook(self,
+                      hook: Callable[[int, int], None] | None) -> None:
+        self._state.l2_evict_hook = hook
 
     # ------------------------------------------------------------------
     def _build_lookup(self) -> Callable[[int], int | None]:
@@ -100,12 +197,13 @@ class TlbHierarchy:
         l1_sizes, l1_stride, l1_nsets = l1.sizes, l1.stride, l1.num_sets
         l1_stats = l1.stats
         stats = self.stats
+        state = self._state
         l2 = self.l2_plain
         if l2 is not None:
             l2_tags, l2_frames = l2.tags, l2.frames
             l2_sizes, l2_stride, l2_nsets = l2.sizes, l2.stride, l2.num_sets
             l2_stats = l2.stats
-        l2_generic = self._l2_lookup
+        l2_generic = state.l2_lookup
         l1_fill = l1.fill
         infinite = self.infinite
         clustered = self.clustered
@@ -164,7 +262,7 @@ class TlbHierarchy:
                     stats.misses += 1
                     return None
                 stats.hits += 1
-                self.l1_hits += 1
+                state.l1_hits += 1
                 return frame
 
             # L1 probe, small (4KB) tag then large (2MB) tag, inline.
@@ -175,7 +273,7 @@ class TlbHierarchy:
                 # MRU shortcut: hit in place, no reordering needed.
                 l1_stats.hits += 1
                 stats.hits += 1
-                self.l1_hits += 1
+                state.l1_hits += 1
                 return l1_frames[base]
             limit = base + l1_sizes[set_index]
             l1_tags[limit] = tag
@@ -189,7 +287,7 @@ class TlbHierarchy:
                 l1_frames[base + 1:pos + 1] = l1_frames[base:pos]
                 l1_frames[base] = frame
                 stats.hits += 1
-                self.l1_hits += 1
+                state.l1_hits += 1
                 return frame
             l1_stats.misses += 1
             if probe_large[0]:
@@ -209,14 +307,14 @@ class TlbHierarchy:
                         l1_frames[base + 1:pos + 1] = l1_frames[base:pos]
                         l1_frames[base] = frame
                     stats.hits += 1
-                    self.l1_hits += 1
+                    state.l1_hits += 1
                     return frame
                 l1_stats.misses += 1
 
             frame = l2_lookup(vpn)
             if frame is not None:
                 stats.hits += 1
-                self.l2_hits += 1
+                state.l2_hits += 1
                 # Refill the first level on an L2 hit (4KB refills only
                 # need the small tag; a large hit refills the large tag).
                 l1_fill(vpn << 1, frame)
@@ -226,21 +324,6 @@ class TlbHierarchy:
             return None
 
         return lookup
-
-    def _l2_lookup(self, vpn: int) -> int | None:
-        if self.l2_clustered is not None:
-            frame = self.l2_clustered.lookup(vpn)
-            if frame is not None:
-                return frame
-            if not self.probe_large[0]:
-                return None
-            large = self._large_side.lookup(_large_tag(vpn))
-            return large
-        assert self.l2_plain is not None
-        frame = self.l2_plain.lookup(_small_tag(vpn))
-        if frame is None and self.probe_large[0]:
-            frame = self.l2_plain.lookup(_large_tag(vpn))
-        return frame
 
     # ------------------------------------------------------------------
     def _build_fill_fast(self) -> Callable[..., None]:
@@ -263,7 +346,8 @@ class TlbHierarchy:
             l2_tags, l2_frames = l2.tags, l2.frames
             l2_sizes, l2_stride, l2_nsets = l2.sizes, l2.stride, l2.num_sets
             l2_ways = l2.ways
-        generic_fill = self.fill
+        state = self._state
+        generic_fill = state.fill
 
         if self.infinite or self.clustered:
             return generic_fill
@@ -307,7 +391,7 @@ class TlbHierarchy:
             l2_tags[base] = tag
             l2_frames[base] = frame
             if victim_tag != EMPTY and not (victim_tag & 1):
-                hook = self.l2_evict_hook
+                hook = state.l2_evict_hook
                 if hook is not None:
                     hook(victim_tag >> 1, victim_frame)
 
@@ -326,7 +410,7 @@ class TlbHierarchy:
         resident under its large tag.
         """
         self.stats.hits += count
-        self.l1_hits += count
+        self._state.l1_hits += count
         if self.infinite:
             return
         l1 = self.l1
@@ -347,27 +431,7 @@ class TlbHierarchy:
         neighbour_frames: Sequence[int | None] | None = None,
     ) -> None:
         """Install a translation discovered by a completed page walk."""
-        if self.infinite:
-            self._infinite_store[vpn] = frame
-            return
-        if large:
-            tag = _large_tag(vpn)
-            self.l1.fill(tag, frame)
-            if self.l2_clustered is not None:
-                self._large_side.fill(tag, frame)
-            else:
-                assert self.l2_plain is not None
-                self.l2_plain.fill(tag, frame)
-            return
-        self.l1.fill(_small_tag(vpn), frame)
-        if self.l2_clustered is not None:
-            self.l2_clustered.fill(vpn, frame, neighbour_frames)
-        else:
-            assert self.l2_plain is not None
-            victim = self.l2_plain.fill(_small_tag(vpn), frame)
-            if victim is not None and self.l2_evict_hook is not None \
-                    and not (victim[0] & 1):
-                self.l2_evict_hook(victim[0] >> 1, victim[1])
+        self._state.fill(vpn, frame, large, neighbour_frames)
 
     # ------------------------------------------------------------------
     def flush(self) -> None:
@@ -391,8 +455,8 @@ class TlbHierarchy:
 
     def reset_stats(self) -> None:
         self.stats.reset()
-        self.l1_hits = 0
-        self.l2_hits = 0
+        self._state.l1_hits = 0
+        self._state.l2_hits = 0
         self.l1.stats.reset()
         if self.l2_plain is not None:
             self.l2_plain.stats.reset()

@@ -83,36 +83,39 @@ class GraphTraversal:
             int(rng.integers(1, 2**31)) if self.neighbour_scatter else None
         )
 
-        chunks: list[np.ndarray] = []
         # Own metadata page.
-        chunks.append(visited // meta_per_page)
+        meta_page = visited // meta_per_page
         # Edge-array run: CSR offset proportional to vertex id (prefix-sum
         # like), spanning ceil(degree * 8 / 4096) pages.
         edge_start = (
             (visited.astype(np.float64) / vertices) * edge_pages
         ).astype(np.int64)
         edge_span = 1 + (degrees * _EDGE_BYTES) // 4096
-        # Interleave per visit: meta, edge run, neighbour reads.
         neighbour = g.zipf_pages(
             rng, vertices, visits * self.neighbour_samples,
             self.neighbour_alpha, scatter_seed=neighbour_seed,
         )
-        neighbour_pages = meta_pages and (neighbour // meta_per_page)
+        neighbour_pages = neighbour // meta_per_page
 
-        out: list[int] = []
-        nb_index = 0
-        meta_page = chunks[0]
-        for i in range(visits):
-            out.append(int(meta_page[i]))
-            start = int(edge_start[i])
-            for offset in range(int(edge_span[i])):
-                out.append(meta_pages + (start + offset) % edge_pages)
-            for _ in range(self.neighbour_samples):
-                out.append(int(neighbour_pages[nb_index]))
-                nb_index += 1
-            if len(out) >= size:
-                break
-        pages = np.asarray(out[:size], dtype=np.int64)
+        # Lay visits out back to back — meta page, edge run, neighbour
+        # reads — up to the first visit that reaches ``size`` records.
+        samples = self.neighbour_samples
+        length = 1 + edge_span + samples
+        end = np.cumsum(length)
+        kept = min(visits, int(np.searchsorted(end, size)) + 1)
+        edge_span = edge_span[:kept]
+        first = end[:kept] - length[:kept]
+        out = np.empty(int(end[kept - 1]), dtype=np.int64)
+        out[first] = meta_page[:kept]
+        run_first = np.cumsum(edge_span) - edge_span
+        offset = np.arange(int(edge_span.sum())) - np.repeat(run_first,
+                                                             edge_span)
+        out[np.repeat(first + 1, edge_span) + offset] = meta_pages + (
+            np.repeat(edge_start[:kept], edge_span) + offset) % edge_pages
+        if samples:
+            slots = (first + 1 + edge_span)[:, None] + np.arange(samples)
+            out[slots.ravel()] = neighbour_pages[:kept * samples]
+        pages = out[:size]
         if len(pages) < size:  # pragma: no cover - defensive top-up
             extra = g.uniform_pages(rng, space_pages, size - len(pages))
             pages = np.concatenate([pages, extra])

@@ -5,6 +5,9 @@ the paper's qualitative shape; the benchmarks assert the same at a larger
 scale.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
@@ -21,7 +24,9 @@ from repro.experiments import (
     table6,
 )
 from repro.experiments.common import ExperimentTable, mean, reduction
+from repro.runtime.job import PT_INVENTORY, Job, execute_job
 from repro.sim.runner import Scale
+from repro.workloads.suite import ALL_NAMES
 
 TINY = Scale(trace_length=3_000, warmup=600, seed=13)
 
@@ -54,6 +59,20 @@ class TestTable2:
         for row in table.rows:
             assert row["vmas_for_99pct"] <= row["total_vmas"]
             assert row["pt_page_count"] > row["contig_phys_regions"]
+
+    def test_inventory_matches_golden_bytes(self):
+        """Every workload's inventory at seeds 42 and 7, pinned byte for
+        byte: the PT frames behind it come from populate's bulk replay
+        of the buddy allocator."""
+        golden = Path(__file__).parent / "goldens" / "table2_inventory.json"
+        inventory = {
+            str(seed): {
+                name: execute_job(Job(kind=PT_INVENTORY, workload=name,
+                                      scale=Scale(seed=seed)))
+                for name in ALL_NAMES}
+            for seed in (42, 7)}
+        text = json.dumps(inventory, indent=2, sort_keys=True) + "\n"
+        assert text == golden.read_text()
 
     def test_pt_pages_track_footprint(self):
         table = table2.run(TINY)

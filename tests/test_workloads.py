@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pagetable.constants import PAGE_SIZE
+from repro.workloads import generators as g
 from repro.workloads.base import KeyValue, Mix, Zipf
 from repro.workloads.graph import GraphTraversal
 from repro.workloads.suite import ALL_NAMES, WORKLOADS, get
@@ -116,6 +117,21 @@ class TestPatterns:
         diffs = np.diff(meta)
         assert np.mean(diffs >= 0) > 0.95
 
+    @pytest.mark.parametrize("mode", ["bfs", "pagerank"])
+    @pytest.mark.parametrize("samples", range(7))
+    def test_graph_layout_equals_per_visit_loop(self, mode, samples):
+        for seed, space, size, max_degree in (
+                (0, 1_000, 1, 4096), (1, 50_000, 997, 4096),
+                (2, 200_000, 20_000, 100_000), (3, 7, 333, 1),
+                (4, 300_000, 12_345, 60_000)):
+            pattern = GraphTraversal(mode=mode, neighbour_samples=samples,
+                                     max_degree=max_degree)
+            got = pattern.generate(np.random.default_rng(seed), space, size)
+            want = _per_visit_graph_pages(
+                pattern, np.random.default_rng(seed), space, size)
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
     def test_mix_draws_from_all_parts(self):
         rng = np.random.default_rng(6)
         pattern = Mix((
@@ -143,3 +159,45 @@ class TestBuildProcess:
                         for spec, base in placed)
         for (s1, e1), (s2, e2) in zip(ranges, ranges[1:]):
             assert e1 <= s2
+
+
+def _per_visit_graph_pages(pattern, rng, space_pages, size):
+    """:meth:`GraphTraversal.generate` as the per-visit loop it replaced:
+    the reference its whole-array layout must equal."""
+    meta_pages = max(1, int(space_pages * pattern.meta_fraction))
+    edge_pages = max(1, space_pages - meta_pages)
+    vertices = max(2, (meta_pages << 12) // 64)
+    meta_per_page = 4096 // 64
+    visits = max(1, -(-size // (2 + pattern.neighbour_samples)))
+    if pattern.mode == "bfs":
+        visited = g.zipf_pages(
+            rng, vertices, visits, pattern.frontier_alpha,
+            scatter_seed=int(rng.integers(1, 2**31)))
+    else:
+        start = int(rng.integers(0, vertices))
+        visited = np.remainder(
+            start + np.arange(visits, dtype=np.int64), vertices)
+    degrees = pattern._degrees(rng, visits)
+    neighbour_seed = (int(rng.integers(1, 2**31))
+                      if pattern.neighbour_scatter else None)
+    meta_page = visited // meta_per_page
+    edge_start = ((visited.astype(np.float64) / vertices)
+                  * edge_pages).astype(np.int64)
+    edge_span = 1 + (degrees * 8) // 4096
+    neighbour_pages = g.zipf_pages(
+        rng, vertices, visits * pattern.neighbour_samples,
+        pattern.neighbour_alpha, scatter_seed=neighbour_seed,
+    ) // meta_per_page
+    out = []
+    nb_index = 0
+    for i in range(visits):
+        out.append(int(meta_page[i]))
+        start = int(edge_start[i])
+        for offset in range(int(edge_span[i])):
+            out.append(meta_pages + (start + offset) % edge_pages)
+        for _ in range(pattern.neighbour_samples):
+            out.append(int(neighbour_pages[nb_index]))
+            nb_index += 1
+        if len(out) >= size:
+            break
+    return np.asarray(out[:size], dtype=np.int64)
