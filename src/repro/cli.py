@@ -10,9 +10,8 @@ Commands
 * ``scaling``                  — translation-fraction convergence vs scale
 * ``trace materialize|info|hash`` — on-disk streaming traces
 * ``sweep [--only NAME ...]``  — every experiment as one parallel batch
-* ``report [--fast|--incremental]`` — regenerate everything
-* ``serve``                    — long-lived daemon draining the job queue
-* ``submit | status | cancel`` — service clients for the queue
+* ``report [--only NAME ...]`` — rebuild EXPERIMENTS.md, re-rendering
+  only the sections whose cached cells changed
 * ``obs summary|timeline|export|dashboard|validate`` — run telemetry
 * ``validate``                 — check the paper's qualitative shapes
 
@@ -23,11 +22,6 @@ job grid out over N worker processes), ``--cache-dir DIR`` and
 ``--no-cache`` (on-disk result cache keyed by job spec and code version).
 Results are identical for any ``--jobs`` value: every job seeds its own
 randomness from its spec.
-
-When a ``repro serve`` daemon is alive on the same cache directory,
-engine-backed commands become thin submit-and-wait clients of its
-persistent job queue (byte-identical output); ``--no-service`` forces
-the historical in-process path.
 """
 
 from __future__ import annotations
@@ -37,7 +31,7 @@ import sys
 
 from repro.experiments.common import CONFIGS, REPORT_SEEDS, SCHEMES
 from repro.runtime.cache import DEFAULT_CACHE_DIR
-from repro.runtime.engine import Engine, positive_int
+from repro.runtime.engine import Engine
 from repro.sim.runner import Scale, run_native, run_virtualized
 from repro.workloads.suite import ALL_NAMES, WORKLOADS
 
@@ -45,19 +39,19 @@ from repro.workloads.suite import ALL_NAMES, WORKLOADS
 _CONFIGS = CONFIGS
 
 
-def _engine_from(args) -> Engine:
-    from repro.service.client import ServiceEngine
+def positive_int(text: str) -> int:
+    """argparse type for ``--jobs``-style counts."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
 
-    return ServiceEngine.from_options(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        no_cache=args.no_cache,
-        progress=getattr(args, "progress", False),
-        obs=getattr(args, "obs", False),
-        obs_dir=getattr(args, "obs_dir", None),
-        priority=getattr(args, "priority", 0),
-        no_service=getattr(args, "no_service", False),
-    )
+
+def _engine_from(args) -> Engine:
+    return Engine.from_options(jobs=args.jobs, cache_dir=args.cache_dir,
+                               no_cache=args.no_cache,
+                               progress=args.progress, obs=args.obs,
+                               obs_dir=args.obs_dir)
 
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
@@ -76,12 +70,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--obs-dir", default=None, metavar="DIR",
                         help="where event logs land "
                              "(default: <cache-dir>/obs)")
-    parser.add_argument("--no-service", action="store_true",
-                        help="bypass the job-queue service layer even "
-                             "when a daemon is alive")
-    parser.add_argument("--priority", type=int, default=0,
-                        help="queue priority when routed through the "
-                             "service (default: 0; higher runs first)")
 
 
 def _cmd_list(_args) -> int:
@@ -250,8 +238,7 @@ def _cmd_trace(args) -> int:
 
 
 def _sweep_scale(args) -> Scale:
-    """The sweep/submit scale from ``--fast``/``--trace-length``/``--seed``
-    (shared so a submitted grid hashes identically to the sweep's)."""
+    """The sweep/report scale from ``--fast``/``--trace-length``/``--seed``."""
     import dataclasses
 
     from repro.experiments.common import DEFAULT_SCALE
@@ -278,51 +265,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from repro.experiments import report
-
-    if args.incremental:
-        return _cmd_report_incremental(args)
-    if args.only:
-        print("error: --only needs --incremental (the classic report "
-              "is always the full document)", file=sys.stderr)
-        return 2
-    argv = ["--fast"] if args.fast else []
-    if args.trace_length:
-        argv += ["--trace-length", str(args.trace_length)]
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    argv += ["--jobs", str(args.jobs), "--cache-dir", args.cache_dir]
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.progress:
-        argv.append("--progress")
-    if args.obs:
-        argv.append("--obs")
-    if args.obs_dir:
-        argv += ["--obs-dir", args.obs_dir]
-    return report.main(argv)
-
-
-def _cmd_report_incremental(args) -> int:
-    import dataclasses
-
-    from repro.experiments.common import DEFAULT_SCALE
-    from repro.service.reporter import IncrementalReporter
+    from repro.experiments.incremental import IncrementalReporter
 
     engine = _engine_from(args)
     if engine.cache is None:
-        print("error: --incremental needs the result cache "
+        print("error: repro report needs the result cache "
               "(drop --no-cache)", file=sys.stderr)
         return 2
-    scale = DEFAULT_SCALE.smaller(4) if args.fast else DEFAULT_SCALE
-    if args.trace_length:
-        scale = dataclasses.replace(scale, trace_length=args.trace_length,
-                                    warmup=args.trace_length // 5)
-    if args.seed is not None:
-        scale = dataclasses.replace(scale, seed=args.seed)
     reporter = IncrementalReporter(engine.cache)
     try:
-        update = reporter.update(scale, engine, only=args.only)
+        update = reporter.update(_sweep_scale(args), engine,
+                                 only=args.only)
     except ValueError as error:  # unknown --only section
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -331,100 +284,6 @@ def _cmd_report_incremental(args) -> int:
     for name in update.rebuilt:
         print(f"[report]   rebuilt: {name}")
     print(f"[report] wrote {target}")
-    return 0
-
-
-# ----------------------------------------------------------------------
-# service commands
-# ----------------------------------------------------------------------
-def _cmd_serve(args) -> int:
-    from repro.service.daemon import Daemon
-
-    if args.no_cache:
-        print("error: the service daemon needs the result cache "
-              "(it is the queue's result channel); drop --no-cache",
-              file=sys.stderr)
-        return 2
-    daemon = Daemon(args.cache_dir, jobs=args.jobs,
-                    poll_interval=args.poll_interval, once=args.once,
-                    idle_exit=args.idle_exit, http_port=args.http,
-                    obs=args.obs, obs_dir=args.obs_dir)
-    return daemon.serve()
-
-
-def _cmd_submit(args) -> int:
-    from repro.experiments import report
-    from repro.runtime.cache import ResultCache
-    from repro.service.queue import JobQueue, daemon_alive
-
-    try:
-        sweep = report.sweep_jobs(_sweep_scale(args), only=args.only)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    cache = ResultCache(args.cache_dir)
-    queue = JobQueue.for_cache_dir(args.cache_dir)
-    out = queue.submit(list(sweep.jobs), priority=args.priority,
-                       cache=cache)
-    print(f"submitted: {len(out['enqueued'])} enqueued, "
-          f"{len(out['queued'])} already queued, "
-          f"{len(out['cached'])} already cached")
-    if not daemon_alive(queue.dir):
-        print("note: no daemon is serving this cache dir; start one with "
-              "`repro serve`", file=sys.stderr)
-    return 0
-
-
-def _cmd_status(args) -> int:
-    import json
-
-    from repro.service.queue import (JobQueue, daemon_alive,
-                                     read_daemon_meta)
-
-    queue = JobQueue.for_cache_dir(args.cache_dir)
-    entries = queue.load()
-    counts = queue.counts(entries)
-    meta = read_daemon_meta(queue.dir)
-    alive = daemon_alive(queue.dir)
-    if args.json:
-        print(json.dumps({"daemon": meta, "alive": alive,
-                          "queue": counts}, indent=1, sort_keys=True))
-        return 0
-    if alive and meta is not None:
-        extras = [f"workers={meta.get('jobs', '?')}"]
-        if meta.get("http_port"):
-            extras.append(f"http={meta['http_port']}")
-        print(f"daemon: alive, pid {meta.get('pid')} "
-              f"({', '.join(extras)})")
-    else:
-        print("daemon: none")
-    print("queue: " + ", ".join(f"{counts[state]} {state}"
-                                for state in counts))
-    if args.verbose:
-        for entry in sorted(entries.values(), key=lambda e: e.seq):
-            extra = ""
-            if entry.state == "running":
-                extra = f" pid {entry.pid}"
-            elif entry.seconds is not None:
-                extra = f" {entry.seconds:.1f}s"
-            elif entry.error:
-                extra = f" {entry.error}"
-            print(f"  {entry.spec[:12]} {entry.state:9s} "
-                  f"p{entry.priority}{extra}  {entry.label}")
-    return 0
-
-
-def _cmd_cancel(args) -> int:
-    from repro.service.queue import JobQueue
-
-    queue = JobQueue.for_cache_dir(args.cache_dir)
-    if not args.all and not args.spec:
-        print("error: give spec-hash prefixes or --all", file=sys.stderr)
-        return 2
-    cancelled = queue.cancel(args.spec, all_pending=args.all)
-    print(f"cancelled {len(cancelled)} pending job(s)")
-    for entry in cancelled:
-        print(f"  {entry.spec[:12]}  {entry.label}")
     return 0
 
 
@@ -634,97 +493,30 @@ def build_parser() -> argparse.ArgumentParser:
         "hash", help="recompute the content digest and verify the header")
     thash.add_argument("path")
 
-    sweep = sub.add_parser(
-        "sweep", help="run every experiment as one parallel batch")
-    sweep.add_argument("--only", action="append", default=None,
-                       metavar="NAME",
-                       help="limit to one experiment (repeatable), "
-                            "e.g. --only fig8 --only table2")
-    sweep.add_argument("--fast", action="store_true",
-                       help="reduced scale (quick smoke pass)")
-    sweep.add_argument("--trace-length", type=positive_int, default=None)
-    sweep.add_argument("--seed", type=int, default=42)
-    _add_engine_options(sweep)
-
-    rep = sub.add_parser("report", help="regenerate everything")
-    rep.add_argument("--fast", action="store_true")
-    rep.add_argument("--trace-length", type=positive_int, default=None)
-    rep.add_argument("--seed", type=int, default=None)
-    rep.add_argument("--incremental", action="store_true",
-                     help="regenerate only the sections whose cached "
-                          "cells changed (repro.service.reporter)")
-    rep.add_argument("--only", action="append", default=None,
-                     metavar="NAME",
-                     help="with --incremental: restrict the pass to "
-                          "these sections (repeatable, e.g. fig8)")
-    rep.add_argument("--output", default=None, metavar="FILE",
-                     help="with --incremental: where to write the "
-                          "assembled EXPERIMENTS.md (default: "
-                          "<cache-dir>/service/report/EXPERIMENTS.md)")
-    _add_engine_options(rep)
-
-    serve = sub.add_parser(
-        "serve", help="long-lived daemon draining the job queue")
-    serve.add_argument("--jobs", type=positive_int, default=1,
-                       help="worker processes per batch (default: 1)")
-    serve.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                       help="cache directory to serve "
-                            f"(default: {DEFAULT_CACHE_DIR})")
-    serve.add_argument("--no-cache", action="store_true",
-                       help=argparse.SUPPRESS)
-    serve.add_argument("--poll-interval", type=float, default=0.5,
-                       metavar="SECONDS",
-                       help="queue poll cadence while idle (default: 0.5)")
-    serve.add_argument("--once", action="store_true",
-                       help="drain the queue once and exit")
-    serve.add_argument("--idle-exit", type=float, default=None,
-                       metavar="SECONDS",
-                       help="exit after this long without work "
-                            "(default: serve forever)")
-    serve.add_argument("--http", type=int, default=None, metavar="PORT",
-                       help="serve status/dashboard/report over HTTP on "
-                            "this localhost port (0 picks a free one)")
-    serve.add_argument("--obs", action="store_true",
-                       help="record daemon spans/instants (repro.obs)")
-    serve.add_argument("--obs-dir", default=None, metavar="DIR",
-                       help="event log directory "
-                            "(default: <cache-dir>/obs)")
-
     def _scale_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--only", action="append", default=None,
                        metavar="NAME",
-                       help="limit to one experiment (repeatable)")
+                       help="limit to one experiment (repeatable), "
+                            "e.g. --only fig8 --only table2")
         p.add_argument("--fast", action="store_true",
                        help="reduced scale (quick smoke pass)")
         p.add_argument("--trace-length", type=positive_int, default=None)
         p.add_argument("--seed", type=int, default=42)
 
-    submit = sub.add_parser(
-        "submit", help="enqueue experiment cells without waiting")
-    _scale_options(submit)
-    submit.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help="cache directory whose queue to submit to "
-                             f"(default: {DEFAULT_CACHE_DIR})")
-    submit.add_argument("--priority", type=int, default=0,
-                        help="queue priority (default: 0; higher first)")
+    sweep = sub.add_parser(
+        "sweep", help="run every experiment as one parallel batch and "
+                      "print the raw tables")
+    _scale_options(sweep)
+    _add_engine_options(sweep)
 
-    status = sub.add_parser(
-        "status", help="daemon heartbeat + queue state")
-    status.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help=f"(default: {DEFAULT_CACHE_DIR})")
-    status.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-    status.add_argument("--verbose", action="store_true",
-                        help="list every journal entry")
-
-    cancel = sub.add_parser(
-        "cancel", help="cancel pending queue entries")
-    cancel.add_argument("spec", nargs="*",
-                        help="spec-hash prefixes to cancel")
-    cancel.add_argument("--all", action="store_true",
-                        help="cancel every pending entry")
-    cancel.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help=f"(default: {DEFAULT_CACHE_DIR})")
+    rep = sub.add_parser(
+        "report", help="rebuild EXPERIMENTS.md, re-rendering only the "
+                       "sections whose cached cells changed")
+    _scale_options(rep)
+    rep.add_argument("--output", default=None, metavar="FILE",
+                     help="where to write the assembled EXPERIMENTS.md "
+                          "(default: <cache-dir>/report/EXPERIMENTS.md)")
+    _add_engine_options(rep)
 
     obs = sub.add_parser(
         "obs", help="inspect run-telemetry event logs (repro.obs)")
@@ -794,10 +586,6 @@ def main(argv: list[str] | None = None) -> int:
         "trace": _cmd_trace,
         "sweep": _cmd_sweep,
         "report": _cmd_report,
-        "serve": _cmd_serve,
-        "submit": _cmd_submit,
-        "status": _cmd_status,
-        "cancel": _cmd_cancel,
         "obs": _cmd_obs,
         "validate": _cmd_validate,
     }[args.command]

@@ -1,17 +1,16 @@
 """EXPERIMENTS.md assembly: raw report text -> published document.
 
-Moved verbatim from ``tools/build_experiments_md.py`` (which remains the
-command-line entry point) so the incremental reporter
-(:mod:`repro.service.reporter`) and the one-shot tool assemble the
-document through the *same* code path — parity between them is
-structural, not coincidental.
+``repro report`` (:mod:`repro.experiments.incremental`) and
+``tools/build_experiments_md.py`` both assemble the document through
+:func:`build`, so the two can never disagree on its text.
 
-The raw report text is what ``python -m repro.experiments.report`` (or a
-sweep) prints: rendered tables separated by ``[{section}: {N}s]`` timing
-lines.  :func:`build` splices each measured table into the
-paper-vs-measured commentary of :data:`SECTIONS`; the timing lines are
-stripped, so two raw inputs with identical tables but different timings
-assemble to byte-identical documents.
+The raw report text is rendered tables separated by ``[{section}:
+{N}s]`` timing lines, as the incremental reporter writes it; the output
+of ``python -m repro sweep`` (the same tables with one ``[sweep]``
+trailer) is accepted too.  :func:`build` splices each measured table
+into the paper-vs-measured commentary of :data:`SECTIONS`; the timing
+lines are stripped, so two raw inputs with identical tables but
+different timings assemble to byte-identical documents.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ repository.  Measured numbers below come from one full pass of
 parallel batch);
 the raw output is checked in as `docs/experiments_raw.txt` and this file
 is assembled from it by `tools/build_experiments_md.py` (CI verifies it
-never drifts).  The benchmarks in `benchmarks/` regenerate the same
-tables at `BENCH_SCALE` and assert the qualitative shapes.
+never drifts).  `python -m repro validate` asserts the qualitative
+shapes at a reduced trace scale, and the test suite runs those checks.
 
 **Statistical methodology.**  The comparative experiments (`repro
 compare`, `repro mt`, `repro scaling`) replicate every cell over 5
@@ -321,7 +320,7 @@ FOOTER = """
 | Colocation uplift 2.6x / virtualization 4.4x multipliers | under-reproduced (C1/C2: ours ~1.1-2x) |
 
 `python -m repro validate` re-checks every reproduced shape;
-`pytest benchmarks/ --benchmark-only` regenerates every table above.
+`python -m repro report --output EXPERIMENTS.md` regenerates every table above.
 """
 
 

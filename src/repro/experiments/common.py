@@ -15,9 +15,9 @@ cells (every ladder's baseline, Table 1's reuse of Figure 3 scenarios, …)
 execute once, and the whole batch fans out over ``--jobs`` processes.
 
 Tables are :class:`repro.stats.tables.Table` objects — the structured
-cell model shared with the incremental reporter and the HTTP endpoint —
-and render in the paper's layout so benchmark output reads side by side
-with the original.  ``ExperimentTable`` remains as an alias for the many
+cell model shared with the incremental reporter — and render in the
+paper's layout so experiment output reads side by side with the
+original.  ``ExperimentTable`` remains as an alias for the many
 historical call sites.
 
 The replication axis (multi-seed cells with confidence intervals and
@@ -161,8 +161,8 @@ def deployment_job(name: str, kind: str, colocated: bool,
                colocated=colocated)
 
 
-#: Back-compat alias: the table model moved to :mod:`repro.stats.tables`
-#: so the service layer can use it without importing experiment code.
+#: Back-compat alias: the table model lives in :mod:`repro.stats.tables`
+#: so code outside the experiments can use it without importing them.
 ExperimentTable = Table
 
 

@@ -1,33 +1,34 @@
-"""Incremental report regeneration.
+"""Incremental report regeneration: the engine behind ``repro report``.
 
-A full report pass renders fourteen sections; between two passes almost
-nothing changes — the cache satisfies every cell and every table comes
-out identical.  This module makes that observation structural (the
-FuzzBench measurer→reporter pattern): a **manifest** under
-``<cache_dir>/service/report/`` records, per section, the *signature* of
-the cells that feed it — ``sha256`` over the ordered ``(spec hash,
-result-pickle digest)`` pairs of the section's job grid.  On the next
-pass a section whose signature is unchanged is served from its stored
-form without unpickling a single result; only sections whose cells
-changed (new code version, changed scale, evicted entry) are re-rendered.
+Between two report passes almost nothing changes: the cache satisfies
+every cell and every table comes out identical.  This module makes that
+observation structural (the FuzzBench measurer→reporter pattern): a
+**manifest** under ``<cache_dir>/report/`` records, per section, the
+*signature* of what built it — ``sha256`` over the package's source
+hash (:func:`~repro.runtime.cache.package_version`) and the ordered
+``(spec hash, result-pickle digest)`` pairs of the section's job grid.
+On the next pass a section whose signature is unchanged is served from
+its stored form without unpickling a single result; only sections whose
+cells changed (new code version, changed scale, evicted entry) or whose
+code changed (any source edit, e.g. to an experiment's ``tables()``)
+are re-rendered.
 
 What is stored per section is the **cell model**, not rendered strings:
 ``sections/<slug>.json`` holds each table's
 :meth:`~repro.stats.tables.Table.payload` — values, per-seed samples,
 confidence intervals, significance verdicts — and the manifest records
 a digest over that model.  Text is produced on demand through the one
-shared renderer (:meth:`Table.render`), so the reporter, the HTTP
-endpoint (``/tables`` serves the models directly) and a live
+shared renderer (:meth:`Table.render`), so a reused section and a live
 ``tables()`` call can never disagree on formatting.
 
 Parity is structural, not asserted: the assembled document goes through
-:func:`repro.service.assemble.build` — the same code path as
-``tools/build_experiments_md.py`` — and the raw text reproduces the
-``generate()`` section format, so a fully-incremental pass and a full
-rebuild emit byte-identical documents (the timing separator lines are
-stripped by the assembler).  A pass restricted with ``--only`` updates
-its selected sections and merges every other section's stored model
-into the written document, so a partial refresh never degrades
+:func:`repro.experiments.assemble.build` — the same code path as
+``tools/build_experiments_md.py`` — and a reused section renders the
+same text as a rebuilt one, so an incremental pass and a full rebuild
+emit byte-identical documents (the timing separator lines are stripped
+by the assembler).  A pass restricted with ``--only`` updates its
+selected sections and merges every other section's stored model into
+the written document, so a partial refresh never degrades
 EXPERIMENTS.md to placeholders.
 """
 
@@ -41,17 +42,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.experiments import assemble
 from repro.experiments.report import MODULES, _select, _tables
-from repro.runtime.cache import ResultCache
+from repro.runtime.cache import REPORT_SUBDIR, ResultCache, package_version
 from repro.runtime.engine import Engine
 from repro.runtime.job import Job
 from repro.runtime.sweep import Sweep
-from repro.service import assemble
-from repro.service.queue import service_dir
 from repro.sim.runner import Scale
 from repro.stats.tables import Table
 
-REPORT_SUBDIR = "report"
 MANIFEST_NAME = "manifest.json"
 
 
@@ -71,7 +70,8 @@ def _model_digest(payloads: list[dict[str, Any]]) -> str:
 
 
 def _render_section(payloads: list[dict[str, Any]]) -> str:
-    """A stored cell model back to ``generate()``-format section text."""
+    """A stored cell model back to its section text: each table
+    rendered, followed by one blank line."""
     rendered: list[str] = []
     for payload in payloads:
         rendered.append(Table.from_payload(payload).render())
@@ -79,9 +79,12 @@ def _render_section(payloads: list[dict[str, Any]]) -> str:
     return "\n".join(rendered) + "\n" if rendered else ""
 
 
-def section_signature(jobs: list[Job], cache: ResultCache) -> str | None:
-    """Signature of a section's feeding cells, or ``None`` on any miss."""
-    digest = hashlib.sha256()
+def section_signature(jobs: list[Job], cache: ResultCache,
+                      code: str) -> str | None:
+    """Signature of a section built by source hash ``code`` from its
+    feeding cells, or ``None`` on any cell miss."""
+    digest = hashlib.sha256(code.encode())
+    digest.update(b"\n")
     for job in jobs:
         cell = cache.digest(job)
         if cell is None:
@@ -97,11 +100,11 @@ def section_signature(jobs: list[Job], cache: ResultCache) -> str | None:
 class ReportUpdate:
     """Outcome of one incremental pass.
 
-    ``raw`` covers the *selected* sections (the parity contract with a
-    full ``generate()`` pass over the same selection); ``sections``
-    maps each selected section's name to its rendered text so
-    :meth:`IncrementalReporter.write_outputs` can merge unselected
-    sections' stored models into the published document.
+    ``raw`` covers the *selected* sections (the parity contract with
+    :meth:`IncrementalReporter.full_raw_equivalent` over the same
+    selection); ``sections`` maps each selected section's name to its
+    rendered text so :meth:`IncrementalReporter.write_outputs` can merge
+    unselected sections' stored models into the published document.
     """
 
     raw: str
@@ -117,9 +120,10 @@ class ReportUpdate:
 
 
 class IncrementalReporter:
-    """Regenerates only the report sections whose cells changed.
+    """Regenerates only the report sections whose cells or code changed.
 
-    State layout under ``<cache_dir>/service/report/``::
+    State layout under ``<cache_dir>/report/``, which the result
+    cache's pruner leaves alone::
 
         manifest.json       {section: {signature, model_digest, file,
                                        title, seconds}}
@@ -130,7 +134,8 @@ class IncrementalReporter:
 
     def __init__(self, cache: ResultCache) -> None:
         self.cache = cache
-        self.root = service_dir(cache.root) / REPORT_SUBDIR
+        self.code = package_version()
+        self.root = cache.root / REPORT_SUBDIR
         self.sections_dir = self.root / "sections"
         self.manifest_path = self.root / MANIFEST_NAME
 
@@ -153,8 +158,9 @@ class IncrementalReporter:
         """One incremental pass over the selected sections.
 
         Cold cells (anything the cache cannot digest) are executed
-        through ``engine`` first — a first run degenerates to a full
-        report pass, a warm rerun touches nothing but file hashes.
+        through ``engine`` first, as one deduplicated batch across all
+        selected sections — a first run degenerates to a full report
+        pass, a warm rerun touches nothing but file hashes.
         """
         selected = _select(only)
         grids = {name: list(dict.fromkeys(module.jobs(scale)))
@@ -174,7 +180,7 @@ class IncrementalReporter:
         raw_parts: list[str] = []
         for name, module in selected:
             jobs = grids[name]
-            signature = section_signature(jobs, self.cache)
+            signature = section_signature(jobs, self.cache, self.code)
             slug = _slug(name)
             entry = manifest.get(slug)
             section_file = self.sections_dir / f"{slug}.json"
@@ -270,8 +276,9 @@ class IncrementalReporter:
 
     def full_raw_equivalent(self, scale: Scale,
                             only: list[str] | None = None) -> str:
-        """The raw text a non-incremental pass over the same cached
-        cells would produce, with zeroed timings (test/parity helper)."""
+        """The raw text of a full rebuild from the same cached cells —
+        every section re-rendered from its unpickled results — with
+        zeroed timings (test/parity helper)."""
         selected = _select(only)
         parts: list[str] = []
         for name, module in selected:

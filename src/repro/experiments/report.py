@@ -1,26 +1,21 @@
-"""Regenerate every reproduced table and figure in one pass.
+"""The report's section registry and the one-batch sweep.
 
-Run as ``python -m repro.experiments.report [--fast] [--jobs N]``.  The
-full pass at the default scale takes tens of minutes serially (it reruns
-every scenario of the paper's evaluation); ``--fast`` uses a reduced
-scale, ``--jobs`` fans the job grid out over worker processes, and the
-on-disk result cache (``--cache-dir`` / ``--no-cache``) makes re-rendering
-free when no simulator source changed.
+:data:`MODULES` lists every reproduced table and figure in the paper's
+presentation order.  ``repro report`` renders those sections through
+:class:`~repro.experiments.incremental.IncrementalReporter` into
+EXPERIMENTS.md.
 
 ``run_sweep`` is the batch entry point behind ``python -m repro sweep``:
 it concatenates every experiment's job grid into one
 :class:`~repro.runtime.sweep.Sweep`, executes it once (cells shared
 between experiments — every ladder's baseline, Table 1's reuse of the
-Figure 3 scenarios — run a single time), then assembles all tables from
+Figure 3 scenarios — run a single time), then prints all tables from
 the shared results.
 """
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
 import sys
-import time
 
 from repro.experiments import (
     ablations,
@@ -38,9 +33,7 @@ from repro.experiments import (
     table2,
     table6,
 )
-from repro.experiments.common import DEFAULT_SCALE
-from repro.runtime.cache import DEFAULT_CACHE_DIR
-from repro.runtime.engine import Engine, positive_int
+from repro.runtime.engine import Engine
 from repro.runtime.progress import SweepReport
 from repro.runtime.sweep import Sweep
 from repro.sim.runner import Scale
@@ -64,28 +57,11 @@ MODULES = (
     ("Scaling", scaling),
 )
 
-#: (name, callable) back-compat view of :data:`MODULES`.
-SECTIONS = tuple((name, module.run) for name, module in MODULES)
-
 
 def _tables(result) -> list:
     if isinstance(result, (list, tuple)):
         return list(result)
     return [result]
-
-
-def generate(scale: Scale, out=None,
-             engine: Engine | None = None) -> None:
-    """Render every experiment section in order (one engine call each)."""
-    out = out if out is not None else sys.stdout
-    for name, module in MODULES:
-        started = time.time()
-        for table in _tables(module.run(scale, engine)):
-            print(table.render(), file=out)
-            print(file=out)
-        print(f"[{name}: {time.time() - started:.0f}s]", file=out)
-        print(file=out)
-        out.flush()
 
 
 def sweep_jobs(scale: Scale, only: list[str] | None = None) -> Sweep:
@@ -137,50 +113,3 @@ def run_sweep(scale: Scale, engine: Engine, out=None,
     report = engine.last_report
     print(f"[sweep] {report.summary()}", file=out)
     return report
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--fast", action="store_true",
-                        help="reduced scale (quick smoke pass)")
-    parser.add_argument("--trace-length", type=int, default=None)
-    parser.add_argument("--warmup", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--jobs", type=positive_int, default=1,
-                        help="worker processes for the job grid")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        help="on-disk result cache location")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the on-disk result cache")
-    parser.add_argument("--progress", action="store_true",
-                        help="stream per-job progress to stderr")
-    parser.add_argument("--obs", action="store_true",
-                        help="record a structured event log (repro.obs)")
-    parser.add_argument("--obs-dir", default=None, metavar="DIR",
-                        help="event log directory (default: "
-                             "<cache-dir>/obs)")
-    args = parser.parse_args(argv)
-    scale = DEFAULT_SCALE
-    if args.fast:
-        scale = scale.smaller(4)
-    if args.trace_length:
-        scale = dataclasses.replace(
-            scale,
-            trace_length=args.trace_length,
-            warmup=args.warmup
-            if args.warmup is not None else args.trace_length // 5,
-        )
-    elif args.warmup is not None:
-        scale = dataclasses.replace(scale, warmup=args.warmup)
-    if args.seed is not None:
-        scale = dataclasses.replace(scale, seed=args.seed)
-    engine = Engine.from_options(jobs=args.jobs, cache_dir=args.cache_dir,
-                                 no_cache=args.no_cache,
-                                 progress=args.progress,
-                                 obs=args.obs, obs_dir=args.obs_dir)
-    generate(scale, engine=engine)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

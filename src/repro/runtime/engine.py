@@ -37,17 +37,6 @@ from repro.runtime.progress import (
 from repro.runtime.sweep import Sweep
 
 
-def positive_int(text: str) -> int:
-    """argparse type for ``--jobs``-style worker counts (shared by the
-    ``repro`` CLI and the report module's standalone parser)."""
-    import argparse
-
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
 def _timed_execute(job: Job) -> tuple[Any, float]:
     """Worker entry point: run one job, measure its compute time."""
     started = time.perf_counter()
@@ -177,8 +166,15 @@ class Engine:
                 else:
                     pending.append(job)
 
-            if pending:
-                self._execute_cold(pending, recorder, results=results,
+            # Misses run inline with one worker (or one miss), else
+            # fanned out over the pool.
+            if self.jobs == 1 or len(pending) == 1:
+                for job in pending:
+                    self._finish(job, *self._execute_inline(job, recorder),
+                                 results=results, report=report,
+                                 printer=printer)
+            elif pending:
+                self._execute_pool(pending, recorder, results=results,
                                    report=report, printer=printer)
         finally:
             report.wall_seconds = time.perf_counter() - started
@@ -197,27 +193,6 @@ class Engine:
         return self.run_jobs(sweep)
 
     # ------------------------------------------------------------------
-    def _execute_cold(self, pending: list[Job], recorder, *,
-                      results: dict[Job, Any], report: SweepReport,
-                      printer) -> None:
-        """Execute the cache misses: inline for one job (or one worker),
-        otherwise fanned out over the pool.
-
-        This is the engine's execution seam: everything above it (dedup,
-        cache probes, report accounting, obs lifecycle) is shared with
-        :class:`repro.service.client.ServiceEngine`, which overrides
-        only this method to route cold cells through the persistent
-        queue instead of this process's pool.
-        """
-        if len(pending) == 1 or self.jobs == 1:
-            for job in pending:
-                self._finish(job, *self._execute_inline(job, recorder),
-                             results=results, report=report,
-                             printer=printer)
-        else:
-            self._execute_pool(pending, recorder, results=results,
-                               report=report, printer=printer)
-
     def _execute_inline(self, job: Job, recorder) -> tuple[Any, float]:
         """Run one job in-process, under a ``job`` span when observed.
 

@@ -83,21 +83,6 @@ class ProgressPrinter:
         self.ran = 0
         self.exec_seconds = 0.0
         self.stream = stream if stream is not None else sys.stderr
-        self.queue_depth: int | None = None
-        self.queue_position: int | None = None
-
-    def set_queue(self, depth: int | None,
-                  position: int | None = None) -> None:
-        """Attach service-queue context to subsequent lines.
-
-        Set by :class:`repro.service.client.ServiceEngine` while a sweep
-        waits on a daemon: ``depth`` is the queue's live entry count,
-        ``position`` the best pending rank among this sweep's own cells.
-        Lines are unchanged (byte-identical to the one-shot engine) until
-        the first call.
-        """
-        self.queue_depth = depth
-        self.queue_position = position
 
     def _eta(self) -> str:
         remaining = self.total - self.done
@@ -105,14 +90,6 @@ class ProgressPrinter:
             return ""
         per_job = self.exec_seconds / self.ran
         return f" eta {remaining * per_job / self.workers:5.1f}s"
-
-    def _queue(self) -> str:
-        if self.queue_depth is None:
-            return ""
-        text = f" queue {self.queue_depth}"
-        if self.queue_position is not None:
-            text += f" pos {self.queue_position}"
-        return text
 
     def job_done(self, record: JobRecord) -> None:
         self.done += 1
@@ -124,18 +101,13 @@ class ProgressPrinter:
             self.exec_seconds += record.seconds
             how = f"{record.seconds:6.1f}s"
         print(f"[runtime] {self.done:4d}/{self.total} {how:>8s}  "
-              f"[hit {self.hits} run {self.ran}{self._eta()}"
-              f"{self._queue()}]  "
+              f"[hit {self.hits} run {self.ran}{self._eta()}]  "
               f"{record.job.label()}", file=self.stream)
         self.stream.flush()
 
 
 class NullProgress:
     """No-op progress sink (the default)."""
-
-    def set_queue(self, depth: int | None,
-                  position: int | None = None) -> None:  # pragma: no cover
-        pass
 
     def job_done(self, record: JobRecord) -> None:  # pragma: no cover
         pass

@@ -7,7 +7,6 @@ runs behind Table 6's critical-path fraction), Figure 2/Table 6
 """
 
 from repro.sim.runner import (
-    BENCH_SCALE,
     Scale,
     build_vm,
     make_trace,
@@ -23,7 +22,6 @@ from repro.sim.virt import (
 )
 
 __all__ = [
-    "BENCH_SCALE",
     "NativeSimulation",
     "SERVICE_LABELS",
     "Scale",

@@ -116,11 +116,6 @@ class Scale:
         )
 
 
-#: Benchmark-friendly scale: small enough that the full ``pytest
-#: benchmarks/ --benchmark-only`` pass finishes in minutes, large enough
-#: that every asserted shape holds.
-BENCH_SCALE = Scale(trace_length=14_000, warmup=3_000, seed=42)
-
 _TRACE_CACHE: dict[tuple[str, int, int], np.ndarray] = {}
 
 #: Traces longer than this stream through the simulators as generated

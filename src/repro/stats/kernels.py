@@ -107,8 +107,11 @@ def bootstrap_ci(samples: Sequence[float], key: str,
         for _ in range(resamples)
     )
     alpha = 1.0 - confidence
-    return (percentile(stats, 100.0 * (alpha / 2.0)),
-            percentile(stats, 100.0 * (1.0 - alpha / 2.0)))
+    lo = percentile(stats, 100.0 * (alpha / 2.0))
+    hi = percentile(stats, 100.0 * (1.0 - alpha / 2.0))
+    # Interpolating between equal neighbours can land an ulp off either
+    # way, which would invert a zero-width interval.
+    return (lo, hi) if lo <= hi else (hi, lo)
 
 
 # ----------------------------------------------------------------------

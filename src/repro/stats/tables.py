@@ -2,9 +2,8 @@
 
 Historically each module rendered its own strings; now all results flow
 through one :class:`Table` of :class:`Cell` values and a single renderer
-used by ``tables()``, the incremental reporter, ``repro.service.assemble``
-and the HTTP dashboard.  Three design rules keep the refactor invisible
-where replication is off:
+used by ``tables()`` and the incremental reporter.  Three design rules
+keep the refactor invisible where replication is off:
 
 * :class:`Cell` subclasses :class:`float` — its value is the sample
   mean — so every numeric consumer (sorting, averaging, golden

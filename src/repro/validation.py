@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core import config as cfg
+from repro.experiments import ablations, fig9, fig11, table6
 from repro.sim.runner import Scale, run_native, run_virtualized
 
 
@@ -89,17 +90,6 @@ def _check_large_host_pages(scale: Scale) -> bool:
     return base_2m < base_4k and asap_2m < base_2m
 
 
-def _check_clustered_tlb_composes(scale: Scale) -> bool:
-    base = run_native("mcf", cfg.BASELINE, scale=scale,
-                      collect_service=False)
-    clustered = run_native("mcf", cfg.BASELINE, clustered_tlb=True,
-                           scale=scale, collect_service=False)
-    both = run_native("mcf", cfg.P1_P2, clustered_tlb=True, scale=scale,
-                      collect_service=False)
-    return (clustered.walks < base.walks
-            and both.walk_cycles < base.walk_cycles)
-
-
 def _check_pwc_doubling_marginal(scale: Scale) -> bool:
     from repro.params import DEFAULT_MACHINE
 
@@ -108,6 +98,53 @@ def _check_pwc_doubling_marginal(scale: Scale) -> bool:
                          machine=DEFAULT_MACHINE.with_pwc_scale(2),
                          scale=scale, collect_service=False)
     return doubled.avg_walk_latency > base * 0.85  # buys < 15%
+
+
+def _check_service_structure(scale: Scale) -> bool:
+    mcf_iso, redis_iso, mcf_coloc, _redis_coloc = fig9.run(scale)
+    mcf = {level: mcf_iso.row_by("pt_level", level)
+           for level in ("PL4", "PL3", "PL2", "PL1")}
+    return (mcf["PL4"]["PWC"] > 90 and mcf["PL3"]["PWC"] > 60
+            and mcf["PL1"]["L1"] > 40
+            and redis_iso.row_by("pt_level", "PL2")["PWC"]
+            < mcf["PL2"]["PWC"]
+            and mcf_coloc.row_by("pt_level", "PL1")["L1"]
+            < mcf["PL1"]["L1"])
+
+
+def _check_projection(scale: Scale) -> bool:
+    table = table6.run(scale)
+    average = table.row_by("workload", "Average")
+    gain = {row["workload"]: row["min_improvement_%"] for row in table.rows}
+    return (average["critical_path_%"] > 10
+            and average["asap_reduction_%"] > 15
+            and average["min_improvement_%"] > 3
+            and gain["bfs"] > gain["mcf"]
+            and gain["pagerank"] > gain["mcf"] * 0.9)
+
+
+def _check_clustered_vs_asap(scale: Scale) -> bool:
+    fig, tab7 = fig11.run(scale)
+    average = fig.row_by("workload", "Average")
+    mpki_cut = {row["workload"]: row["reduction_%"] for row in tab7.rows}
+    return (average["ASAP_%"] > average["ClusteredTLB_%"]
+            and average["Clustered+ASAP_%"] >= average["ASAP_%"]
+            and fig.row_by("workload", "mcf")["Clustered+ASAP_%"] > 0
+            and mpki_cut["mcf"] > 30 and mpki_cut["canneal"] > 20
+            and mpki_cut["mc400"] < 20)
+
+
+def _check_five_level(scale: Scale) -> bool:
+    return all(row["5L_P1+P2+P3"] <= row["5L_P1+P2"] * 1.01
+               and row["5L_red_%"] > 0
+               for row in ablations.run_five_level(scale).rows)
+
+
+def _check_holes_degrade_gracefully(scale: Scale) -> bool:
+    rows = ablations.run_holes(scale).rows
+    useful = [row["useful_prefetch_%"] for row in rows]
+    return (useful == sorted(useful, reverse=True)
+            and rows[-1]["avg_walk"] >= rows[0]["avg_walk"])
 
 
 CHECKS: tuple[ShapeCheck, ...] = (
@@ -125,10 +162,21 @@ CHECKS: tuple[ShapeCheck, ...] = (
                "Figure 10", _check_full_2d_best),
     ShapeCheck("2MB host pages shorten walks; ASAP still helps",
                "Figure 12", _check_large_host_pages),
-    ShapeCheck("Clustered TLB removes walks and composes with ASAP",
-               "Figure 11 / Table 7", _check_clustered_tlb_composes),
     ShapeCheck("doubling PWC capacity buys little", "§5.1.1",
                _check_pwc_doubling_marginal),
+    ShapeCheck("mcf's upper PT levels hit the PWC, redis misses it at "
+               "PL2, colocation drains the L1-D share", "Figure 9",
+               _check_service_structure),
+    ShapeCheck("walks are a large critical-path share; graph workloads "
+               "project the largest improvement", "Table 6",
+               _check_projection),
+    ShapeCheck("ASAP cuts more walk cycles than Clustered TLB and they "
+               "compose; coalescing helps mcf/canneal, not mc400",
+               "Figure 11 / Table 7", _check_clustered_vs_asap),
+    ShapeCheck("five-level PT: the PL3 prefetch never hurts and ASAP "
+               "beats the five-level baseline", "§3.5", _check_five_level),
+    ShapeCheck("more PT-region holes: fewer useful prefetches, no "
+               "faster walks", "§3.7.2", _check_holes_degrade_gracefully),
 )
 
 

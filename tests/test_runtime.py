@@ -23,9 +23,39 @@ from repro.runtime import (
     code_version,
     execute_job,
 )
+from repro.runtime.cache import package_sources, simulation_sources
 from repro.sim.runner import Scale, run_native
 
 TINY = Scale(trace_length=2_000, warmup=400, seed=13)
+
+#: Package-relative paths that ``code_version()`` hashes.
+SIMULATION_SOURCES = [
+    "__init__.py",
+    "core/__init__.py", "core/config.py", "core/prefetcher.py",
+    "core/range_registers.py",
+    "kernelsim/__init__.py", "kernelsim/buddy.py", "kernelsim/hypervisor.py",
+    "kernelsim/phys.py", "kernelsim/process.py", "kernelsim/pt_layout.py",
+    "kernelsim/vma.py",
+    "mem/__init__.py", "mem/cache.py", "mem/hierarchy.py", "mem/mshr.py",
+    "obs/__init__.py", "obs/events.py", "obs/probe.py",
+    "pagetable/__init__.py", "pagetable/constants.py", "pagetable/nested.py",
+    "pagetable/pwc.py", "pagetable/radix.py", "pagetable/walker.py",
+    "params.py",
+    "runtime/__init__.py", "runtime/cache.py", "runtime/engine.py",
+    "runtime/job.py", "runtime/progress.py", "runtime/sweep.py",
+    "schemes/__init__.py", "schemes/asap.py", "schemes/base.py",
+    "schemes/baseline.py", "schemes/revelator.py", "schemes/victima.py",
+    "sim/__init__.py", "sim/columnar.py", "sim/multitenant.py",
+    "sim/order.py", "sim/runner.py", "sim/simulator.py", "sim/stats.py",
+    "sim/virt.py",
+    "stats/__init__.py", "stats/kernels.py", "stats/rng.py",
+    "stats/tables.py",
+    "tlb/__init__.py", "tlb/clustered.py", "tlb/hierarchy.py", "tlb/tlb.py",
+    "traces/__init__.py", "traces/share.py", "traces/source.py",
+    "traces/store.py", "traces/stream.py",
+    "workloads/__init__.py", "workloads/base.py", "workloads/corunner.py",
+    "workloads/generators.py", "workloads/graph.py", "workloads/suite.py",
+]
 
 
 def _job(**overrides) -> Job:
@@ -120,6 +150,28 @@ class TestCache:
     def test_code_version_is_stable_hex(self):
         assert code_version() == code_version()
         int(code_version(), 16)
+
+    def test_code_version_hashes_the_job_import_closure(self):
+        # Pinned on purpose: a new import edge into (or out of) the
+        # closure of repro.runtime.job changes which edits invalidate
+        # every cached result, so it should be a reviewed change.
+        sources = simulation_sources()
+        assert sources == SIMULATION_SOURCES
+        for inside in ("sim/simulator.py", "sim/columnar.py",
+                       "runtime/job.py"):
+            assert inside in sources
+        for outside in ("cli.py", "validation.py", "experiments/report.py"):
+            assert outside not in sources
+
+    def test_package_version_hashes_every_source(self):
+        # The incremental reporter's section signatures hash these: the
+        # code that turns cached cells into tables lies outside the
+        # simulation closure.
+        sources = package_sources()
+        assert set(simulation_sources()) < set(sources)
+        for path in ("experiments/table6.py", "experiments/common.py",
+                     "experiments/incremental.py", "stats/tables.py"):
+            assert path in sources
 
 
 class TestEngine:

@@ -16,7 +16,7 @@ import pickle
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.stats.kernels import (
@@ -93,6 +93,7 @@ class TestBootstrap:
                               allow_nan=False),
                     min_size=2, max_size=8),
            st.integers(min_value=0, max_value=10**6))
+    @example([-6.448845548122786e-122] * 2, 0)
     @settings(max_examples=25, deadline=None)
     def test_interval_bounded_by_sample_range(self, samples, salt):
         lo, hi = bootstrap_ci(samples, key=str(salt), resamples=200)

@@ -97,7 +97,13 @@ def _child_main(spec_json: str) -> int:
     from repro.obs.events import capture
     from repro.obs.summary import phase_totals
     from repro.runtime.job import execute_job
+    from repro.sim import columnar
 
+    # Load the compiled backend before the timer starts: in a cold build
+    # directory loading it compiles the kernel, which is not the cell's
+    # cost.  Honours REPRO_REQUIRE_CCORE like the run itself would.
+    if job.kernel == "columnar":
+        columnar.columnar_available()
     # The cell runs under an in-memory obs capture: the simulator's
     # phase spans (setup/populate/warmup/measure) become the per-cell
     # breakdown next to peak RSS.  Sampling happens only at chunk

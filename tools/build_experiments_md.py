@@ -5,9 +5,10 @@ Usage::
 
     python tools/build_experiments_md.py [RAW] [--output PATH] [--check]
 
-RAW is the raw report text produced by ``python -m repro.experiments.report``
-or ``python -m repro sweep`` (default: ``docs/experiments_raw.txt``, which
-is checked in so this script is reproducible offline).  This script splices
+RAW is the raw report text that ``python -m repro report`` writes to
+``<cache-dir>/report/experiments_raw.txt``, or the output of ``python -m
+repro sweep`` (default: ``docs/experiments_raw.txt``, which is checked
+in so this script is reproducible offline).  This script splices
 each measured table into the paper-vs-measured commentary below.
 
 ``--check`` rebuilds the document in memory and exits non-zero if it
@@ -17,9 +18,8 @@ are resolved relative to the repository root, so the script works from any
 working directory.
 
 The assembly itself (section commentary, table splicing) lives in
-``repro.service.assemble`` so the incremental reporter (``repro report
---incremental``, the service daemon's HTTP endpoint) and this one-shot
-tool produce the document through the same code path.
+``repro.experiments.assemble`` so ``repro report`` and this tool produce
+the document through the same code path.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.service.assemble import build  # noqa: E402
+from repro.experiments.assemble import build  # noqa: E402
 
 
 def _resolve(path: str) -> Path:
