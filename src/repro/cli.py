@@ -376,15 +376,10 @@ def _cmd_obs_dashboard(args) -> int:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
 
-    html = build_dashboard(
-        logs,
-        bench_schemes=load(args.bench_schemes),
-        bench_scaling=load(args.bench_scaling),
-    )
+    html = build_dashboard(logs, bench=load(args.bench))
     Path(args.out).write_text(html, encoding="utf-8")
     print(f"wrote {args.out} ({len(logs)} run(s)"
-          + (", schemes trajectory" if args.bench_schemes else "")
-          + (", scaling trajectory" if args.bench_scaling else "") + ")")
+          + (", BENCH trajectory" if args.bench else "") + ")")
     return 0
 
 
@@ -562,10 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: <cache-dir>/obs)")
     odash.add_argument("--out", default="dashboard.html", metavar="FILE",
                        help="output HTML path (default: dashboard.html)")
-    odash.add_argument("--bench-schemes", default=None, metavar="JSON",
-                       help="BENCH_schemes.json for the perf trajectory")
-    odash.add_argument("--bench-scaling", default=None, metavar="JSON",
-                       help="BENCH_scaling.json for the scaling "
+    odash.add_argument("--bench", default=None, metavar="JSON",
+                       help="BENCH_trajectory.json for the perf "
                             "trajectory")
 
     val = sub.add_parser("validate", help="check paper-shape invariants")

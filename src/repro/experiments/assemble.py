@@ -290,8 +290,8 @@ deep-level-dominated kind ASAP overlaps best.  The 10M reduction sits
 inside the paper's reported 14-25% native band where the 60k cell did
 not — every ASAP-reduction number in the sections above should be read
 as a steady-state *lower bound*.  Wall-clock/peak-RSS for the same
-cells live in `BENCH_scaling.json` (`tools/bench_scaling.py`); peak
-RSS grows with the touched page count (page tables + per-page walk
+record ladder live in `BENCH_trajectory.json` (`tools/bench.py`);
+peak RSS grows with the touched page count (page tables + per-page walk
 paths — inherent state), not with trace length.""",
     ),
 ]

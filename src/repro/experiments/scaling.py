@@ -14,8 +14,8 @@ from the largest run.
 
 Anything past one generation chunk streams through `repro.traces`
 (bounded memory, identical statistics to a monolithic run); the
-companion tool ``tools/bench_scaling.py`` measures the wall-clock/RSS
-side of the same cells into the BENCH trajectory.
+companion tool ``tools/bench.py`` measures the wall-clock/RSS of the
+same record ladder into the BENCH trajectory.
 
 ``jobs_for_trace`` builds the same pair of cells around a materialised
 ``repro trace`` file (``repro scaling --trace``), which is how CI

@@ -5,9 +5,7 @@ assets or scripts — so the file can be archived as a CI artifact or
 dropped on any static host.  Renders, per observed run: scorecards,
 worker-utilization and cache-hit-rate charts, a per-job phase
 breakdown, a worker x job Gantt, and chunk-sample throughput; plus the
-repo's BENCH_schemes/BENCH_scaling perf trajectories when the JSON
-files are supplied.  This page is the seed of the ROADMAP item-1
-serving dashboard.
+repo's BENCH_trajectory.json perf trajectory when it is supplied.
 """
 
 from __future__ import annotations
@@ -314,38 +312,26 @@ def _throughput_series(header: dict[str, Any],
     return series
 
 
-def _bench_schemes_section(bench: dict[str, Any]) -> str:
-    """Per-record cost trajectory across BENCH_schemes.json entries."""
-    series: dict[str, list[tuple[float, float]]] = {}
-    trace_length = bench.get("trace_length") or 1
-    for index, entry in enumerate(bench.get("entries", [])):
-        for result in entry.get("results", []):
-            name = result.get("scheme", "?")
-            cost_us = 1e6 * result.get("seconds", 0.0) / trace_length
-            series.setdefault(name, []).append((float(index), cost_us))
-    chart = _line_chart(series, "trajectory entry",
-                        "µs per record")
-    return (f"<h2>BENCH_schemes trajectory "
-            f"({_esc(bench.get('workload', '?'))}, "
-            f"{len(bench.get('entries', []))} entries)</h2>"
-            f'<div class="panel">{chart}</div>')
-
-
-def _bench_scaling_section(bench: dict[str, Any]) -> str:
-    """Per-record cost trajectory per (scheme, rung) across entries."""
-    series: dict[str, list[tuple[float, float]]] = {}
-    for index, entry in enumerate(bench.get("entries", [])):
+def _bench_section(bench: dict[str, Any]) -> str:
+    """Per-record cost of each scheme across the BENCH_trajectory.json
+    entries, one chart per (requested kernel, record count)."""
+    charts: dict[tuple[str, int], dict[str, list[tuple[float, float]]]] = {}
+    entries = bench.get("entries", [])
+    for index, entry in enumerate(entries):
         for result in entry.get("results", []):
             records = result.get("records") or 1
-            name = (f"{result.get('scheme', '?')} @"
-                    f"{_fmt_records(records)}")
+            series = charts.setdefault(
+                (entry.get("kernel", "scalar"), records), {})
             cost_us = 1e6 * result.get("seconds", 0.0) / records
-            series.setdefault(name, []).append((float(index), cost_us))
-    chart = _line_chart(series, "trajectory entry", "µs per record")
-    return (f"<h2>BENCH_scaling trajectory "
-            f"({_esc(bench.get('workload', '?'))}, "
-            f"{len(bench.get('entries', []))} entries)</h2>"
-            f'<div class="panel">{chart}</div>')
+            series.setdefault(result.get("scheme", "?"), []).append(
+                (float(index), cost_us))
+    panels = "".join(
+        f"<h3>{_esc(kernel)} kernel, {_fmt_records(records)} records</h3>"
+        f'<div class="panel">'
+        f"{_line_chart(series, 'trajectory entry', 'µs per record')}</div>"
+        for (kernel, records), series in sorted(charts.items()))
+    return (f"<h2>BENCH trajectory ({_esc(bench.get('workload', '?'))}, "
+            f"{len(entries)} entries)</h2>{panels}")
 
 
 def _fmt_records(records: int) -> str:
@@ -358,20 +344,18 @@ def _fmt_records(records: int) -> str:
 
 # ----------------------------------------------------------------------
 def build_dashboard(logs: list[tuple[dict[str, Any], list[dict[str, Any]]]],
-                    bench_schemes: dict[str, Any] | None = None,
-                    bench_scaling: dict[str, Any] | None = None,
+                    bench: dict[str, Any] | None = None,
                     title: str = "repro observability") -> str:
-    """The full page for a set of parsed event logs (+ BENCH files)."""
+    """The full page for a set of parsed event logs (+ the BENCH
+    trajectory)."""
     body = [f"<h1>{_esc(title)}</h1>"]
-    if not logs and bench_schemes is None and bench_scaling is None:
-        body.append("<p>Nothing to show: no event logs or BENCH files "
-                    "given.</p>")
+    if not logs and bench is None:
+        body.append("<p>Nothing to show: no event logs or BENCH "
+                    "trajectory given.</p>")
     for header, events in logs:
         body.append(_run_section(header, events))
-    if bench_schemes is not None:
-        body.append(_bench_schemes_section(bench_schemes))
-    if bench_scaling is not None:
-        body.append(_bench_scaling_section(bench_scaling))
+    if bench is not None:
+        body.append(_bench_section(bench))
     return ("<!DOCTYPE html>\n<html><head><meta charset='utf-8'>"
             f"<title>{_esc(title)}</title>"
             f"<style>{_CSS}</style></head>\n"

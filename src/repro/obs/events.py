@@ -246,7 +246,7 @@ def deactivate() -> None:
 def capture(sample_records: int | None = None) -> Iterator[Recorder]:
     """Route events into a fresh in-memory recorder for the duration.
 
-    The worker entry point (`repro.runtime.engine`) and the bench tools
+    The worker entry point (`repro.runtime.engine`) and the bench tool
     use this to collect one job's events and ship them back as a batch;
     any previously active recorder is restored on exit.
     """

@@ -3,7 +3,7 @@
 Turns one run's events into the questions the log exists to answer:
 where did the wall-clock go (per job, per phase), how busy was each
 worker, and how much did the cache save.  The same :func:`phase_totals`
-helper feeds the bench tools' per-cell phase breakdowns.
+helper feeds the bench tool's per-cell phase breakdowns.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ accessors, which return either a callable or ``None``.  A scheme that
 does not participate in a stage returns ``None`` and the simulator's
 per-record cost for that stage is a single ``is not None`` test — this
 is what keeps :class:`~repro.schemes.baseline.BaselineRadix` at ~zero
-overhead over a scheme-less loop (measured by ``tools/bench_schemes.py``).
+overhead over a scheme-less loop (measured by ``tools/bench.py``).
 
 * ``probe_hook() -> (va, vpn, now) -> (frame | None, cycles)`` —
   consulted on a TLB miss *before* the page walk.  Returning a frame

@@ -3,7 +3,7 @@
 Every hook accessor inherits the base class's ``None``, so the
 simulators' per-record dispatch cost degenerates to the same
 ``is not None`` tests the pre-scheme code paid for its optional ASAP
-prefetcher — ``tools/bench_schemes.py`` tracks that this stays true.
+prefetcher — ``tools/bench.py`` tracks that this stays true.
 """
 
 from __future__ import annotations

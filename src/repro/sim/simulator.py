@@ -19,8 +19,8 @@ never pollutes walk-latency measurements.
 Scheme dispatch is hoisted out of the record loop: each hook is bound
 once per run and a scheme that opts out contributes ``None``, so the
 baseline costs exactly the ``is not None`` tests the pre-scheme code
-paid for its optional ASAP prefetcher (tracked by
-``tools/bench_schemes.py``).
+paid for its optional ASAP prefetcher (the baseline cell of
+``tools/bench.py`` tracks it).
 """
 
 from __future__ import annotations

@@ -372,9 +372,14 @@ class TestAggregation:
     def test_dashboard_builds(self, engine_log, tmp_path):
         from repro.obs.dashboard import build_dashboard
 
-        html = build_dashboard([reader.read_log(engine_log)])
+        bench = {"workload": "mc80", "entries": [
+            {"kernel": "columnar", "results": [
+                {"scheme": "asap", "records": 15000, "seconds": 0.2}]}]}
+        html = build_dashboard([reader.read_log(engine_log)], bench=bench)
         assert html.startswith("<!DOCTYPE html>")
         assert "<svg" in html and "Worker utilization" in html
+        assert "BENCH trajectory (mc80, 1 entries)" in html
+        assert "columnar kernel, 15k records" in html
 
 
 class TestCli:
@@ -394,8 +399,12 @@ class TestCli:
         assert main(["obs", "export", engine_log, "--out", out]) == 0
         assert json.load(open(out))["traceEvents"]
         page = str(tmp_path / "d.html")
-        assert main(["obs", "dashboard", engine_log, "--out", page]) == 0
+        bench = tmp_path / "bench.json"
+        bench.write_text(json.dumps({"entries": []}))
+        assert main(["obs", "dashboard", engine_log, "--out", page,
+                     "--bench", str(bench)]) == 0
         assert "<svg" in open(page).read()
+        assert "BENCH trajectory" in open(page).read()
         capsys.readouterr()
 
     def test_obs_missing_log_fails_cleanly(self, tmp_path, capsys):

@@ -245,7 +245,7 @@ class TestAtomicBenchAppend:
     def test_concurrent_appends_all_survive(self, tmp_path):
         sys.path.insert(0, str(REPO_ROOT / "tools"))
         try:
-            from bench_schemes import atomic_append_entry
+            from bench import atomic_append_entry
         finally:
             sys.path.pop(0)
         path = tmp_path / "BENCH_test.json"
