@@ -42,6 +42,10 @@ class VictimaLike(TranslationScheme):
         super().__init__(spec)
         self.max_parked = int(spec.param("parked_entries", 4096))
         self._parked: dict[int, int] = {}  # vpn -> frame
+        #: The compiled kernel's resident copy of ``_parked``
+        #: (`repro.sim.columnar`); it equals the dict whenever it exists,
+        #: so every Python write to the dict drops it.
+        self.park_image = None
         self._hierarchy = None
         self._probe_latency = 0
         self.stats = {
@@ -73,6 +77,7 @@ class VictimaLike(TranslationScheme):
             # tracked entry is dropped (its cache line simply goes stale).
             self._parked.pop(next(iter(self._parked)))
         self._parked[vpn] = frame
+        self.park_image = None
         self._hierarchy.l2.install(_PARK_TAG_BASE | vpn)
         self.stats["parked"] += 1
 
@@ -84,12 +89,14 @@ class VictimaLike(TranslationScheme):
             # freed rather than left to rot at MRU.
             self._hierarchy.l2.invalidate(_PARK_TAG_BASE | vpn)
             del self._parked[vpn]
+            self.park_image = None
             self.stats["probe_hits"] += 1
             return frame, self._probe_latency
         if frame is not None:
             # Bookkept but its line was evicted by data traffic: the
             # cache, not the scheme, is the source of truth.
             del self._parked[vpn]
+            self.park_image = None
             self.stats["parked_lost_to_data"] += 1
         self.stats["probe_misses"] += 1
         # The walk was issued concurrently; a failed probe adds nothing.
@@ -104,9 +111,12 @@ class VictimaLike(TranslationScheme):
         flush-then-continue run would keep short-circuiting walks with
         supposedly-flushed state (the multi-tenant full-flush switch
         policy was the first caller to hit this)."""
+        if not self._parked:
+            return  # nothing to kill; a resident park image stays valid
         for vpn in self._parked:
             self._hierarchy.l2.invalidate(_PARK_TAG_BASE | vpn)
         self._parked.clear()
+        self.park_image = None
 
     def scheme_stats(self) -> dict[str, int]:
         return dict(self.stats)

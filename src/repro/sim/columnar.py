@@ -39,6 +39,11 @@ call rebuilds it):
   entry points (``PageWalker.walk``/``walk_to_fault``,
   ``NestedPageWalker.walk``).
 
+Victima's parked maps follow the same rule: each scheme keeps its C
+pool as ``scheme.park_image``, its Python mutators (``_park``,
+``_probe``, ``on_translation_flush``) drop it, and the write-back
+replays only the entries the call removed, added or re-framed.
+
 The TLBs, PWCs (about 4k slots together, flushed between quanta), the
 MSHR file and every counter are still loaded and written back whole on
 each call.
@@ -51,11 +56,13 @@ and ARCHITECTURE.md §12).  The kernel engages in one of three modes —
 prefetch issue/completion state machine is compiled into the chunk
 loop, with the range-register outcome, per-level target lines and hole
 flags precomputed per page into the path rows) and ``victima`` (the
-hooks are exactly a Victima scheme's probe + L2-TLB-eviction pair: the
-parked-entry map is carried as a C hash + FIFO pool and the TLB-fill
-victim filter runs inline).  All other configurations (Revelator,
-co-runners, custom hooks, non-power-of-two geometries) fall back to
-the scalar loop, so every scheme still runs.  MSHR state is
+probe is a Victima scheme's and the L2-TLB-eviction hook is a Victima
+park, directly or through the multi-tenant victim router: each
+scheme's parked-entry map is carried as a C hash + FIFO pool, the
+TLB-fill victim filter runs inline and parks each victim in its
+owner's pool).  All other configurations (Revelator, co-runners,
+custom hooks, non-power-of-two geometries) fall back to the scalar
+loop, so every scheme still runs.  MSHR state is
 round-tripped in every mode and the C ``cache_access`` has the merge
 branch, so in-flight prefetches straddle chunk seams byte-identically.
 
@@ -83,6 +90,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from collections import deque
 from itertools import repeat
 from typing import TYPE_CHECKING
 
@@ -124,9 +132,16 @@ _G_MSHR_CAP = 34
 _G_PF_N = 35        # asap: number of prefetch-target levels
 _G_PF_L = 36        # asap: the levels themselves (4 slots, 36-39)
 _G_PROBE_LAT = 40   # victima: probe latency (L2 by construction)
-_G_PARK_MAX = 41    # victima: parked-entry bookkeeping bound
-_G_PARK_HCAP = 42   # victima: park hash capacity (power of two)
-_GEOM_SLOTS = 43
+_G_PARK_SELF = 41   # victima: the running scheme's pool (its probes)
+_GEOM_SLOTS = 42
+
+# park meta slots (mirror the C PM_* enum): count, FIFO head and tail,
+# free-list head, hash tombstones, bound (= capacity), hash capacity,
+# the scheme's `parked` counter, changed flag, removal-log length
+(_PM_COUNT, _PM_HEAD, _PM_TAIL, _PM_FREE, _PM_TOMBS, _PM_MAX, _PM_HCAP,
+ _PM_PARKED, _PM_DIRTY, _PM_LOGGED) = range(10)
+_PM_SLOTS = 10
+_PARK_SLOT = 5    # pool slot fields: vpn, frame, prev, next, mark
 
 (K_TH, K_TM, K_L1H, K_L2H, K_LS_H, K_LS_M, K_US_H, K_US_M,
  K_PWC_PROBES, K_PWC_HITS, K_P2_H, K_P2_M, K_P3_H, K_P3_M,
@@ -137,8 +152,8 @@ _GEOM_SLOTS = 43
  K_RR_H, K_RR_M, K_PF_ISSUED, K_PF_USEFUL, K_PF_DROPNM,
  K_PF_NODESC, K_PF_HOLE, K_H_PF_ISSUED, K_H_PF_DROP,
  K_MSHR_ALLOC, K_MSHR_REJ, K_MSHR_MERGE,
- K_V_PARKED, K_V_PROBE_H, K_V_PROBE_M, K_V_LOST) = range(47)
-_COUNTER_SLOTS = 47
+ K_V_PROBE_H, K_V_PROBE_M, K_V_LOST) = range(46)
+_COUNTER_SLOTS = 46
 
 # carry slots (the scalar loop's run-wide state tuple)
 _CAR_NOW = 0
@@ -182,7 +197,7 @@ enum {
     G_PWC_LAT = 28, G_BASE_CYCLES = 29, G_VBIAS = 30, G_PROBE_LARGE = 31,
     G_MODE = 32, G_REQ_MSHR = 33, G_MSHR_CAP = 34,
     G_PF_N = 35, G_PF_L = 36,
-    G_PROBE_LAT = 40, G_PARK_MAX = 41, G_PARK_HCAP = 42
+    G_PROBE_LAT = 40, G_PARK_SELF = 41
 };
 
 /* counter slots */
@@ -196,7 +211,7 @@ enum {
     K_RR_H, K_RR_M, K_PF_ISSUED, K_PF_USEFUL, K_PF_DROPNM,
     K_PF_NODESC, K_PF_HOLE, K_H_PF_ISSUED, K_H_PF_DROP,
     K_MSHR_ALLOC, K_MSHR_REJ, K_MSHR_MERGE,
-    K_V_PARKED, K_V_PROBE_H, K_V_PROBE_M, K_V_LOST
+    K_V_PROBE_H, K_V_PROBE_M, K_V_LOST
 };
 
 #define PATH_COLS 19
@@ -510,13 +525,43 @@ static i64 cache_access(const cache_t *c1, const cache_t *c2,
     return latency;
 }
 
-/* --- Victima parked-entry pool: an insertion-ordered map, mirroring
-   the scheme's `_parked` dict.  pool: cap slots of (vpn, frame, prev,
-   next); meta: [count, head, tail, free_head, tombstones]; hash: open
-   addressing (value = pool index, -1 empty, -2 tombstone). -------- */
+/* --- Victima parked-entry pools.  One pool per Victima scheme this run
+   parks victims for: an insertion-ordered map mirroring that scheme's
+   `_parked` dict.  pool: cap slots of PS_SLOT fields; hash: open
+   addressing (value = pool index, -1 empty, -2 tombstone); meta: the
+   PM_* slots; log: the vpns of loaded entries removed since the last
+   write-back.  Each slot's mark records what this call did to it, so
+   the write-back replays only the changes on the dict. ------------ */
 
 #define SLOT_FREE (-1LL)
 #define SLOT_TOMB (-2LL)
+
+/* Mirrors repro.tlb.tlb.ASID_SHIFT: a biased vpn's owner is vpn >> it. */
+#define ASID_SHIFT 52
+
+/* pool slot fields */
+enum { PS_VPN, PS_FRAME, PS_PREV, PS_NEXT, PS_MARK, PS_SLOT };
+
+/* slot marks: unchanged since the last write-back, re-framed in place,
+   inserted since the last write-back */
+enum { MARK_KEPT, MARK_REFRAMED, MARK_NEW };
+
+/* park meta slots */
+enum {
+    PM_COUNT, PM_HEAD, PM_TAIL, PM_FREE, PM_TOMBS,
+    PM_MAX,      /* the scheme's max_parked, also the pool capacity */
+    PM_HCAP,     /* hash capacity (power of two) */
+    PM_PARKED,   /* the scheme's `parked` counter */
+    PM_DIRTY,    /* raised whenever the map changes */
+    PM_LOGGED    /* entries in the removal log */
+};
+
+typedef struct {
+    i64 *pool;
+    i64 *hash;
+    i64 *meta;
+    i64 *log;
+} park_t;
 
 static i64 mix64(i64 x)
 {
@@ -528,104 +573,163 @@ static i64 mix64(i64 x)
 }
 
 /* Hash slot holding `vpn`, or -1. */
-static i64 park_find(const i64 *pool, const i64 *hash, i64 hcap, i64 vpn)
+static i64 park_find(const park_t *p, i64 vpn)
 {
-    i64 mask = hcap - 1;
+    const i64 mask = p->meta[PM_HCAP] - 1;
     i64 s = mix64(vpn) & mask;
     for (;;) {
-        i64 v = hash[s];
+        i64 v = p->hash[s];
         if (v == SLOT_FREE)
             return -1;
-        if (v >= 0 && pool[v * 4] == vpn)
+        if (v >= 0 && p->pool[v * PS_SLOT + PS_VPN] == vpn)
             return s;
         s = (s + 1) & mask;
     }
 }
 
 /* Insert a known-absent pool index (first free or tombstone slot). */
-static void park_hash_insert(const i64 *pool, i64 *hash, i64 hcap,
-                             i64 *meta, i64 idx)
+static void park_hash_insert(const park_t *p, i64 idx)
 {
-    i64 mask = hcap - 1;
-    i64 s = mix64(pool[idx * 4]) & mask;
-    while (hash[s] >= 0)
+    const i64 mask = p->meta[PM_HCAP] - 1;
+    i64 s = mix64(p->pool[idx * PS_SLOT + PS_VPN]) & mask;
+    while (p->hash[s] >= 0)
         s = (s + 1) & mask;
-    if (hash[s] == SLOT_TOMB)
-        meta[4]--;
-    hash[s] = idx;
+    if (p->hash[s] == SLOT_TOMB)
+        p->meta[PM_TOMBS]--;
+    p->hash[s] = idx;
 }
 
-static void park_rehash(const i64 *pool, i64 *hash, i64 hcap, i64 *meta)
+static void park_rehash(const park_t *p)
 {
-    for (i64 i = 0; i < hcap; i++)
-        hash[i] = SLOT_FREE;
-    meta[4] = 0;
-    for (i64 idx = meta[1]; idx >= 0; idx = pool[idx * 4 + 3])
-        park_hash_insert(pool, hash, hcap, meta, idx);
+    for (i64 i = 0; i < p->meta[PM_HCAP]; i++)
+        p->hash[i] = SLOT_FREE;
+    p->meta[PM_TOMBS] = 0;
+    for (i64 idx = p->meta[PM_HEAD]; idx >= 0;
+         idx = p->pool[idx * PS_SLOT + PS_NEXT])
+        park_hash_insert(p, idx);
 }
 
-/* Remove pool index `idx` (at hash slot `slot`) from map and FIFO. */
-static void park_unlink(i64 *pool, i64 *hash, i64 *meta, i64 slot,
-                        i64 idx)
+/* Remove pool index `idx` (at hash slot `slot`) from map and FIFO; an
+   entry the dict already holds goes on the removal log. */
+static void park_unlink(const park_t *p, i64 slot, i64 idx)
 {
-    hash[slot] = SLOT_TOMB;
-    meta[4]++;
-    i64 prev = pool[idx * 4 + 2];
-    i64 next = pool[idx * 4 + 3];
-    if (prev >= 0) pool[prev * 4 + 3] = next; else meta[1] = next;
-    if (next >= 0) pool[next * 4 + 2] = prev; else meta[2] = prev;
-    pool[idx * 4 + 3] = meta[3];   /* push onto the free list */
-    meta[3] = idx;
-    meta[0]--;
+    i64 *pool = p->pool, *meta = p->meta;
+    i64 *entry = pool + idx * PS_SLOT;
+    p->hash[slot] = SLOT_TOMB;
+    meta[PM_TOMBS]++;
+    if (entry[PS_MARK] != MARK_NEW)
+        p->log[meta[PM_LOGGED]++] = entry[PS_VPN];
+    i64 prev = entry[PS_PREV];
+    i64 next = entry[PS_NEXT];
+    if (prev >= 0) pool[prev * PS_SLOT + PS_NEXT] = next;
+    else meta[PM_HEAD] = next;
+    if (next >= 0) pool[next * PS_SLOT + PS_PREV] = prev;
+    else meta[PM_TAIL] = prev;
+    entry[PS_NEXT] = meta[PM_FREE];   /* push onto the free list */
+    meta[PM_FREE] = idx;
+    meta[PM_COUNT]--;
+    meta[PM_DIRTY] = 1;
 }
 
-/* VictimaScheme._park: bound-evict the oldest, insert (or update in
+/* VictimaLike._park: bound-evict the oldest, insert (or update in
    place, keeping FIFO position), install the parked line in the L2
    data cache, count it. */
-static void park_entry(i64 *pool, i64 *hash, i64 *meta, const i64 *g,
-                       i64 *k, i64 vpn, i64 frame, const cache_t *c2)
+static void park_entry(const park_t *p, i64 *k, i64 vpn, i64 frame,
+                       const cache_t *c2)
 {
-    const i64 hcap = g[G_PARK_HCAP];
-    i64 slot = park_find(pool, hash, hcap, vpn);
+    i64 *pool = p->pool, *meta = p->meta;
+    i64 slot = park_find(p, vpn);
     if (slot >= 0) {
-        pool[hash[slot] * 4 + 1] = frame;
+        i64 *entry = pool + p->hash[slot] * PS_SLOT;
+        entry[PS_FRAME] = frame;
+        if (entry[PS_MARK] == MARK_KEPT)
+            entry[PS_MARK] = MARK_REFRAMED;
     } else {
-        if (meta[0] >= g[G_PARK_MAX]) {
-            i64 old = meta[1];
-            i64 oslot = park_find(pool, hash, hcap, pool[old * 4]);
-            park_unlink(pool, hash, meta, oslot, old);
+        if (meta[PM_COUNT] >= meta[PM_MAX]) {
+            i64 old = meta[PM_HEAD];
+            park_unlink(p, park_find(p, pool[old * PS_SLOT + PS_VPN]), old);
         }
-        i64 idx = meta[3];
-        meta[3] = pool[idx * 4 + 3];
-        pool[idx * 4] = vpn;
-        pool[idx * 4 + 1] = frame;
-        pool[idx * 4 + 2] = meta[2];
-        pool[idx * 4 + 3] = -1;
-        if (meta[2] >= 0) pool[meta[2] * 4 + 3] = idx; else meta[1] = idx;
-        meta[2] = idx;
-        meta[0]++;
-        park_hash_insert(pool, hash, hcap, meta, idx);
-        if ((meta[0] + meta[4]) * 2 >= hcap)
-            park_rehash(pool, hash, hcap, meta);
+        i64 idx = meta[PM_FREE];
+        i64 *entry = pool + idx * PS_SLOT;
+        meta[PM_FREE] = entry[PS_NEXT];
+        entry[PS_VPN] = vpn;
+        entry[PS_FRAME] = frame;
+        entry[PS_PREV] = meta[PM_TAIL];
+        entry[PS_NEXT] = -1;
+        entry[PS_MARK] = MARK_NEW;
+        if (meta[PM_TAIL] >= 0) pool[meta[PM_TAIL] * PS_SLOT + PS_NEXT] = idx;
+        else meta[PM_HEAD] = idx;
+        meta[PM_TAIL] = idx;
+        meta[PM_COUNT]++;
+        park_hash_insert(p, idx);
+        if ((meta[PM_COUNT] + meta[PM_TOMBS]) * 2 >= meta[PM_HCAP])
+            park_rehash(p);
     }
+    meta[PM_DIRTY] = 1;
     cache_install_scan(c2, PARK_BASE | vpn, &k[K_C2_E]);
-    k[K_V_PARKED]++;
+    meta[PM_PARKED]++;
 }
 
-/* Rebuild the hash from the FIFO chain (the Python side seeds the pool
-   arrays from the scheme's dict and calls this once per run). */
-void col_park_seed(i64 *meta, i64 *hash, const i64 *pool, i64 hcap)
+/* Seed a pool with the scheme's `n` entries in dict (FIFO) order: link
+   the chain and the free list, then build the hash. */
+void col_park_load(i64 *pool, i64 *hash, i64 *meta, const i64 *vpns,
+                   const i64 *frames, i64 n)
 {
-    park_rehash(pool, hash, hcap, meta);
+    const i64 cap = meta[PM_MAX];
+    for (i64 i = 0; i < n; i++) {
+        i64 *entry = pool + i * PS_SLOT;
+        entry[PS_VPN] = vpns[i];
+        entry[PS_FRAME] = frames[i];
+        entry[PS_PREV] = i - 1;
+        entry[PS_NEXT] = i + 1 < n ? i + 1 : -1;
+        entry[PS_MARK] = MARK_KEPT;
+    }
+    for (i64 i = n; i < cap; i++)
+        pool[i * PS_SLOT + PS_NEXT] = i + 1 < cap ? i + 1 : -1;
+    meta[PM_COUNT] = n;
+    meta[PM_HEAD] = n ? 0 : -1;
+    meta[PM_TAIL] = n - 1;
+    meta[PM_FREE] = n < cap ? n : -1;
+    meta[PM_DIRTY] = 0;
+    meta[PM_LOGGED] = 0;
+    const park_t p = {pool, hash, meta, 0};
+    park_rehash(&p);
+}
+
+/* The write-back's other half (the removal log is the first): the
+   entries inserted or re-framed since the last write-back, in FIFO
+   order.  Replayed after the removals, a dict update leaves re-framed
+   entries in place and appends the new ones, which the chain holds
+   after every older entry.  Returns their count; clears the marks, the
+   log and the dirty flag. */
+i64 col_park_changes(i64 *pool, i64 *meta, i64 *vpns, i64 *frames)
+{
+    i64 n = 0;
+    for (i64 idx = meta[PM_HEAD]; idx >= 0;
+         idx = pool[idx * PS_SLOT + PS_NEXT]) {
+        i64 *entry = pool + idx * PS_SLOT;
+        if (entry[PS_MARK] != MARK_KEPT) {
+            vpns[n] = entry[PS_VPN];
+            frames[n] = entry[PS_FRAME];
+            entry[PS_MARK] = MARK_KEPT;
+            n++;
+        }
+    }
+    meta[PM_DIRTY] = 0;
+    meta[PM_LOGGED] = 0;
+    return n;
 }
 
 /* TlbHierarchy.fill_fast for a small page: install both levels; in
-   victima mode a small-tag L2 victim is handed to the park hook. */
+   victima mode a small-tag L2 victim is parked in its owner's pool —
+   route[vpn >> ASID_SHIFT] under the multi-tenant victim router, pool 0
+   when there is no route table (a directly installed park hook, which
+   takes every victim). */
 static void tlb_fill_small(i64 vpn, i64 frame, const i64 *g, i64 *k,
                            i64 *t_tags, i64 *t_frames, i64 *t_sizes,
                            i64 *u_tags, i64 *u_frames, i64 *u_sizes,
-                           int vmode, i64 *pool, i64 *hash, i64 *meta,
-                           const cache_t *c2)
+                           int vmode, const park_t *parks,
+                           const i64 *route, const cache_t *c2)
 {
     const i64 stag = vpn << 1;
     const i64 t_set = stag & (g[G_T] - 1);
@@ -640,8 +744,11 @@ static void tlb_fill_small(i64 vpn, i64 frame, const i64 *g, i64 *k,
         vf = u_frames[base + ways - 1];
     }
     lru_install(u_tags, u_frames, u_sizes, u_set, base, ways, stag, frame);
-    if (vmode && vt != EMPTY && !(vt & 1))
-        park_entry(pool, hash, meta, g, k, vt >> 1, vf, c2);
+    if (vmode && vt != EMPTY && !(vt & 1)) {
+        const i64 victim = vt >> 1;
+        const i64 owner = route ? route[victim >> ASID_SHIFT] : 0;
+        park_entry(&parks[owner], k, victim, vf, c2);
+    }
 }
 
 i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
@@ -656,8 +763,7 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
                   i64 *c1_lines, i64 *c1_sizes, unsigned char *c1_touched,
                   i64 *c2_lines, i64 *c2_sizes, unsigned char *c2_touched,
                   i64 *c3_lines, i64 *c3_sizes, unsigned char *c3_touched,
-                  i64 *mshr, i64 *park_meta, i64 *park_hash,
-                  i64 *park_pool)
+                  i64 *mshr, const park_t *parks, const i64 *route)
 {
     const cache_t c1 = {c1_lines, c1_sizes, c1_touched,
                         g[G_C1], g[G_C1 + 1], g[G_C1 + 2]};
@@ -771,33 +877,30 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
             k[K_TM]++;
             int walked = 1;
             if (mode == 2) {
-                /* --- Victima probe before the walk ----------------- */
-                i64 slot = park_find(park_pool, park_hash,
-                                     g[G_PARK_HCAP], vpn);
+                /* --- Victima probe of the running tenant's pool ---- */
+                const park_t *own = &parks[g[G_PARK_SELF]];
+                i64 slot = park_find(own, vpn);
                 if (slot >= 0) {
-                    const i64 idx = park_hash[slot];
+                    const i64 idx = own->hash[slot];
                     const i64 pline = PARK_BASE | vpn;
                     if (cache_probe(&c2, pline)) {
                         k[K_C2_H]++;
                         cache_invalidate(&c2, pline);
-                        frame = park_pool[idx * 4 + 1];
-                        park_unlink(park_pool, park_hash, park_meta,
-                                    slot, idx);
+                        frame = own->pool[idx * PS_SLOT + PS_FRAME];
+                        park_unlink(own, slot, idx);
                         k[K_V_PROBE_H]++;
                         translation = g[G_PROBE_LAT];
                         tlb_fill_small(vpn, frame, g, k,
                                        t_tags, t_frames, t_sizes,
                                        u_tags, u_frames, u_sizes,
-                                       1, park_pool, park_hash,
-                                       park_meta, &c2);
+                                       1, parks, route, &c2);
                         if (measuring)
                             walk_c += translation;
                         walked = 0;
                     } else {
                         /* parked entry lost to data-cache pressure */
                         k[K_C2_M]++;
-                        park_unlink(park_pool, park_hash, park_meta,
-                                    slot, idx);
+                        park_unlink(own, slot, idx);
                         k[K_V_LOST]++;
                         k[K_V_PROBE_M]++;
                     }
@@ -957,8 +1060,7 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
                 tlb_fill_small(vpn, frame, g, k,
                                t_tags, t_frames, t_sizes,
                                u_tags, u_frames, u_sizes,
-                               mode == 2, park_pool, park_hash,
-                               park_meta, &c2);
+                               mode == 2, parks, route, &c2);
             }
             if (measuring) {
                 walk_c += translation;
@@ -999,6 +1101,12 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
 """
 
 _CDEF = """
+typedef struct {
+    long long *pool;
+    long long *hash;
+    long long *meta;
+    long long *log;
+} park_t;
 long long col_run_chunk(const long long *va_arr, long long n,
     long long warmup, long long collect_service,
     const long long *rowidx, const long long *paths,
@@ -1012,10 +1120,11 @@ long long col_run_chunk(const long long *va_arr, long long n,
     long long *c1_lines, long long *c1_sizes, unsigned char *c1_touched,
     long long *c2_lines, long long *c2_sizes, unsigned char *c2_touched,
     long long *c3_lines, long long *c3_sizes, unsigned char *c3_touched,
-    long long *mshr, long long *park_meta, long long *park_hash,
-    long long *park_pool);
-void col_park_seed(long long *meta, long long *hash,
-    const long long *pool, long long hcap);
+    long long *mshr, const park_t *parks, const long long *route);
+void col_park_load(long long *pool, long long *hash, long long *meta,
+    const long long *vpns, const long long *frames, long long n);
+long long col_park_changes(long long *pool, long long *meta,
+    long long *vpns, long long *frames);
 """
 
 _BACKEND = None
@@ -1127,15 +1236,64 @@ def _asap_rows_exact(prefetcher) -> bool:
     return True
 
 
+def _park_routes(sim: "NativeSimulation") -> tuple | None:
+    """Where the L2 S-TLB victims of this run park, when the kernel can
+    park them: ``(schemes, route)``.
+
+    ``schemes`` are the distinct Victima schemes whose maps the kernel
+    carries as pools.  Under the multi-tenant victim router
+    (:func:`repro.sim.multitenant.routed_hooks`) ``route[asid]`` is the
+    index of the scheme that owns that ASID's victims.  A directly
+    installed park hook takes every victim, whoever owns it; ``route``
+    is then ``None`` and ``schemes`` holds that hook's scheme alone.
+
+    ``None`` (keep the scalar loop) unless every routed hook is a
+    ``VictimaLike._park`` bound to ``sim.hierarchy`` whose map fits its
+    bound, the running scheme parks its own ASID's victims, and every
+    small page the L2 S-TLB can evict has a route.
+    """
+    from repro.schemes.victima import VictimaLike
+    from repro.sim.multitenant import routed_hooks
+
+    park = sim.tlbs.l2_evict_hook
+    routed = routed_hooks(park)
+    if routed is None:
+        hooks, own = (park,), park
+    elif sim.asid < len(routed):
+        hooks, own = routed, routed[sim.asid]
+        # A victim's owner indexes `route`: every tag the L2 S-TLB holds
+        # must name a routed ASID (fills during the run carry sim.asid).
+        if max(sim.tlbs.l2_plain.tags) >> (ASID_SHIFT + 1) >= len(hooks):
+            return None
+    else:
+        return None
+    if getattr(own, "__self__", None) is not sim.scheme:
+        return None
+    schemes: list = []  # schemes compare by identity
+    route = []
+    for hook in hooks:
+        scheme = getattr(hook, "__self__", None)
+        if (type(scheme) is not VictimaLike
+                or getattr(hook, "__func__", None) is not VictimaLike._park
+                or scheme._hierarchy is not sim.hierarchy
+                or scheme.max_parked < 1
+                or len(scheme._parked) > scheme.max_parked):
+            return None
+        if scheme not in schemes:
+            schemes.append(scheme)
+        route.append(schemes.index(scheme))
+    return tuple(schemes), (None if routed is None else tuple(route))
+
+
 def engine_mode(sim: "NativeSimulation", fast_ok: bool) -> str | None:
     """Which compiled kernel mode (if any) can replay this run().
 
     Returns ``"plain"`` for the hook-free fast-sweep configuration
     (``fast_ok``), ``"asap"`` when the only hook is an AsapPrefetcher's
-    ``on_tlb_miss`` walk-start, ``"victima"`` when the hooks are exactly
-    a Victima scheme's probe + L2-TLB-eviction park pair, and ``None``
-    otherwise (Revelator, co-runner and custom-hook cells stay on the
-    scalar loop).  All modes additionally need power-of-two set counts
+    ``on_tlb_miss`` walk-start, ``"victima"`` when the probe is the
+    scheme's own Victima probe and every victim parks through a Victima
+    ``_park`` (:func:`_park_routes`), and ``None`` otherwise (Revelator,
+    co-runner and custom-hook cells stay on the scalar loop).  All modes additionally need power-of-two set counts
     and a compiled backend.  In-flight MSHRs are fine — the kernel
     carries the MSHR file and has the merge branch.
     """
@@ -1171,16 +1329,11 @@ def engine_mode(sim: "NativeSimulation", fast_ok: bool) -> str | None:
         elif probe is not None and walk_start is None:
             from repro.schemes.victima import VictimaLike
 
-            park = tlbs.l2_evict_hook
             if (type(scheme) is VictimaLike
                     and getattr(probe, "__self__", None) is scheme
                     and getattr(probe, "__func__", None)
                     is VictimaLike._probe
-                    and getattr(park, "__self__", None) is scheme
-                    and getattr(park, "__func__", None)
-                    is VictimaLike._park
-                    and scheme._hierarchy is sim.hierarchy
-                    and scheme.max_parked >= 1):
+                    and _park_routes(sim) is not None):
                 mode = "victima"
     if mode is None or not _pow2_geometry(sim):
         return None
@@ -1394,6 +1547,60 @@ class _CacheImage:
         self.touched[touched] = 0
 
 
+def _ptr(arr: np.ndarray):
+    return _BACKEND[0].cast("long long *", arr.ctypes.data)
+
+
+class _ParkImage:
+    """The kernel's resident copy of one Victima scheme's parked map.
+
+    ``pool``/``hash``/``meta``/``log`` are the C FIFO pool (the ``PM_*``
+    slots).  Between calls the image hangs off the scheme as
+    ``scheme.park_image`` and equals its ``_parked`` dict; the scheme's
+    Python mutators drop it, exactly like ``SetAssociativeCache.image``.
+    Neither direction loops over entries in Python: a missing image is
+    seeded with two ``np.fromiter`` passes and one C call, and the
+    write-back replays only what the call changed — the removal log as
+    dict deletions, then the new and re-framed entries as one
+    ``dict.update``.
+    """
+
+    __slots__ = ("pool", "hash", "meta", "log")
+
+    def __init__(self, scheme) -> None:
+        parked = scheme._parked
+        cap = scheme.max_parked
+        count = len(parked)
+        self.pool = np.empty(_PARK_SLOT * cap, dtype=np.int64)
+        self.hash = np.empty(1 << max(6, (4 * cap - 1).bit_length()),
+                             dtype=np.int64)
+        self.log = np.empty(cap, dtype=np.int64)
+        self.meta = np.zeros(_PM_SLOTS, dtype=np.int64)
+        self.meta[_PM_MAX] = cap
+        self.meta[_PM_HCAP] = self.hash.size
+        vpns = np.fromiter(parked, dtype=np.int64, count=count)
+        frames = np.fromiter(parked.values(), dtype=np.int64, count=count)
+        _BACKEND[1].col_park_load(_ptr(self.pool), _ptr(self.hash),
+                                  _ptr(self.meta), _ptr(vpns), _ptr(frames),
+                                  count)
+
+    def write_back(self, scheme) -> None:
+        """Replay the call's changes on the scheme's dict and counter."""
+        meta = self.meta
+        scheme.stats["parked"] = int(meta[_PM_PARKED])
+        if not meta[_PM_DIRTY]:
+            return
+        parked = scheme._parked
+        deque(map(parked.__delitem__,
+                  self.log[:meta[_PM_LOGGED]].tolist()), maxlen=0)
+        vpns = np.empty(int(meta[_PM_COUNT]), dtype=np.int64)
+        frames = np.empty_like(vpns)
+        changed = _BACKEND[1].col_park_changes(_ptr(self.pool), _ptr(meta),
+                                               _ptr(vpns), _ptr(frames))
+        parked.update(zip(vpns[:changed].tolist(),
+                          frames[:changed].tolist()))
+
+
 def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
                  collect_service: bool, stats, carry: tuple,
                  obs_probe=None, mode: str = "plain") -> tuple:
@@ -1414,7 +1621,8 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
     Per call, the TLB/PWC arrays, the MSHR file and every counter are
     loaded from their owners and written back whole; the three data
     caches reuse their resident images and write back only the sets
-    the kernel touched.
+    the kernel touched, and each Victima scheme's parked map reuses its
+    resident pool and writes back only the entries the call changed.
 
     ``obs_probe`` (a :class:`repro.obs.probe.SimProbe`, or ``None``)
     snapshots counters at each chunk boundary.  The snapshot reads the
@@ -1517,38 +1725,38 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
         k[K_PF_NODESC] = prefetcher.stats.no_descriptor
         k[K_PF_HOLE] = prefetcher.stats.wasted_on_hole
 
+    # Victima: one pool per scheme the victims park for.  The running
+    # scheme's pool takes its probes (and their counters); each victim
+    # parks in its owner's pool, under that scheme's `parked` counter.
+    # Like the cache images, each pool is reused if resident and stays
+    # detached from its scheme until the write-back below has run.
     vscheme = None
+    schemes = ()
+    pools: list[_ParkImage] = []
+    parks = route_arr = ffi.NULL
     if mode == "victima":
         vscheme = sim.scheme
+        schemes, route = _park_routes(sim)
         geom[_G_PROBE_LAT] = vscheme._probe_latency
-        pool_cap = max(int(vscheme.max_parked), 1)
-        geom[_G_PARK_MAX] = vscheme.max_parked
-        hcap = 1 << max(6, (4 * pool_cap - 1).bit_length())
-        geom[_G_PARK_HCAP] = hcap
-        park_pool = np.full(4 * pool_cap, -1, dtype=np.int64)
-        park_hash = np.full(hcap, -1, dtype=np.int64)
-        park_meta = np.array([0, -1, -1, -1, 0], dtype=np.int64)
-        parked = list(vscheme._parked.items())
-        n_parked = len(parked)
-        for i, (vpn, frame) in enumerate(parked):
-            park_pool[4 * i] = vpn
-            park_pool[4 * i + 1] = frame
-            park_pool[4 * i + 2] = i - 1
-            park_pool[4 * i + 3] = i + 1 if i + 1 < n_parked else -1
-        for i in range(n_parked, pool_cap):
-            park_pool[4 * i + 3] = i + 1 if i + 1 < pool_cap else -1
-        park_meta[0] = n_parked
-        park_meta[1] = 0 if n_parked else -1
-        park_meta[2] = n_parked - 1 if n_parked else -1
-        park_meta[3] = n_parked if n_parked < pool_cap else -1
-        k[K_V_PARKED] = vscheme.stats["parked"]
+        geom[_G_PARK_SELF] = schemes.index(vscheme)
         k[K_V_PROBE_H] = vscheme.stats["probe_hits"]
         k[K_V_PROBE_M] = vscheme.stats["probe_misses"]
         k[K_V_LOST] = vscheme.stats["parked_lost_to_data"]
-    else:
-        park_pool = np.zeros(4, dtype=np.int64)
-        park_hash = np.zeros(1, dtype=np.int64)
-        park_meta = np.zeros(5, dtype=np.int64)
+        parks = ffi.new("park_t[]", len(schemes))
+        for entry, scheme in zip(parks, schemes):
+            pool = scheme.park_image
+            if pool is None or pool.meta[_PM_MAX] != scheme.max_parked:
+                pool = _ParkImage(scheme)
+            scheme.park_image = None
+            pool.meta[_PM_PARKED] = scheme.stats["parked"]
+            pools.append(pool)
+            entry.pool = _ptr(pool.pool)
+            entry.hash = _ptr(pool.hash)
+            entry.meta = _ptr(pool.meta)
+            entry.log = _ptr(pool.log)
+        if route is not None:
+            route_ids = np.array(route, dtype=np.int64)
+            route_arr = _ptr(route_ids)
 
     carry_arr = np.zeros(_CARRY_SLOTS, dtype=np.int64)
     (carry_arr[_CAR_NOW], measuring, carry_arr[_CAR_ACC],
@@ -1582,20 +1790,13 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
     for cache in caches:
         cache.image = None
 
-    def ptr(arr: np.ndarray):
-        return ffi.cast("long long *", arr.ctypes.data)
-
-    struct_ptrs = [ptr(arrays[name]) for name in (
+    struct_ptrs = [_ptr(arrays[name]) for name in (
         "t_tags", "t_frames", "t_sizes", "u_tags", "u_frames", "u_sizes",
         "p2_tags", "p2_frames", "p2_sizes", "p3_tags", "p3_frames",
         "p3_sizes", "p4_tags", "p4_frames", "p4_sizes")]
     for image in images:
-        struct_ptrs += [ptr(image.lines), ptr(image.sizes),
+        struct_ptrs += [_ptr(image.lines), _ptr(image.sizes),
                         ffi.cast("unsigned char *", image.touched.ctypes.data)]
-
-    if vscheme is not None:
-        lib.col_park_seed(ptr(park_meta), ptr(park_hash), ptr(park_pool),
-                          int(geom[_G_PARK_HCAP]))
 
     try:
         chunk_base = 0
@@ -1609,13 +1810,12 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
                 state.rows_for(vpns, sim.process, vbias, prefetcher))
             local_warmup = min(max(warmup - chunk_base, 0), n)
             lib.col_run_chunk(
-                ptr(addresses), n, local_warmup,
+                _ptr(addresses), n, local_warmup,
                 1 if collect_service else 0,
-                ptr(rowidx), ptr(state.paths),
-                ptr(carry_arr), ptr(k), ptr(geom), ptr(service),
+                _ptr(rowidx), _ptr(state.paths),
+                _ptr(carry_arr), _ptr(k), _ptr(geom), _ptr(service),
                 *struct_ptrs,
-                ptr(mshr_arr), ptr(park_meta), ptr(park_hash),
-                ptr(park_pool))
+                _ptr(mshr_arr), parks, route_arr)
             chunk_base += n
             if obs_probe is not None:
                 obs_probe.sample(
@@ -1703,17 +1903,12 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
             prefetcher.stats.wasted_on_hole = int(k[K_PF_HOLE])
 
         if vscheme is not None:
-            vscheme.stats["parked"] = int(k[K_V_PARKED])
             vscheme.stats["probe_hits"] = int(k[K_V_PROBE_H])
             vscheme.stats["probe_misses"] = int(k[K_V_PROBE_M])
             vscheme.stats["parked_lost_to_data"] = int(k[K_V_LOST])
-            parked = vscheme._parked
-            parked.clear()
-            idx = int(park_meta[1])
-            while idx >= 0:
-                parked[int(park_pool[4 * idx])] = int(
-                    park_pool[4 * idx + 1])
-                idx = int(park_pool[4 * idx + 3])
+            for scheme, pool in zip(schemes, pools):
+                pool.write_back(scheme)
+                scheme.park_image = pool
 
         if collect_service:
             # Root-first (level 4 down) so dict insertion order matches

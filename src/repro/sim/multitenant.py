@@ -39,7 +39,9 @@ identically inline or in a worker process.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.config import AsapConfig, BASELINE
 from repro.kernelsim.buddy import BuddyAllocator
@@ -51,7 +53,8 @@ from repro.pagetable.pwc import SplitPwc
 from repro.pagetable.walker import PageWalker
 from repro.params import DEFAULT_MACHINE, MachineParams
 from repro.schemes import SchemeSpec
-from repro.sim.runner import Scale, build_vm, guest_mem_bytes, make_trace
+from repro.sim.runner import Scale, build_vm, guest_mem_bytes, make_trace, \
+    setup_span
 from repro.sim.simulator import NativeSimulation
 from repro.sim.stats import SimStats
 from repro.sim.virt import VirtualizedSimulation
@@ -175,6 +178,34 @@ def _merge_tenant_totals(agg: SimStats, final: SimStats) -> None:
 # ----------------------------------------------------------------------
 # the scheduler loop (shared by both modes)
 # ----------------------------------------------------------------------
+def _victim_router(hooks: tuple) -> Callable[[int, int], None]:
+    """The L2 S-TLB eviction hook that hands each victim to
+    ``hooks[owner]``, the owner being the ASID riding in the victim's
+    biased vpn.  It stays a plain closure, the cheapest call on the
+    scalar hot path; ``route.hooks`` exposes the per-ASID hooks to
+    :func:`routed_hooks`."""
+
+    def route(vpn: int, frame: int) -> None:
+        hook = hooks[vpn >> ASID_SHIFT]
+        if hook is not None:
+            hook(vpn, frame)
+
+    route.hooks = hooks
+    return route
+
+
+_ROUTE_CODE = _victim_router(()).__code__
+
+
+def routed_hooks(hook) -> tuple | None:
+    """The per-ASID hooks of a victim router built here, or ``None`` for
+    any other hook.  The compiled kernel reads them to park each victim
+    in its owner's pool (`repro.sim.columnar`)."""
+    if getattr(hook, "__code__", None) is _ROUTE_CODE:
+        return hook.hooks
+    return None
+
+
 def _install_evict_dispatcher(tlbs, evict_hooks) -> None:
     """Route L2 S-TLB victims to the scheme of the tenant that *owns*
     the evicted translation (its ASID rides in the biased vpn), not the
@@ -189,13 +220,7 @@ def _install_evict_dispatcher(tlbs, evict_hooks) -> None:
     if len(evict_hooks) == 1:
         tlbs.l2_evict_hook = evict_hooks[0]
         return
-
-    def dispatch(vpn: int, frame: int) -> None:
-        hook = evict_hooks[vpn >> ASID_SHIFT]
-        if hook is not None:
-            hook(vpn, frame)
-
-    tlbs.l2_evict_hook = dispatch
+    tlbs.l2_evict_hook = _victim_router(tuple(evict_hooks))
 
 
 def _drive(sims, traces, evict_hooks, mt: MultiTenantSpec, warmup: int,
@@ -285,6 +310,27 @@ def _per_tenant_length(scale: Scale, tenants: int) -> int:
     return max(1, scale.trace_length // tenants)
 
 
+def _tenant_traces(workload: str, mt: MultiTenantSpec,
+                   scale: Scale) -> tuple[list, list]:
+    """Each tenant's workload spec and trace (seeded per tenant)."""
+    specs = [get_workload(name)
+             for name in tenant_names(workload, mt.tenants)]
+    length = _per_tenant_length(scale, mt.tenants)
+    traces = [make_trace(spec, Scale(length, 0, tenant_seed(scale.seed, i)))
+              for i, spec in enumerate(specs)]
+    return specs, traces
+
+
+def _populate(sims, traces, specs) -> None:
+    """Pre-fault every tenant, under one ``populate`` span when a
+    recorder is active."""
+    recorder = obs_active()
+    with (nullcontext() if recorder is None
+          else recorder.span("populate", "sim", tenants=len(sims))):
+        for sim, trace, spec in zip(sims, traces, specs):
+            sim.populate(trace, order=spec.init_order)
+
+
 # ----------------------------------------------------------------------
 # native mode
 # ----------------------------------------------------------------------
@@ -308,48 +354,43 @@ def run_native_mt(
     per-quantum sections run through it exactly as single-tenant traces
     do.
     """
-    names = tenant_names(workload, mt.tenants)
-    specs = [get_workload(name) for name in names]
-    buddy = BuddyAllocator(PhysicalMemory(mt.tenants << 41),
-                           seed=scale.seed)
-    per_length = _per_tenant_length(scale, mt.tenants)
-    hierarchy = CacheHierarchy(machine.hierarchy)
-    tlbs = TlbHierarchy(machine.tlb)
-    pwc = SplitPwc(machine.pwc, top_level=4)
-    walker = PageWalker(hierarchy, pwc)
+    specs, traces = _tenant_traces(workload, mt, scale)
     sims: list[NativeSimulation] = []
-    traces = []
     evict_hooks = []
-    for index, spec in enumerate(specs):
-        seed = tenant_seed(scale.seed, index)
-        process = spec.build_process(
-            asap_levels=config.native_levels,
-            seed=seed,
-            buddy=buddy,
-            data_pool=f"data{index}",
-            pt_pool=f"pt{index}",
-        )
-        sim = NativeSimulation(
-            process,
-            machine=machine,
-            asap=config,
-            scheme=scheme,
-            hierarchy=hierarchy,
-            tlbs=tlbs,
-            pwc=pwc,
-            walker=walker,
-            asid=index,
-            kernel=kernel,
-        )
-        # Schemes attach their eviction observer at bind time; snapshot
-        # it per tenant so the scheduler can install the *active*
-        # tenant's observer for each quantum.
-        evict_hooks.append(tlbs.l2_evict_hook)
-        tlbs.l2_evict_hook = None
-        sims.append(sim)
-        traces.append(make_trace(spec, Scale(per_length, 0, seed)))
-    for sim, trace, spec in zip(sims, traces, specs):
-        sim.populate(trace, order=spec.init_order)
+    with setup_span("native", workload, tenants=mt.tenants):
+        buddy = BuddyAllocator(PhysicalMemory(mt.tenants << 41),
+                               seed=scale.seed)
+        hierarchy = CacheHierarchy(machine.hierarchy)
+        tlbs = TlbHierarchy(machine.tlb)
+        pwc = SplitPwc(machine.pwc, top_level=4)
+        walker = PageWalker(hierarchy, pwc)
+        for index, spec in enumerate(specs):
+            process = spec.build_process(
+                asap_levels=config.native_levels,
+                seed=tenant_seed(scale.seed, index),
+                buddy=buddy,
+                data_pool=f"data{index}",
+                pt_pool=f"pt{index}",
+            )
+            sim = NativeSimulation(
+                process,
+                machine=machine,
+                asap=config,
+                scheme=scheme,
+                hierarchy=hierarchy,
+                tlbs=tlbs,
+                pwc=pwc,
+                walker=walker,
+                asid=index,
+                kernel=kernel,
+            )
+            # Schemes attach their eviction observer at bind time;
+            # snapshot it per tenant so the scheduler can route each
+            # victim to the observer of the tenant that owns it.
+            evict_hooks.append(tlbs.l2_evict_hook)
+            tlbs.l2_evict_hook = None
+            sims.append(sim)
+    _populate(sims, traces, specs)
     return _drive(sims, traces, evict_hooks, mt, scale.warmup,
                   collect_service)
 
@@ -375,44 +416,41 @@ def run_virtualized_mt(
     the shared TLBs and the host-dimension PWC.  ``kernel`` is accepted
     for interface parity (the 2D walk always runs the scalar engine).
     """
-    names = tenant_names(workload, mt.tenants)
-    specs = [get_workload(name) for name in names]
-    host_bytes = sum(max(4 * guest_mem_bytes(spec), 1 << 41)
-                     for spec in specs)
-    host_buddy = BuddyAllocator(PhysicalMemory(host_bytes),
-                                seed=scale.seed + 7)
-    per_length = _per_tenant_length(scale, mt.tenants)
-    hierarchy = CacheHierarchy(machine.hierarchy)
-    tlbs = TlbHierarchy(machine.tlb)
-    guest_pwc = SplitPwc(machine.pwc, top_level=4)
-    host_pwc = SplitPwc(machine.pwc, top_level=4)
-    walker = NestedPageWalker(hierarchy, guest_pwc, host_pwc)
+    specs, traces = _tenant_traces(workload, mt, scale)
     sims: list[VirtualizedSimulation] = []
-    traces = []
     evict_hooks = []
-    for index, spec in enumerate(specs):
-        seed = tenant_seed(scale.seed, index)
-        vm = build_vm(spec, config, scale, host_page_level=host_page_level,
-                      seed=seed, host_buddy=host_buddy)
-        sim = VirtualizedSimulation(
-            vm,
-            machine=machine,
-            asap=config,
-            scheme=scheme,
-            hierarchy=hierarchy,
-            tlbs=tlbs,
-            guest_pwc=guest_pwc,
-            host_pwc=host_pwc,
-            walker=walker,
-            asid=index,
-            kernel=kernel,
-        )
-        evict_hooks.append(tlbs.l2_evict_hook)
-        tlbs.l2_evict_hook = None
-        sims.append(sim)
-        traces.append(make_trace(spec, Scale(per_length, 0, seed)))
-    for sim, trace, spec in zip(sims, traces, specs):
-        sim.populate(trace, order=spec.init_order)
+    with setup_span("virtualized", workload, tenants=mt.tenants):
+        host_bytes = sum(max(4 * guest_mem_bytes(spec), 1 << 41)
+                         for spec in specs)
+        host_buddy = BuddyAllocator(PhysicalMemory(host_bytes),
+                                    seed=scale.seed + 7)
+        hierarchy = CacheHierarchy(machine.hierarchy)
+        tlbs = TlbHierarchy(machine.tlb)
+        guest_pwc = SplitPwc(machine.pwc, top_level=4)
+        host_pwc = SplitPwc(machine.pwc, top_level=4)
+        walker = NestedPageWalker(hierarchy, guest_pwc, host_pwc)
+        for index, spec in enumerate(specs):
+            vm = build_vm(spec, config, scale,
+                          host_page_level=host_page_level,
+                          seed=tenant_seed(scale.seed, index),
+                          host_buddy=host_buddy)
+            sim = VirtualizedSimulation(
+                vm,
+                machine=machine,
+                asap=config,
+                scheme=scheme,
+                hierarchy=hierarchy,
+                tlbs=tlbs,
+                guest_pwc=guest_pwc,
+                host_pwc=host_pwc,
+                walker=walker,
+                asid=index,
+                kernel=kernel,
+            )
+            evict_hooks.append(tlbs.l2_evict_hook)
+            tlbs.l2_evict_hook = None
+            sims.append(sim)
+    _populate(sims, traces, specs)
     return _drive(sims, traces, evict_hooks, mt, scale.warmup,
                   collect_service)
 
@@ -421,6 +459,7 @@ __all__ = [
     "MultiTenantSpec",
     "SWITCH_POLICIES",
     "round_robin_schedule",
+    "routed_hooks",
     "run_native_mt",
     "run_virtualized_mt",
     "tenant_seed",

@@ -187,13 +187,14 @@ def _trace_for(spec: WorkloadSpec, scale: Scale,
     return trace_source
 
 
-def _setup_span(mode: str, spec: WorkloadSpec):
+def setup_span(mode: str, workload: str, **args):
     """A ``setup`` span around OS-substrate + simulator construction
     when observation is on; a no-op context otherwise."""
     recorder = obs_active()
     if recorder is None:
         return nullcontext()
-    return recorder.span("setup", "sim", mode=mode, workload=spec.name)
+    return recorder.span("setup", "sim", mode=mode, workload=workload,
+                         **args)
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +231,7 @@ def run_native(
     """
     spec = _resolve(workload)
     trace = _trace_for(spec, scale, trace_source)
-    with _setup_span("native", spec):
+    with setup_span("native", spec.name):
         process = spec.build_process(
             asap_levels=config.native_levels,
             seed=scale.seed,
@@ -319,7 +320,7 @@ def run_virtualized(
     """
     spec = _resolve(workload)
     trace = _trace_for(spec, scale, trace_source)
-    with _setup_span("virtualized", spec):
+    with setup_span("virtualized", spec.name):
         vm = build_vm(spec, config, scale, host_page_level=host_page_level)
         simulation = VirtualizedSimulation(
             vm,

@@ -291,6 +291,7 @@ def test_child_generates_the_traces_before_the_timer(
 @pytest.mark.parametrize("scheme, mode", [
     ("revelator", "scalar"),  # no compiled mode: the record loop ran
     ("baseline", "plain"),
+    ("baseline-mt2", "plain"),
 ])
 def test_child_run_records_the_mode_that_ran(bench, scheme, mode):
     row = bench.measure_cell(scheme, 2000, 400, "columnar", seed=42,

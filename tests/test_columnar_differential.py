@@ -19,11 +19,14 @@ pin the hardest part of the compiled scheme paths: in-flight prefetch
 MSHRs and the parked-victim pool must round-trip through the per-chunk
 writeback/reload exactly, even when every record lands on its own seam.
 
-The kernel keeps its data-cache images resident between ``run()`` calls
-and writes back only the sets it touched.  An autouse fixture checks
-that every image it reuses still equals its cache's lists, and the
+The kernel keeps its data-cache images and every Victima scheme's
+parked pool resident between ``run()`` calls and writes back only what
+a call changed.  An autouse fixture checks that every image it reuses
+still equals its cache's lists or its scheme's parked map, and the
 multi-tenant and mixed-kernel tests compare the whole machine state
-left behind, not only the statistics.
+left behind, not only the statistics.  Multi-tenant Victima adds the
+owner routing: each L2 S-TLB victim parks in the pool of the tenant
+that owns it, whichever tenant is running.
 """
 
 from __future__ import annotations
@@ -36,15 +39,17 @@ from repro.experiments.common import SCHEMES
 from repro.kernelsim.buddy import BuddyAllocator
 from repro.kernelsim.phys import PhysicalMemory
 from repro.mem.hierarchy import CacheHierarchy
+from repro.obs.events import capture
 from repro.pagetable.pwc import SplitPwc
 from repro.pagetable.walker import PageWalker
 from repro.params import DEFAULT_MACHINE
 from repro.sim import columnar, multitenant
-from repro.sim.multitenant import MultiTenantSpec, run_native_mt, \
-    run_virtualized_mt
+from repro.sim.multitenant import MultiTenantSpec, round_robin_schedule, \
+    run_native_mt, run_virtualized_mt
 from repro.sim.runner import Scale, run_native, run_virtualized
 from repro.sim.simulator import NativeSimulation
 from repro.tlb.hierarchy import TlbHierarchy
+from repro.tlb.tlb import ASID_SHIFT
 from repro.traces.source import ArraySource
 from repro.workloads.suite import get as get_workload
 
@@ -57,11 +62,24 @@ SCALE = Scale(trace_length=6_000, warmup=1_200, seed=11)
 SCHEME_NAMES = ("baseline", "asap", "victima", "revelator")
 
 
+def _park_image_items(image) -> list:
+    """A resident park image's map, walked in FIFO order."""
+    pool = image.pool.reshape(-1, columnar._PARK_SLOT)
+    items = []
+    index = int(image.meta[columnar._PM_HEAD])
+    while index >= 0:
+        items.append((int(pool[index, 0]), int(pool[index, 1])))
+        index = int(pool[index, 3])
+    return items
+
+
 @pytest.fixture(autouse=True)
 def reused_images(monkeypatch):
     """Wrap ``run_columnar``: every cache image a call reuses must equal
-    its lists (and carry no touched flags) when the call starts.  Yields
-    one tuple per compiled call naming the caches whose image it reused.
+    its lists (and carry no touched flags) when the call starts, and
+    every resident park image of a scheme the call parks for must equal
+    that scheme's parked map.  Yields one tuple per compiled call naming
+    the caches whose image it reused.
     """
     original = columnar.run_columnar
     calls = []
@@ -75,6 +93,13 @@ def reused_images(monkeypatch):
                 assert image.sizes.tolist() == cache.sizes, cache.name
                 assert not image.touched.any(), cache.name
                 reused.append(cache.name)
+        routes = columnar._park_routes(sim)
+        for scheme in routes[0] if routes else ():
+            image = scheme.park_image
+            if image is not None:
+                assert _park_image_items(image) == \
+                    list(scheme._parked.items())
+                assert not image.meta[columnar._PM_DIRTY]
         calls.append(tuple(reused))
         return original(sim, *args, **kwargs)
 
@@ -275,6 +300,33 @@ def test_victima_parked_entry_evicted_across_seams(chunk_records,
         list(s_sim.scheme._parked.items())
 
 
+def test_victima_reparks_a_parked_page_in_place(monkeypatch):
+    """A page parked while still in the L2 S-TLB (here by a direct
+    ``_park`` with a stale frame) is re-parked in place when the S-TLB
+    evicts it: it keeps its FIFO position and takes the new frame, and
+    the compiled write-back must carry that change to the dict."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    spec = get_workload("mc80")
+    trace = spec.generate_trace(6_000, seed=43)
+    runs = []
+    for kernel in ("scalar", "columnar"):
+        _, sim = _scheme_sim("victima", kernel, seed=43)
+        sim.populate(trace, order=spec.init_order)
+        sim.run(trace[:3_000], populate=False)
+        stlb = sim.tlbs.l2_plain
+        lru_tags = [stlb.tags[index * stlb.stride + stlb.ways - 1]
+                    for index in range(stlb.num_sets)
+                    if stlb.sizes[index] == stlb.ways]
+        stale = [tag >> 1 for tag in lru_tags if not tag & 1][:32]
+        for vpn in stale:
+            sim.scheme._park(vpn, -7)
+        stats = sim.run(trace[3_000:], populate=False)
+        parked = sim.scheme._parked
+        assert any(parked.get(vpn, -7) != -7 for vpn in stale), kernel
+        runs.append((stats, list(parked.items()), sim.scheme.stats))
+    assert runs[0] == runs[1]
+
+
 # ----------------------------------------------------------------------
 # randomized fuzz over (workload, length, warmup, seed)
 # ----------------------------------------------------------------------
@@ -303,6 +355,55 @@ def test_randomized_differential(seed, monkeypatch):
 # ----------------------------------------------------------------------
 # multi-tenant: per-quantum sections through the chunk kernel
 # ----------------------------------------------------------------------
+def _run_mt(name: str, mt: MultiTenantSpec, kernel: str, monkeypatch,
+            workload: str = "mc80", scale: Scale = SCALE):
+    """One native multi-tenant cell: its statistics, its tenants'
+    simulations and the kernel each quantum's ``simulate`` span names."""
+    drive = multitenant._drive
+    tenants = []
+
+    def capturing_drive(sims, *args, **kwargs):
+        tenants.append(sims)
+        return drive(sims, *args, **kwargs)
+
+    monkeypatch.setattr(multitenant, "_drive", capturing_drive)
+    entry = SCHEMES[name]
+    with capture() as recorder:
+        stats = run_native_mt(workload, entry.native_config, mt=mt,
+                              scale=scale, scheme=entry.spec, kernel=kernel)
+    kernels = [event["args"]["kernel"] for event in recorder.events
+               if event["type"] == "B" and event["name"] == "simulate"]
+    return stats, tenants[-1], kernels
+
+
+def _schedule_state(sims) -> dict:
+    """The shared machine plus every tenant's scheme state: Victima's
+    parked map in FIFO order (the order picks the next bound victim)."""
+    state = _machine_state(sims[0])
+    state["schemes"] = [
+        (list(getattr(sim.scheme, "_parked", {}).items()),
+         sim.scheme.scheme_stats())
+        for sim in sims]
+    return state
+
+
+def _assert_mt_identical(name, mt, monkeypatch, compiled_mode,
+                         workload="mc80", scale=SCALE):
+    """Scalar and compiled runs of one cell agree on the statistics and
+    on every state the schedule leaves behind; every compiled quantum
+    ran ``compiled_mode``.  Returns the compiled run's tenants."""
+    (scalar, s_sims, s_kernels), (col, c_sims, c_kernels) = [
+        _run_mt(name, mt, kernel, monkeypatch, workload, scale)
+        for kernel in ("scalar", "columnar")]
+    assert scalar == col, name
+    assert scalar.service._counts == col.service._counts, name
+    assert _schedule_state(s_sims) == _schedule_state(c_sims), name
+    assert set(s_kernels) == {"scalar"}
+    assert set(c_kernels) == {compiled_mode}, name
+    assert len(c_kernels) == len(s_kernels)
+    return c_sims
+
+
 @pytest.mark.parametrize("policy", ("flush", "asid"))
 def test_multitenant_native_differential(policy, reused_images,
                                          monkeypatch):
@@ -310,48 +411,106 @@ def test_multitenant_native_differential(policy, reused_images,
     write-back that missed a set would show up in the structures even
     where the statistics happen to agree."""
     monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
-    drive = multitenant._drive
-    shared = []
-
-    def capturing_drive(sims, *args, **kwargs):
-        shared.append(sims[0])
-        return drive(sims, *args, **kwargs)
-
-    monkeypatch.setattr(multitenant, "_drive", capturing_drive)
     mt = MultiTenantSpec(tenants=2, quantum=700, switch_policy=policy)
-    for name in ("baseline", "asap"):
-        entry = SCHEMES[name]
-        scalar, col = [
-            run_native_mt("mc80", entry.native_config, mt=mt, scale=SCALE,
-                          scheme=entry.spec, kernel=kernel)
-            for kernel in ("scalar", "columnar")
-        ]
-        assert scalar == col, name
-        assert _machine_state(shared[-2]) == _machine_state(shared[-1]), \
-            name
+    for name, mode in (("baseline", "plain"), ("asap", "asap"),
+                       ("victima", "victima")):
+        reused_images.clear()
+        sims = _assert_mt_identical(name, mt, monkeypatch, mode)
         # The schedule releases its resident images once it ends.
-        hierarchy = shared[-1].hierarchy
+        hierarchy = sims[0].hierarchy
         assert [hierarchy.l1.image, hierarchy.l2.image,
                 hierarchy.l3.image] == [None, None, None], name
-    # Each scenario built its images once; every later quantum reused
-    # all three.
-    assert reused_images.count(()) == 2
-    assert set(reused_images) == {(), ("L1", "L2", "L3")}
+        # Each scenario built its images once; every later quantum
+        # reused all three.  Victima's flush is the exception: it
+        # invalidates the parked L2 lines through the cache's Python
+        # mutator, so each quantum after a switch rebuilds the L2 image.
+        reused = ("L1", "L3") if (name, policy) == ("victima", "flush") \
+            else ("L1", "L2", "L3")
+        assert reused_images.count(()) == 1, name
+        assert set(reused_images) == {(), reused}, name
+        if name == "victima":
+            assert sims[0].scheme.stats["parked"] > 0
+            assert all(sim.scheme.stats["probe_misses"] for sim in sims)
 
 
 @pytest.mark.parametrize("name", ("asap", "victima"))
-def test_multitenant_scheme_differential(name):
-    # Per-quantum sections through the scheme modes: asap engages the
-    # compiled state machine per tenant; victima's park hook is wrapped
-    # by the mt victim router, so those sections fall back by design.
+def test_multitenant_scheme_differential(name, monkeypatch):
+    """Three ASID-tagged tenants on ``bfs`` with a quantum that divides
+    neither a tenant's trace nor the warmup: each scheme's compiled mode
+    runs every quantum, the short last ones and the one the warmup
+    boundary splits included, with the scalar oracle's results."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    mt = MultiTenantSpec(tenants=3, quantum=523, switch_policy="asid")
+    sims = _assert_mt_identical(name, mt, monkeypatch, name,
+                                workload="bfs")
+    assert all(any(sim.scheme.scheme_stats().values()) for sim in sims)
+
+
+def test_multitenant_victima_parks_for_other_tenants(monkeypatch):
+    """Four ASID-tagged tenants with short quanta: the running tenant's
+    fills evict other tenants' translations, and each victim must park
+    in its owner's pool, counted on its owner's scheme, while probes
+    search only the running tenant's pool."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    original = columnar.run_columnar
+    foreign = []
+    resident = []
+
+    def counting(sim, *args, **kwargs):
+        schemes = columnar._park_routes(sim)[0]
+        others = [other for other in schemes if other is not sim.scheme]
+        before = sum(other.stats["parked"] for other in others)
+        resident.append(sum(scheme.park_image is not None
+                            for scheme in schemes))
+        result = original(sim, *args, **kwargs)
+        foreign.append(sum(other.stats["parked"] for other in others)
+                       - before)
+        return result
+
+    monkeypatch.setattr(columnar, "run_columnar", counting)
+    mt = MultiTenantSpec(tenants=4, quantum=150, switch_policy="asid")
+    sims = _assert_mt_identical("victima", mt, monkeypatch, "victima",
+                                workload="mix-server")
+    quanta = round_robin_schedule([SCALE.trace_length // 4] * 4, 150)
+    assert len(foreign) == len(quanta)
+    assert sum(foreign) > 0
+    assert all(sim.scheme.stats["probe_hits"] for sim in sims)
+    # No Python writer touches the maps between quanta, so the first
+    # call seeds all four pools and every later call reuses them.
+    assert resident == [0] + [4] * (len(resident) - 1)
+
+
+def test_multitenant_victima_foreign_hook_falls_back(monkeypatch):
+    """A router whose hooks are not all Victima ``_park`` methods keeps
+    every quantum on the scalar loop, with the same results."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    install = multitenant._install_evict_dispatcher
+
+    def wrapping_install(tlbs, evict_hooks):
+        park = evict_hooks[1]
+        install(tlbs, [evict_hooks[0], lambda vpn, frame: park(vpn, frame)])
+
+    monkeypatch.setattr(multitenant, "_install_evict_dispatcher",
+                        wrapping_install)
     mt = MultiTenantSpec(tenants=2, quantum=700, switch_policy="asid")
-    entry = SCHEMES[name]
-    scalar, col = [
-        run_native_mt("mc80", entry.native_config, mt=mt, scale=SCALE,
-                      scheme=entry.spec, kernel=kernel)
-        for kernel in ("scalar", "columnar")
-    ]
-    assert scalar == col
+    _assert_mt_identical("victima", mt, monkeypatch, "scalar")
+
+
+def test_victima_router_needs_a_route_for_every_resident_asid(
+        monkeypatch):
+    """The kernel indexes its route table with each victim's ASID, so
+    while the L2 S-TLB holds a translation whose ASID the router has no
+    hook for, the compiled mode must not engage."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    mt = MultiTenantSpec(tenants=2, quantum=700, switch_policy="asid")
+    _, sims, _ = _run_mt("victima", mt, "columnar", monkeypatch)
+    tlbs = sims[0].tlbs
+    assert columnar.engine_mode(sims[0], False) == "victima"
+    tlbs.l2_evict_hook = multitenant._victim_router((sims[0].scheme._park,))
+    assert max(tlbs.l2_plain.tags) >> (ASID_SHIFT + 1) == 1
+    assert columnar.engine_mode(sims[0], False) is None
+    tlbs.flush()
+    assert columnar.engine_mode(sims[0], False) == "victima"
 
 
 def _mixed_kernel_replay(kernel: str) -> list:

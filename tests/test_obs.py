@@ -33,7 +33,8 @@ from repro.obs.timeline import render_timeline
 from repro.runtime.engine import Engine, JobExecutionError
 from repro.runtime.job import Job
 from repro.sim import columnar
-from repro.sim.multitenant import MultiTenantSpec, run_native_mt
+from repro.sim.multitenant import MultiTenantSpec, run_native_mt, \
+    run_virtualized_mt
 from repro.sim.runner import Scale, run_native, run_virtualized
 from repro.traces.store import materialize_trace, read_ref
 from repro.workloads.suite import get as get_workload
@@ -236,16 +237,29 @@ class TestDeterminism:
         assert _observed(run, sample_records=300) == baseline
 
 
+@pytest.mark.parametrize("runner", [run_native_mt, run_virtualized_mt])
+def test_mt_logs_setup_and_populate_phases(runner):
+    # Tenant construction and pre-faulting are phases of a multi-tenant
+    # cell too, so the bench's phase columns cover its whole time.
+    mt = MultiTenantSpec(tenants=2, quantum=1_000, switch_policy="flush")
+    with capture() as recorder:
+        runner("mc80", mt=mt, scale=TINY, collect_service=False)
+    begun = [event["name"] for event in recorder.events
+             if event["type"] == "B"]
+    assert begun.count("setup") == 1 and begun.count("populate") == 1
+    assert begun.index("setup") < begun.index("populate") < \
+        begun.index("simulate")
+
+
 # ----------------------------------------------------------------------
 # the logged kernel is the one that ran
 # ----------------------------------------------------------------------
 @pytest.mark.skipif(not columnar.columnar_available(),
                     reason="no C compiler/cffi for the columnar backend")
 @pytest.mark.parametrize("name, expected", [
-    # The mt victim router wraps Victima's park hook, so every quantum
-    # falls back to the scalar loop; baseline quanta run compiled.
-    ("victima", "scalar"),
+    ("victima", "victima"),
     ("baseline", "plain"),
+    ("revelator", "scalar"),  # no compiled mode: every quantum falls back
 ])
 def test_simulate_span_logs_effective_kernel(name, expected, monkeypatch):
     monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
