@@ -159,7 +159,6 @@ def _cmd_compare(args) -> int:
     engine = _engine_from(args)
     try:
         tables = compare.run(scale, engine, schemes=schemes,
-                             kernel=args.kernel,
                              seeds=args.seeds or REPORT_SEEDS)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -193,13 +192,12 @@ def _cmd_scaling(args) -> int:
             # substrate, so the replay matches the generated run the
             # trace was materialised from.
             table = scaling.run_for_trace(read_ref(args.trace), engine,
-                                          seed=args.seed,
-                                          kernel=args.kernel)
+                                          seed=args.seed)
         else:
             scale = Scale(trace_length=args.trace_length,
                           warmup=args.trace_length // 5,
                           seed=42 if args.seed is None else args.seed)
-            table = scaling.run(scale, engine, kernel=args.kernel,
+            table = scaling.run(scale, engine,
                                 seeds=args.seeds or REPORT_SEEDS)
     except (ValueError, FileNotFoundError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -424,11 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "baseline,asap,victima,revelator)")
     comp.add_argument("--trace-length", type=positive_int, default=30_000)
     comp.add_argument("--seed", type=int, default=42)
-    comp.add_argument("--kernel", choices=("scalar", "columnar"),
-                      default="scalar",
-                      help="simulation kernel per cell (byte-identical "
-                           "tables; scheme cells without a compiled "
-                           "fast path fall back per run)")
     comp.add_argument("--seeds", type=positive_int, default=None,
                       help="replicate seeds per cell; tables render "
                            "mean ±95%% CI with Mann-Whitney significance "
@@ -459,11 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="seed for the generated ladder (default 42); "
                            "with --trace, overrides the trace's own seed "
                            "for the OS substrate (default: the trace's)")
-    scal.add_argument("--kernel", choices=("scalar", "columnar"),
-                      default="scalar",
-                      help="simulation kernel: the per-record loop or "
-                           "the compiled columnar chunk kernel "
-                           "(byte-identical statistics)")
     scal.add_argument("--seeds", type=positive_int, default=None,
                       help="replicate seeds for the base rung only — "
                            "the larger rungs stay single-run convergence "

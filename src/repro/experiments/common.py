@@ -129,18 +129,17 @@ SCHEMES: dict[str, SchemeEntry] = {
 
 
 def scheme_job(kind: str, workload: str, entry: SchemeEntry,
-               scale: Scale, kernel: str = "scalar") -> Job:
+               scale: Scale) -> Job:
     """One comparison cell: ``entry``'s scheme in ``kind`` mode.
 
-    At the default (scalar) kernel the baseline and ASAP cells are
-    value-equal to the jobs the figure modules emit (same config, same
-    derived scheme), so the engine deduplicates them across ``repro
-    compare`` and the ladders.
+    The baseline and ASAP cells are value-equal to the jobs the figure
+    modules emit (same config, same derived scheme), so the engine
+    deduplicates them across ``repro compare`` and the ladders.
     """
     config = (entry.native_config if kind == NATIVE
               else entry.virt_config)
     return Job(kind=kind, workload=workload, config=config, scale=scale,
-               scheme=entry.spec, kernel=kernel)
+               scheme=entry.spec)
 
 #: The four deployment scenarios of Figures 2/3 as (column label, job
 #: kind, colocated).  Shared so both figures — and anything else sweeping

@@ -61,9 +61,8 @@ def _roster(schemes: list[str] | None) -> list[str]:
 
 def jobs(scale: Scale,
          schemes: list[str] | None = None,
-         kernel: str = "scalar",
          seeds: int = REPORT_SEEDS) -> list[Job]:
-    return [scheme_job(kind, workload, SCHEMES[name], rep, kernel)
+    return [scheme_job(kind, workload, SCHEMES[name], rep)
             for kind in MODES
             for name in _roster(schemes)
             for workload in ALL_NAMES
@@ -71,8 +70,8 @@ def jobs(scale: Scale,
 
 
 def _cell_jobs(kind: str, name: str, workload: str, scale: Scale,
-               kernel: str, seeds: int) -> list[Job]:
-    return [scheme_job(kind, workload, SCHEMES[name], rep, kernel)
+               seeds: int) -> list[Job]:
+    return [scheme_job(kind, workload, SCHEMES[name], rep)
             for rep in replicates(scale, seeds)]
 
 
@@ -81,7 +80,7 @@ def _samples(results: Mapping[Job, Any], cell: list[Job]) -> list[float]:
 
 
 def _detail(results: Mapping[Job, Any], kind: str, roster: list[str],
-            scale: Scale, kernel: str, seeds: int) -> Table:
+            scale: Scale, seeds: int) -> Table:
     table = Table(
         title=f"Compare ({kind}): translation-cycle fraction per "
               "workload (%; lower is better)",
@@ -90,12 +89,12 @@ def _detail(results: Mapping[Job, Any], kind: str, roster: list[str],
     )
     samples = {
         (workload, name): _samples(
-            results, _cell_jobs(kind, name, workload, scale, kernel, seeds))
+            results, _cell_jobs(kind, name, workload, scale, seeds))
         for workload in ALL_NAMES for name in roster
     }
     keys = {
         (workload, name): sample_key(
-            _cell_jobs(kind, name, workload, scale, kernel, seeds))
+            _cell_jobs(kind, name, workload, scale, seeds))
         for workload in ALL_NAMES for name in roster
     }
     for workload in ALL_NAMES:
@@ -153,28 +152,22 @@ def _ranking(native: Table, virtualized: Table,
 
 def tables(results: Mapping[Job, Any], scale: Scale,
            schemes: list[str] | None = None,
-           kernel: str = "scalar",
            seeds: int = REPORT_SEEDS,
            ) -> tuple[Table, Table, Table]:
     roster = _roster(schemes)
-    native = _detail(results, NATIVE, roster, scale, kernel, seeds)
-    virtualized = _detail(results, VIRTUALIZED, roster, scale, kernel,
-                          seeds)
+    native = _detail(results, NATIVE, roster, scale, seeds)
+    virtualized = _detail(results, VIRTUALIZED, roster, scale, seeds)
     return (_ranking(native, virtualized, roster), native, virtualized)
 
 
 def run(scale: Scale | None = None,
         engine: Engine | None = None,
         schemes: list[str] | None = None,
-        kernel: str = "scalar",
         seeds: int = REPORT_SEEDS,
         ) -> tuple[Table, Table, Table]:
-    """``kernel`` selects the simulation engine per cell; the tables are
-    byte-identical across kernels (the determinism CI gate compares
-    them), so it never appears in a title."""
     scale = scale or DEFAULT_SCALE
-    return tables(execute(jobs(scale, schemes, kernel, seeds), engine),
-                  scale, schemes, kernel, seeds)
+    return tables(execute(jobs(scale, schemes, seeds), engine),
+                  scale, schemes, seeds)
 
 
 if __name__ == "__main__":  # pragma: no cover

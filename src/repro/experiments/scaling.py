@@ -70,7 +70,7 @@ def _entry(name: str) -> SchemeEntry:
 
 
 def _job(records: int, entry: SchemeEntry, scale: Scale,
-         trace: TraceRef | None = None, kernel: str = "scalar") -> Job:
+         trace: TraceRef | None = None) -> Job:
     # Warmup stays at the driving scale's absolute count: the sweep
     # shows the *measured window* converging as it dwarfs the warmup.
     return Job(
@@ -80,7 +80,6 @@ def _job(records: int, entry: SchemeEntry, scale: Scale,
         scale=dataclasses.replace(scale, trace_length=records),
         scheme=entry.spec,
         trace=trace,
-        kernel=kernel,
     )
 
 
@@ -95,23 +94,20 @@ def _cell_scales(records: int, scale: Scale, seeds: int) -> list[Scale]:
 
 
 def jobs(scale: Scale | None = None,
-         kernel: str = "scalar",
          seeds: int = REPORT_SEEDS) -> list[Job]:
     scale = scale or DEFAULT_SCALE
-    return [_job(records, _entry(name), rep, kernel=kernel)
+    return [_job(records, _entry(name), rep)
             for records in record_counts(scale)
             for name in SCHEME_NAMES
             for rep in _cell_scales(records, scale, seeds)]
 
 
-def jobs_for_trace(ref: TraceRef, seed: int | None = None,
-                   kernel: str = "scalar") -> list[Job]:
+def jobs_for_trace(ref: TraceRef, seed: int | None = None) -> list[Job]:
     """The baseline/ASAP pair replaying one materialised trace."""
     scale = Scale(trace_length=ref.records,
                   warmup=min(DEFAULT_SCALE.warmup, ref.records // 5),
                   seed=ref.seed if seed is None else seed)
-    return [_job(ref.records, _entry(name), scale, trace=ref,
-                 kernel=kernel)
+    return [_job(ref.records, _entry(name), scale, trace=ref)
             for name in SCHEME_NAMES]
 
 
@@ -168,13 +164,9 @@ def _table_for(job_list: list[Job], results: Mapping[Job, Any],
 
 def tables(results: Mapping[Job, Any],
            scale: Scale | None = None,
-           kernel: str = "scalar",
            seeds: int = REPORT_SEEDS) -> Table:
-    # The title deliberately omits the kernel: scalar and columnar runs
-    # of the same cells must render byte-identical tables (CI's
-    # sweep-determinism job diffs them).
     scale = scale or DEFAULT_SCALE
-    job_list = jobs(scale, kernel=kernel, seeds=seeds)
+    job_list = jobs(scale, seeds=seeds)
     return _table_for(
         job_list, results,
         title=(f"Scaling: translation-cycle fraction convergence "
@@ -184,18 +176,16 @@ def tables(results: Mapping[Job, Any],
 
 def run(scale: Scale | None = None,
         engine: Engine | None = None,
-        kernel: str = "scalar",
         seeds: int = REPORT_SEEDS) -> Table:
     scale = scale or DEFAULT_SCALE
-    return tables(execute(jobs(scale, kernel=kernel, seeds=seeds),
-                          engine), scale, kernel=kernel, seeds=seeds)
+    return tables(execute(jobs(scale, seeds=seeds), engine), scale,
+                  seeds=seeds)
 
 
 def run_for_trace(ref: TraceRef, engine: Engine | None = None,
-                  seed: int | None = None,
-                  kernel: str = "scalar") -> Table:
+                  seed: int | None = None) -> Table:
     """``repro scaling --trace``: the pair of cells over one file."""
-    job_list = jobs_for_trace(ref, seed=seed, kernel=kernel)
+    job_list = jobs_for_trace(ref, seed=seed)
     results = execute(job_list, engine)
     return _table_for(
         job_list, results,

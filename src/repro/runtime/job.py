@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.config import AsapConfig, BASELINE
@@ -39,11 +39,11 @@ from repro.traces.store import TraceRef
 #: 4: trace references joined the spec (on-disk traces, identified by
 #:    content digest) and streamed generation opened trace lengths past
 #:    one generation chunk.
-#: 5: the simulation kernel joined the spec (scalar record loop vs the
-#:    compiled columnar chunk kernel); both produce byte-identical
-#:    statistics, but the engine is part of what a cached result claims
-#:    to have run.
-SPEC_VERSION = 5
+#: 5: the simulation kernel joined the spec.
+#: 6: the kernel left it again: both kernels produce byte-identical
+#:    statistics (the differential suite), so it is provenance, like
+#:    the replicate index, and one scenario is one cache entry.
+SPEC_VERSION = 6
 
 #: Scenario kinds understood by :func:`execute_job`.
 NATIVE = "native"
@@ -93,12 +93,12 @@ class Job:
     #: rewritten payload can never serve a stale cached result
     #: (``execute_job`` re-checks the digest at open time).
     trace: TraceRef | None = None
-    #: Simulation kernel (`repro.sim.columnar`): "scalar" is the
-    #: historical per-record loop, "columnar" the compiled chunk kernel.
-    #: Both are byte-identical by construction (the differential suite
-    #: enforces it), but the kernel is still part of the spec — a cached
-    #: result records which engine produced it.
-    kernel: str = "scalar"
+    #: Simulation kernel of native runs (`repro.sim.columnar`): the
+    #: compiled chunk kernel wherever its preconditions hold, or
+    #: "scalar" to force the per-record oracle loop.  Not identity:
+    #: both are byte-identical (the differential suite enforces it), so
+    #: it is left out of equality, the hash, the payload and the label.
+    kernel: str = field(default="columnar", compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -146,8 +146,7 @@ class Job:
         if self.kind == PT_INVENTORY and (
                 self.colocated or self.infinite_tlb or self.collect_service
                 or self.pwc_scale != 1 or self.config.enabled
-                or self.scheme.kind != "baseline"
-                or self.kernel != "scalar"):
+                or self.scheme.kind != "baseline"):
             raise ValueError(
                 f"{PT_INVENTORY} jobs use only workload and scale")
         if self.multi_tenant is not None:
@@ -239,7 +238,6 @@ class Job:
             "trace": (None if self.trace is None
                       else {"digest": self.trace.digest,
                             "records": self.trace.records}),
-            "kernel": self.kernel,
         }
 
     def spec_hash(self) -> str:
@@ -265,7 +263,6 @@ class Job:
              self.multi_tenant.label() if self.multi_tenant else ""),
             (self.trace is not None,
              f"trace={self.trace.digest[:8]}" if self.trace else ""),
-            (self.kernel != "scalar", self.kernel),
             (self.scale.replicate != 0, f"rep{self.scale.replicate}"),
         ):
             if flag:
@@ -346,7 +343,6 @@ def execute_job(job: Job) -> Any:
             scale=job.scale,
             collect_service=job.collect_service,
             scheme=job.scheme,
-            kernel=job.kernel,
         )
     if job.kind == NATIVE:
         return run_native(
@@ -375,5 +371,4 @@ def execute_job(job: Job) -> Any:
         collect_service=job.collect_service,
         scheme=job.scheme,
         trace_source=trace_source,
-        kernel=job.kernel,
     )

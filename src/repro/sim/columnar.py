@@ -77,9 +77,11 @@ that VMA for all of its pages.  ``engine_mode`` enforces the rule: any
 other checker, or a descriptor that is not page-aligned or not inside
 one VMA of the checker's tree, keeps the run on the scalar loop.
 
-The backend is optional: without a C compiler or cffi the simulator
-silently stays scalar.  Set ``REPRO_REQUIRE_CCORE=1`` to turn backend
-unavailability into an error (CI does this for the columnar jobs).
+Native simulations use this kernel by default; ``kernel="scalar"``
+forces the scalar loop, the differential oracle.  The backend is
+optional: without a C compiler or cffi every run silently stays
+scalar.  Set ``REPRO_REQUIRE_CCORE=1`` to turn backend unavailability
+into an error (CI does this wherever a job checks compiled runs).
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ from repro.traces.source import kernel_chunk
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.simulator import NativeSimulation
 
-#: Valid values of the simulators' ``kernel=`` selector.
+#: Valid values of the native simulators' ``kernel=`` selector.
 KERNELS = ("scalar", "columnar")
 
 # --- geometry / counter slot layout (mirrors the C enums) -------------
@@ -1158,13 +1160,21 @@ def _build_library():
         if compiler is None:
             raise RuntimeError("no C compiler on PATH")
         os.makedirs(cache_dir, exist_ok=True)
-        src_path = os.path.join(cache_dir, "columnar.c")
+        # Source and library both get per-process names: processes that
+        # build at once (a cold `--jobs N` sweep) must never compile a
+        # source file another one is rewriting, or publish its library
+        # half-written.
+        src_path = os.path.join(cache_dir, f"columnar.{os.getpid()}.c")
+        tmp_path = f"{lib_path}.tmp{os.getpid()}"
         with open(src_path, "w") as fh:
             fh.write(_C_SOURCE)
-        tmp_path = f"{lib_path}.tmp{os.getpid()}"
-        subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", src_path, "-o", tmp_path],
-            check=True, capture_output=True, text=True)
+        try:
+            subprocess.run(
+                [compiler, "-O2", "-shared", "-fPIC", src_path, "-o",
+                 tmp_path],
+                check=True, capture_output=True, text=True)
+        finally:
+            os.remove(src_path)
         os.replace(tmp_path, lib_path)
     return ffi, ffi.dlopen(lib_path)
 

@@ -342,7 +342,7 @@ def run_native_mt(
     scale: Scale = Scale(),
     collect_service: bool = True,
     scheme: SchemeSpec | None = None,
-    kernel: str = "scalar",
+    kernel: str = "columnar",
 ) -> SimStats:
     """Run one native multi-tenant scenario; returns aggregate statistics.
 
@@ -407,14 +407,12 @@ def run_virtualized_mt(
     scale: Scale = Scale(),
     collect_service: bool = True,
     scheme: SchemeSpec | None = None,
-    kernel: str = "scalar",
 ) -> SimStats:
     """Run one virtualized multi-tenant scenario (N VMs on one host).
 
     Each tenant is a guest VM; all VMs share the host's physical memory
     and buddy allocator, and the ASID doubles as the VMID tagging both
-    the shared TLBs and the host-dimension PWC.  ``kernel`` is accepted
-    for interface parity (the 2D walk always runs the scalar engine).
+    the shared TLBs and the host-dimension PWC.
     """
     specs, traces = _tenant_traces(workload, mt, scale)
     sims: list[VirtualizedSimulation] = []
@@ -445,7 +443,6 @@ def run_virtualized_mt(
                 host_pwc=host_pwc,
                 walker=walker,
                 asid=index,
-                kernel=kernel,
             )
             evict_hooks.append(tlbs.l2_evict_hook)
             tlbs.l2_evict_hook = None

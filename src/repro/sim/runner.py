@@ -213,7 +213,7 @@ def run_native(
     hole_rate: float = 0.0,
     scheme: SchemeSpec | None = None,
     trace_source: TraceSource | None = None,
-    kernel: str = "scalar",
+    kernel: str = "columnar",
 ) -> SimStats:
     """Run one native scenario and return its statistics.
 
@@ -227,7 +227,8 @@ def run_native(
     record count must match ``scale.trace_length``.
 
     ``kernel`` selects the simulator's record-loop engine (see
-    :class:`~repro.sim.simulator.NativeSimulation`).
+    :class:`~repro.sim.simulator.NativeSimulation`): compiled where it
+    applies by default, ``"scalar"`` to force the oracle loop.
     """
     spec = _resolve(workload)
     trace = _trace_for(spec, scale, trace_source)
@@ -309,14 +310,11 @@ def run_virtualized(
     collect_service: bool = True,
     scheme: SchemeSpec | None = None,
     trace_source: TraceSource | None = None,
-    kernel: str = "scalar",
 ) -> SimStats:
     """Run one virtualized scenario and return its statistics.
 
     ``trace_source`` replays an explicit trace, as in
-    :func:`run_native`; ``kernel`` is accepted for interface parity (the
-    2D walk always runs the scalar engine — see
-    :class:`~repro.sim.virt.VirtualizedSimulation`).
+    :func:`run_native`.
     """
     spec = _resolve(workload)
     trace = _trace_for(spec, scale, trace_source)
@@ -329,7 +327,6 @@ def run_virtualized(
             infinite_tlb=infinite_tlb,
             corunner=_corunner(scale) if colocated else None,
             scheme=scheme,
-            kernel=kernel,
         )
     return simulation.run(trace, warmup=scale.warmup,
                           collect_service=collect_service,

@@ -127,18 +127,19 @@ class NativeSimulation:
         pwc: SplitPwc | None = None,
         walker: PageWalker | None = None,
         asid: int = 0,
-        kernel: str = "scalar",
+        kernel: str = "columnar",
     ) -> None:
         """``hierarchy``/``tlbs``/``pwc``/``walker`` let the multi-tenant
         driver (`repro.sim.multitenant`) hand several per-process
         simulations one shared set of hardware structures; ``asid`` tags
         this process's translations within them (0 — the single-tenant
         default — changes nothing, bit for bit).  ``kernel`` selects the
-        record-loop engine: ``"scalar"`` (the reference loop below) or
-        ``"columnar"`` (the compiled chunk kernel of
-        `repro.sim.columnar`, byte-identical by construction and by the
-        differential suites; falls back to scalar when its
-        preconditions or the C backend are missing)."""
+        record-loop engine: ``"columnar"`` (the default) runs each
+        ``run()`` through the compiled chunk kernel of
+        `repro.sim.columnar` wherever its ``engine_mode`` allows and
+        through the scalar loop below otherwise (no C backend, or a
+        configuration it does not compile); ``"scalar"`` forces that
+        loop, the differential oracle.  Both are byte-identical."""
         if asid and (clustered_tlb or infinite_tlb):
             raise ValueError(
                 "ASID-tagged simulations do not compose with "

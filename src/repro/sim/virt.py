@@ -83,7 +83,6 @@ class VirtualizedSimulation:
         host_pwc: SplitPwc | None = None,
         walker: NestedPageWalker | None = None,
         asid: int = 0,
-        kernel: str = "scalar",
     ) -> None:
         """The optional structure arguments let the multi-tenant driver
         (`repro.sim.multitenant`) run several VMs against one shared set
@@ -91,20 +90,12 @@ class VirtualizedSimulation:
         VM's entries in the shared TLBs and in both PWC dimensions (0 —
         the single-tenant default — changes nothing, bit for bit).
 
-        ``kernel`` is validated and stored for interface parity with the
-        native simulator, but the 2D run loop always executes the scalar
-        engine: the nested walk's guest/host interleaving has no
-        columnar transliteration (yet), so ``"columnar"`` here means
-        "use the compiled kernel where one exists" — which, for the
-        virtualized model, is nowhere.  Keeping the knob total (accepted
-        everywhere, engaged where implemented) lets Job specs carry one
-        kernel field across kinds without special-casing."""
+        The 2D run loop has one engine, the scalar one: the nested
+        walk's guest/host interleaving has no compiled transliteration
+        (yet), so this simulator takes no ``kernel`` selector."""
         if asid and infinite_tlb:
             raise ValueError(
                 "ASID-tagged simulations do not compose with infinite TLBs")
-        if kernel not in ("scalar", "columnar"):
-            raise ValueError(f"unknown simulation kernel {kernel!r}")
-        self.kernel = kernel
         self.vm = vm
         self.machine = machine
         self.asap = asap

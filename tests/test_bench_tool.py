@@ -265,11 +265,12 @@ def test_ladder_cells_are_the_scaling_experiments_jobs(
     ours = {bench.make_job(**spec) for spec in specs}
     base = {bench.make_job(**spec) for spec in specs
             if spec["replicate"] == 0}
-    assert base == set(scaling.jobs(DEFAULT_SCALE, kernel="columnar",
-                                    seeds=1))
+    assert base == set(scaling.jobs(DEFAULT_SCALE, seeds=1))
+    # The requested kernel rides on every job, the oracle's too.
+    assert {bench.make_job(**dict(spec, kernel="scalar")).kernel
+            for spec in specs} == {"scalar"}
     # The experiment replicates only the base rung, the bench every one.
-    assert set(scaling.jobs(DEFAULT_SCALE, kernel="columnar",
-                            seeds=3)) <= ours
+    assert set(scaling.jobs(DEFAULT_SCALE, seeds=3)) <= ours
 
 
 @pytest.mark.parametrize("scheme", ["asap", "baseline-mt2"])

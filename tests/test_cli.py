@@ -78,6 +78,15 @@ def test_zero_trace_length_is_an_argparse_error():
             build_parser().parse_args(argv)
 
 
+@pytest.mark.parametrize("command", ["compare", "scaling"])
+def test_kernel_is_not_an_option(command, capsys):
+    # Native cells compile by default; no command selects a kernel.
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args([command, "--kernel", "scalar"])
+    assert exit_info.value.code == 2
+    assert "--kernel" in capsys.readouterr().err
+
+
 def test_trace_materialize_rejects_unknown_workload():
     with pytest.raises(SystemExit):
         build_parser().parse_args(
@@ -111,8 +120,8 @@ def test_scaling_trace_uses_the_traces_own_seed(tmp_path, monkeypatch):
 
     real = scaling.jobs_for_trace
 
-    def spy(ref, seed=None, kernel="scalar"):
-        jobs = real(ref, seed=seed, kernel=kernel)
+    def spy(ref, seed=None):
+        jobs = real(ref, seed=seed)
         captured["seeds"] = {job.scale.seed for job in jobs}
         return jobs
 

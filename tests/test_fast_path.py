@@ -18,6 +18,7 @@ import pytest
 
 from repro.core import config as cfg
 from repro.params import DEFAULT_MACHINE, TlbHierarchyParams, TlbParams
+from repro.runtime.job import VIRTUALIZED, Job, execute_job
 from repro.schemes import SchemeSpec
 from repro.sim.runner import (
     Scale,
@@ -249,18 +250,22 @@ def native_sim(*, config=cfg.BASELINE, scheme=None, clustered=False,
         kernel=kernel, **extra)
 
 
+def run_oracle(*args, **kwargs):
+    """``run_native`` forced onto the scalar loop."""
+    return run_native(*args, kernel="scalar", **kwargs)
+
+
 def run_native_trace(trace, warmup, *, collect=True, **sim_kwargs):
     sim = native_sim(**sim_kwargs)
     return sim.run(trace, warmup=warmup, collect_service=collect,
                    init_order=SPEC.init_order)
 
 
-def virt_sim(*, config=cfg.BASELINE, scheme=None, coloc=False,
-             kernel="scalar"):
+def virt_sim(*, config=cfg.BASELINE, scheme=None, coloc=False):
     vm = build_vm(SPEC, config, VSCALE)
     return VirtualizedSimulation(
         vm, asap=config, corunner=_corunner(VSCALE) if coloc else None,
-        scheme=scheme, kernel=kernel)
+        scheme=scheme)
 
 
 def run_virt_trace(trace, warmup, **sim_kwargs):
@@ -279,71 +284,73 @@ def vtrace():
 
 
 class TestRunnerParity:
-    """Runner-level scenarios: every scheme, mode and TLB variant."""
+    """Runner-level scenarios: every scheme, mode and TLB variant.
+    Native cells force the scalar loop, the oracle these goldens pin;
+    ``TestColumnarGoldenParity`` runs them on the compiled kernel."""
 
     def test_native_baseline(self):
         _assert_golden("native-baseline",
-                       run_native("mc80", cfg.BASELINE, scale=NSCALE))
+                       run_oracle("mc80", cfg.BASELINE, scale=NSCALE))
 
     def test_native_asap(self):
         _assert_golden("native-asap",
-                       run_native("mc80", cfg.P1_P2, scale=NSCALE))
+                       run_oracle("mc80", cfg.P1_P2, scale=NSCALE))
 
     def test_native_victima(self):
         _assert_golden("native-victima",
-                       run_native("mc80", scale=NSCALE,
+                       run_oracle("mc80", scale=NSCALE,
                                   scheme=SchemeSpec.victima()))
 
     def test_native_revelator(self):
         _assert_golden("native-revelator",
-                       run_native("mc80", scale=NSCALE,
+                       run_oracle("mc80", scale=NSCALE,
                                   scheme=SchemeSpec.revelator()))
 
     def test_native_clustered_baseline(self):
         _assert_golden("native-clustered-baseline",
-                       run_native("mc80", cfg.BASELINE, clustered_tlb=True,
+                       run_oracle("mc80", cfg.BASELINE, clustered_tlb=True,
                                   scale=NSCALE))
 
     def test_native_clustered_asap(self):
         _assert_golden("native-clustered-asap",
-                       run_native("mc80", cfg.P1_P2, clustered_tlb=True,
+                       run_oracle("mc80", cfg.P1_P2, clustered_tlb=True,
                                   scale=NSCALE))
 
     def test_native_infinite_baseline(self):
         _assert_golden("native-infinite-baseline",
-                       run_native("mc80", cfg.BASELINE, infinite_tlb=True,
+                       run_oracle("mc80", cfg.BASELINE, infinite_tlb=True,
                                   scale=NSCALE))
 
     def test_native_colocated_baseline(self):
         _assert_golden("native-coloc-baseline",
-                       run_native("mc80", cfg.BASELINE, colocated=True,
+                       run_oracle("mc80", cfg.BASELINE, colocated=True,
                                   scale=NSCALE))
 
     def test_native_colocated_asap(self):
         _assert_golden("native-coloc-asap",
-                       run_native("mc80", cfg.P1_P2, colocated=True,
+                       run_oracle("mc80", cfg.P1_P2, colocated=True,
                                   scale=NSCALE))
 
     def test_native_colocated_victima(self):
         _assert_golden("native-coloc-victima",
-                       run_native("mc80", colocated=True, scale=NSCALE,
+                       run_oracle("mc80", colocated=True, scale=NSCALE,
                                   scheme=SchemeSpec.victima()))
 
     def test_native_no_warmup(self):
         _assert_golden("native-warmup0-baseline",
-                       run_native("mc80", cfg.BASELINE,
+                       run_oracle("mc80", cfg.BASELINE,
                                   scale=Scale(6_000, 0, 7)))
 
     def test_native_five_level(self):
         _assert_golden("native-5level-baseline",
-                       run_native("mc80", cfg.BASELINE, pt_levels=5,
+                       run_oracle("mc80", cfg.BASELINE, pt_levels=5,
                                   scale=NSCALE))
 
     def test_other_workloads(self):
         _assert_golden("native-mcf-baseline",
-                       run_native("mcf", cfg.BASELINE, scale=NSCALE))
+                       run_oracle("mcf", cfg.BASELINE, scale=NSCALE))
         _assert_golden("native-bfs-asap",
-                       run_native("bfs", cfg.P1_P2, scale=NSCALE))
+                       run_oracle("bfs", cfg.P1_P2, scale=NSCALE))
 
     def test_virtualized_baseline(self):
         _assert_golden("virt-baseline",
@@ -533,9 +540,11 @@ class TestServiceParity:
 
     @pytest.mark.parametrize("kernel", ("scalar", "columnar"))
     def test_virtualized_asap(self, kernel):
-        stats = run_virtualized("mc80", cfg.FULL_2D, scale=VSCALE,
-                                kernel=kernel)
-        assert self._distribution(stats) == SERVICE_GOLDEN[
+        # A job's kernel is provenance: the virtualized executor has one
+        # engine and must yield the same distribution under either value.
+        job = Job(kind=VIRTUALIZED, workload="mc80", config=cfg.FULL_2D,
+                  scale=VSCALE, collect_service=True, kernel=kernel)
+        assert self._distribution(execute_job(job)) == SERVICE_GOLDEN[
             "service-virt-asap"]
 
 
@@ -551,6 +560,7 @@ def _vstreaky(vt):
 
 
 #: tag -> callable(ntrace, vtrace, kernel) reproducing the golden cell.
+#: Virtualized cells take no kernel: the 2D walk has one engine.
 COLUMNAR_SCENARIOS = {
     "allsame-native": lambda nt, vt, k: run_native_trace(
         np.full(500, int(nt[0]), dtype=nt.dtype), 100, kernel=k),
@@ -606,15 +616,15 @@ COLUMNAR_SCENARIOS = {
     "streak-native-warmup0": lambda nt, vt, k: run_native_trace(
         _streaky(nt), 0, kernel=k),
     "streak-virt-asap": lambda nt, vt, k: run_virt_trace(
-        _vstreaky(vt), 800, config=cfg.FULL_2D, kernel=k),
+        _vstreaky(vt), 800, config=cfg.FULL_2D),
     "streak-virt-baseline": lambda nt, vt, k: run_virt_trace(
-        _vstreaky(vt), 800, kernel=k),
+        _vstreaky(vt), 800),
     "streak-virt-coloc": lambda nt, vt, k: run_virt_trace(
-        _vstreaky(vt), 800, coloc=True, kernel=k),
+        _vstreaky(vt), 800, coloc=True),
     "streak-virt-revelator": lambda nt, vt, k: run_virt_trace(
-        _vstreaky(vt), 800, scheme=SchemeSpec.revelator(), kernel=k),
+        _vstreaky(vt), 800, scheme=SchemeSpec.revelator()),
     "streak-virt-warmup-mid": lambda nt, vt, k: run_virt_trace(
-        _vstreaky(vt), 801, kernel=k),
+        _vstreaky(vt), 801),
     "tiny-native-1rec": lambda nt, vt, k: run_native_trace(
         nt[:1], 0, kernel=k),
     "tiny-native-3rec-samepage": lambda nt, vt, k: run_native_trace(
@@ -622,17 +632,17 @@ COLUMNAR_SCENARIOS = {
     "tiny-native-run-to-end": lambda nt, vt, k: run_native_trace(
         np.repeat(nt[:10], 600), 1000, kernel=k),
     "virt-asap": lambda nt, vt, k: run_virtualized(
-        "mc80", cfg.FULL_2D, scale=VSCALE, kernel=k),
+        "mc80", cfg.FULL_2D, scale=VSCALE),
     "virt-baseline": lambda nt, vt, k: run_virtualized(
-        "mc80", cfg.BASELINE, scale=VSCALE, kernel=k),
+        "mc80", cfg.BASELINE, scale=VSCALE),
     "virt-coloc-baseline": lambda nt, vt, k: run_virtualized(
-        "mc80", cfg.BASELINE, colocated=True, scale=VSCALE, kernel=k),
+        "mc80", cfg.BASELINE, colocated=True, scale=VSCALE),
     "virt-infinite-baseline": lambda nt, vt, k: run_virtualized(
-        "mc80", cfg.BASELINE, infinite_tlb=True, scale=VSCALE, kernel=k),
+        "mc80", cfg.BASELINE, infinite_tlb=True, scale=VSCALE),
     "virt-revelator": lambda nt, vt, k: run_virtualized(
-        "mc80", scale=VSCALE, scheme=SchemeSpec.revelator(), kernel=k),
+        "mc80", scale=VSCALE, scheme=SchemeSpec.revelator()),
     "virt-victima": lambda nt, vt, k: run_virtualized(
-        "mc80", scale=VSCALE, scheme=SchemeSpec.victima(), kernel=k),
+        "mc80", scale=VSCALE, scheme=SchemeSpec.victima()),
 }
 
 

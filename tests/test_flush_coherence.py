@@ -12,8 +12,10 @@ re-walks).
 """
 
 import numpy as np
+import pytest
 
 from repro.core import config as cfg
+from repro.sim import columnar
 from repro.sim.runner import Scale, build_vm, make_trace
 from repro.sim.simulator import NativeSimulation
 from repro.sim.virt import VirtualizedSimulation
@@ -23,10 +25,23 @@ SPEC = get("mc80")
 NSCALE = Scale(trace_length=4_000, warmup=0, seed=7)
 VSCALE = Scale(trace_length=1_500, warmup=0, seed=7)
 
+#: Both native kernels; each caches walk paths in its own structure.
+KERNELS = ("scalar", pytest.param("columnar", marks=pytest.mark.skipif(
+    not columnar.columnar_available(),
+    reason="no C compiler/cffi for the columnar backend")))
 
-def _native_sim():
+
+def _native_sim(**kwargs):
     process = SPEC.build_process(seed=7)
-    return NativeSimulation(process)
+    return NativeSimulation(process, **kwargs)
+
+
+def _cached_paths(sim) -> int:
+    """How many walk paths the simulator's own kernel has cached: the
+    compiled kernel's path rows, or the scalar loop's two dicts."""
+    if sim.kernel == "columnar":
+        return sim._columnar_paths.count
+    return len(sim._fast_paths) + len(sim._flat_paths)
 
 
 def _virt_sim():
@@ -53,34 +68,37 @@ def _pwc_state(pwc):
 
 
 class TestNativeFlush:
-    def test_mid_run_flush_is_byte_identical_to_cold_structures(self):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_mid_run_flush_is_byte_identical_to_cold_structures(
+            self, kernel):
         trace = make_trace(SPEC, NSCALE)
-        sim = _native_sim()
+        sim = _native_sim(kernel=kernel)
         sim.run(trace[:2000], warmup=0, init_order=SPEC.init_order)
         # The run left every translation structure populated...
         assert sim.tlbs.l1.occupancy > 0
         assert sum(sim.pwc.occupancy(level)
                    for level, _ in sim.pwc.view) > 0
-        assert sim._fast_paths or sim._flat_paths
+        assert _cached_paths(sim) > 0
 
         sim.flush_translation_state()
 
-        cold = _native_sim()
+        cold = _native_sim(kernel=kernel)
         assert _tlb_state(sim.tlbs) == _tlb_state(cold.tlbs)
         assert _pwc_state(sim.pwc) == _pwc_state(cold.pwc)
         assert sim.hierarchy.mshrs.occupancy == 0
-        assert not sim._flat_paths and not sim._fast_paths
+        assert _cached_paths(sim) == 0
 
-    def test_tlb_flush_alone_is_incoherent(self):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_tlb_flush_alone_is_incoherent(self, kernel):
         """Documents the hazard the entry point fixes: the old flush
-        surface leaves PWCs and flat walk-path caches populated."""
+        surface leaves PWCs and the cached walk paths populated."""
         trace = make_trace(SPEC, NSCALE)
-        sim = _native_sim()
+        sim = _native_sim(kernel=kernel)
         sim.run(trace[:2000], warmup=0, init_order=SPEC.init_order)
         sim.tlbs.flush()
         assert sum(sim.pwc.occupancy(level)
                    for level, _ in sim.pwc.view) > 0
-        assert sim._fast_paths or sim._flat_paths
+        assert _cached_paths(sim) > 0
 
     def test_continuation_after_flush_rewalks_every_page(self):
         trace = make_trace(SPEC, NSCALE)

@@ -18,6 +18,7 @@ Three contracts matter:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 
 import pytest
@@ -31,7 +32,7 @@ from repro.obs.export import to_chrome_trace
 from repro.obs.probe import SimProbe
 from repro.obs.timeline import render_timeline
 from repro.runtime.engine import Engine, JobExecutionError
-from repro.runtime.job import Job
+from repro.runtime.job import Job, execute_job
 from repro.sim import columnar
 from repro.sim.multitenant import MultiTenantSpec, run_native_mt, \
     run_virtualized_mt
@@ -201,8 +202,11 @@ class TestDeterminism:
     @pytest.mark.parametrize("virtualized", [False, True])
     def test_scalar_stats_identical(self, virtualized):
         entry = SCHEMES["asap"]
-        config = entry.virt_config if virtualized else entry.native_config
-        runner = run_virtualized if virtualized else run_native
+        if virtualized:
+            config, runner = entry.virt_config, run_virtualized
+        else:
+            config = entry.native_config
+            runner = functools.partial(run_native, kernel="scalar")
 
         def run():
             return runner("mc80", config, scale=TINY, scheme=entry.spec)
@@ -272,6 +276,25 @@ def test_simulate_span_logs_effective_kernel(name, expected, monkeypatch):
                if event["type"] == "B" and event["name"] == "simulate"]
     assert len(kernels) == 6  # 2 tenants x 2000 records / quantum 700
     assert set(kernels) == {expected}
+
+
+@pytest.mark.skipif(not columnar.columnar_available(),
+                    reason="no C compiler/cffi for the columnar backend")
+@pytest.mark.parametrize("name, expected", [
+    ("baseline", "plain"), ("asap", "asap"), ("victima", "victima")])
+def test_default_kernel_is_compiled(name, expected, monkeypatch):
+    # No kernel argument anywhere: a direct run_native call and a
+    # default Job both take the compiled kernel.
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    entry = SCHEMES[name]
+    with capture() as recorder:
+        run_native("mc80", entry.native_config, scale=TINY,
+                   scheme=entry.spec)
+        execute_job(Job(kind="native", workload="mc80", scale=TINY,
+                        config=entry.native_config, scheme=entry.spec))
+    kernels = [event["args"]["kernel"] for event in recorder.events
+               if event["type"] == "B" and event["name"] == "simulate"]
+    assert kernels == [expected, expected]
 
 
 # ----------------------------------------------------------------------

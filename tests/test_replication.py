@@ -110,6 +110,12 @@ class TestReplicate0Goldens:
     """seeds=1 must reproduce the pre-statistics output byte-for-byte."""
 
     def test_spec_hashes_unchanged(self):
+        """Every replicate-0 job keeps its spec hash, the cache key.
+
+        The golden was regenerated on purpose for SPEC_VERSION 6, when
+        the kernel left the payload (both kernels are byte-identical,
+        so it is provenance, like the replicate index).  Its keys, the
+        job labels, did not change."""
         hashes = {}
         for scale, tag in ((TINY, "tiny"), (DEFAULT_SCALE, "report")):
             for job in compare.jobs(scale, seeds=1):

@@ -91,6 +91,20 @@ class TestJob:
         assert (_job().spec_hash()
                 != _job(scale=Scale(2_000, 400, 14)).spec_hash())
 
+    def test_kernel_is_provenance_not_identity(self):
+        # Both kernels give byte-identical statistics, so one scenario
+        # is one cell: one dedup key, one cache entry, one label.
+        for kind in (NATIVE, VIRTUALIZED, PT_INVENTORY):
+            default, scalar = _job(kind=kind), _job(kind=kind,
+                                                    kernel="scalar")
+            assert default.kernel == "columnar"
+            assert default == scalar
+            assert hash(default) == hash(scalar)
+            assert default.spec_hash() == scalar.spec_hash()
+            assert default.label() == scalar.label()
+        with pytest.raises(ValueError, match="unknown simulation kernel"):
+            _job(kernel="simd")
+
     def test_equal_specs_dedupe(self):
         sweep = Sweep.build("s", [_job(), _job(colocated=True)], [_job()])
         assert len(sweep) == 3

@@ -53,6 +53,7 @@ appended, so FILE may be the output itself.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -106,7 +107,8 @@ def make_job(scheme: str, records: int, warmup: int, kernel: str,
                              switch_policy="flush")
         return Job(kind=NATIVE, workload=WORKLOAD, scale=scale,
                    multi_tenant=mt, kernel=kernel)
-    return scaling._job(records, SCHEMES[scheme], scale, kernel=kernel)
+    return dataclasses.replace(scaling._job(records, SCHEMES[scheme], scale),
+                               kernel=kernel)
 
 
 def generate_traces(job: Job) -> None:
