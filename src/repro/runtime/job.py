@@ -93,11 +93,12 @@ class Job:
     #: rewritten payload can never serve a stale cached result
     #: (``execute_job`` re-checks the digest at open time).
     trace: TraceRef | None = None
-    #: Simulation kernel of native runs (`repro.sim.columnar`): the
-    #: compiled chunk kernel wherever its preconditions hold, or
-    #: "scalar" to force the per-record oracle loop.  Not identity:
-    #: both are byte-identical (the differential suite enforces it), so
-    #: it is left out of equality, the hash, the payload and the label.
+    #: Simulation kernel of native and virtualized runs
+    #: (`repro.sim.columnar`): the compiled chunk kernel wherever its
+    #: preconditions hold, or "scalar" to force the per-record oracle
+    #: loop.  Not identity: both are byte-identical (the differential
+    #: suite enforces it), so it is left out of equality, the hash, the
+    #: payload and the label.
     kernel: str = field(default="columnar", compare=False)
 
     def __post_init__(self) -> None:
@@ -343,6 +344,7 @@ def execute_job(job: Job) -> Any:
             scale=job.scale,
             collect_service=job.collect_service,
             scheme=job.scheme,
+            kernel=job.kernel,
         )
     if job.kind == NATIVE:
         return run_native(
@@ -371,4 +373,5 @@ def execute_job(job: Job) -> Any:
         collect_service=job.collect_service,
         scheme=job.scheme,
         trace_source=trace_source,
+        kernel=job.kernel,
     )

@@ -17,6 +17,23 @@ the system C compiler) and drives it one TraceSource chunk at a time:
   flat arrays the scalar path uses and accumulating the same counters,
   which are written back at the end of every ``run()`` call.
 
+The nested walk.  A VirtualizedSimulation's chunks run through the same
+loop with Figure 7's 2D walk in place of the radix walk.  Its rows
+(:class:`_NestedRows`, one per guest page) hold the guest PWC tags, the
+guest leaf level, the large-page flag, the guest-physical line of each
+guest entry and the guest ASAP columns, and point each nested step —
+guest levels 4 down to the leaf, then the data page — at a *host
+chain*: a native path row over the VM's host page table, one per
+guest-physical page (:class:`_HostChains`), which gives the host PWC
+tags, the host walk's node lines, the host frame (hence the guest
+entry's host line and the data frame) and the host ASAP columns.  Both
+tables come from the same bulk passes as native rows.  The one page
+populate leaves unbacked, the guest root node's, is mapped by the
+scalar loop at the first walk that needs it, drawing a host frame; the
+kernel stops before such a walk, ``VirtualMachine.nested_path`` maps
+the page at that point of the host buddy's sequence, and the kernel
+resumes (ARCHITECTURE.md §12).
+
 Resident cache images.  A multi-tenant schedule makes one ``run()``
 call per quantum, and converting the L3 (16,384 sets x 21 slots) to
 numpy and back on every call would cost far more than the few hundred
@@ -33,9 +50,9 @@ call rebuilds it):
   ``invalidate`` and ``flush``;
 * ``CacheHierarchy.access_line``, and through the cache mutators
   ``prefetch_line``, ``warm`` and ``flush``;
-* the start of every scalar record loop — ``NativeSimulation.run``'s
-  scalar branch and ``VirtualizedSimulation.run`` — whose inlined
-  ``access`` closures write the lists directly, and the public walker
+* the start of every scalar record loop — the scalar branches of
+  ``NativeSimulation.run`` and ``VirtualizedSimulation.run`` — whose
+  inlined ``access`` closures write the lists directly, and the public walker
   entry points (``PageWalker.walk``/``walk_to_fault``,
   ``NestedPageWalker.walk``).
 
@@ -52,17 +69,19 @@ Byte-identity with the scalar path is a hard invariant (the scalar
 kernel is the differential oracle; see tests/test_columnar_differential
 and ARCHITECTURE.md §12).  The kernel engages in one of three modes —
 ``plain`` (no scheme hooks; the original fast-sweep configuration),
-``asap`` (the only hook is an AsapPrefetcher's walk-start: the
-prefetch issue/completion state machine is compiled into the chunk
-loop, with the range-register outcome, per-level target lines and hole
-flags precomputed per page into the path rows) and ``victima`` (the
+``asap`` (the only hooks are AsapPrefetchers — the walk-start one and,
+in a nested walk, the host one: the prefetch issue/completion state
+machine is compiled into the chunk loop, with the range-register
+outcome, per-level target lines and hole flags precomputed per page
+into the path rows) and ``victima`` (the
 probe is a Victima scheme's and the L2-TLB-eviction hook is a Victima
 park, directly or through the multi-tenant victim router: each
 scheme's parked-entry map is carried as a C hash + FIFO pool, the
 TLB-fill victim filter runs inline and parks each victim in its
 owner's pool).  All other configurations (Revelator, co-runners,
-custom hooks, non-power-of-two geometries) fall back to the scalar
-loop, so every scheme still runs.  MSHR state is
+infinite or clustered TLBs, 5-level page tables, custom hooks,
+non-power-of-two geometries) fall back to the scalar loop, so every
+scheme still runs.  MSHR state is
 round-tripped in every mode and the C ``cache_access`` has the merge
 branch, so in-flight prefetches straddle chunk seams byte-identically.
 
@@ -77,8 +96,9 @@ that VMA for all of its pages.  ``engine_mode`` enforces the rule: any
 other checker, or a descriptor that is not page-aligned or not inside
 one VMA of the checker's tree, keeps the run on the scalar loop.
 
-Native simulations use this kernel by default; ``kernel="scalar"``
-forces the scalar loop, the differential oracle.  The backend is
+Native and virtualized simulations use this kernel by default;
+``kernel="scalar"`` forces the scalar loop, the differential oracle.
+The backend is
 optional: without a C compiler or cffi every run silently stays
 scalar.  Set ``REPRO_REQUIRE_CCORE=1`` to turn backend unavailability
 into an error (CI does this wherever a job checks compiled runs).
@@ -94,29 +114,24 @@ import tempfile
 import threading
 from collections import deque
 from itertools import repeat
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.kernelsim.pt_layout import VmaHoleChecker
 from repro.pagetable.constants import node_tag
+from repro.pagetable.nested import NestedPageWalker
 from repro.sim.order import run_starts
 from repro.tlb.tlb import ASID_SHIFT, asid_bias
 from repro.traces.source import kernel_chunk
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.simulator import NativeSimulation
-
-#: Valid values of the native simulators' ``kernel=`` selector.
+#: Valid values of the simulators' ``kernel=`` selector.
 KERNELS = ("scalar", "columnar")
 
 # --- geometry / counter slot layout (mirrors the C enums) -------------
 
 _G_T = 0          # L1 TLB nsets, stride, ways
 _G_U = 3          # L2 TLB
-_G_P2 = 6         # PWC PL2
-_G_P3 = 9         # PWC PL3
-_G_P4 = 12        # PWC PL4
+_G_P2 = 6         # PWC PL2, PL3, PL4 (6-14)
 _G_C1 = 15        # L1 cache
 _G_C2 = 18        # L2 cache
 _G_C3 = 21        # L3 cache
@@ -135,7 +150,13 @@ _G_PF_N = 35        # asap: number of prefetch-target levels
 _G_PF_L = 36        # asap: the levels themselves (4 slots, 36-39)
 _G_PROBE_LAT = 40   # victima: probe latency (L2 by construction)
 _G_PARK_SELF = 41   # victima: the running scheme's pool (its probes)
-_GEOM_SLOTS = 42
+_G_H2 = 42          # nested: host PWC PL2, PL3, PL4 (42-50)
+_G_HPWC_LAT = 51
+_G_NESTED = 52      # 1 for a VirtualizedSimulation's nested rows
+_G_HPF_N = 53       # nested asap: the host prefetcher's levels (54-57)
+_G_HPF_L = 54
+_G_HREQ_MSHR = 58
+_GEOM_SLOTS = 59
 
 # park meta slots (mirror the C PM_* enum): count, FIFO head and tail,
 # free-list head, hash tombstones, bound (= capacity), hash capacity,
@@ -154,8 +175,12 @@ _PARK_SLOT = 5    # pool slot fields: vpn, frame, prev, next, mark
  K_RR_H, K_RR_M, K_PF_ISSUED, K_PF_USEFUL, K_PF_DROPNM,
  K_PF_NODESC, K_PF_HOLE, K_H_PF_ISSUED, K_H_PF_DROP,
  K_MSHR_ALLOC, K_MSHR_REJ, K_MSHR_MERGE,
- K_V_PROBE_H, K_V_PROBE_M, K_V_LOST) = range(46)
-_COUNTER_SLOTS = 46
+ K_V_PROBE_H, K_V_PROBE_M, K_V_LOST,
+ K_HRR_H, K_HRR_M, K_HPF_ISSUED, K_HPF_USEFUL, K_HPF_DROPNM,
+ K_HPF_NODESC, K_HPF_HOLE,
+ K_HPWC_PROBES, K_HPWC_HITS, K_H2_H, K_H2_M, K_H3_H, K_H3_M,
+ K_H4_H, K_H4_M, K_WALK_ACC) = range(62)
+_COUNTER_SLOTS = 62
 
 # carry slots (the scalar loop's run-wide state tuple)
 _CAR_NOW = 0
@@ -168,22 +193,37 @@ _CAR_L1_BASE = 6
 _CAR_L2_BASE = 7
 _CARRY_SLOTS = 8
 
-#: Figure-9 service histogram: 4 PT levels x 6 labels; row = level - 1,
-#: column = index into SERVICE_LABELS.
-_SERVICE_SLOTS = 24
+#: Figure-9 service histogram: 6 labels per PT level; row = level - 1
+#: for native walks and the guest dimension ("g<level>"), 4 + level - 1
+#: for the host dimension ("h<level>"); column = index into
+#: SERVICE_LABELS.
+_SERVICE_SLOTS = 48
 _SERVICE_LABELS = ("PWC", "L1", "MSHR", "L2", "L3", "MEM")
 
 #: Path-row layout: lines l4 l3 l2 l1, tg2 tg3 tg4, leaf, pframe, large
-#: (cols 0-9, the plain walk) plus the ASAP replay columns — descriptor
-#: flag (10), per-slot prefetch target lines or -1 (11-14) and per-slot
-#: hole flags (15-18).  The ASAP columns are exact under the
-#: node-constancy rule that ``engine_mode`` enforces (module docstring).
+#: (cols 0-9, the plain walk) plus the ASAP replay block (10-18):
+#: descriptor flag, per-slot prefetch target lines or -1, and per-slot
+#: hole flags.  The ASAP columns are exact under the node-constancy
+#: rule that ``engine_mode`` enforces (module docstring).  A row whose
+#: page is unmapped (possible only in a host chain) has leaf 0.
 _PATH_COLS = 19
+_ASAP_COL = 10
 
 #: A path row before its columns are written: no level-1 line (large
 #: pages), no descriptor hit, no prefetch targets (-1), no holes.
 _EMPTY_ROW = np.zeros(_PATH_COLS, dtype=np.int64)
-_EMPTY_ROW[11:15] = -1
+_EMPTY_ROW[_ASAP_COL + 1:_ASAP_COL + 5] = -1
+
+#: Nested-row layout (a guest page of a VirtualizedSimulation): guest PWC
+#: tags tg2 tg3 tg4 (0-2), guest leaf level (3), large flag (4), lazy
+#: flag (5: some page of the path is not mapped by the host page table
+#: yet), the host-chain row of each nested step (6-10: guest levels 4
+#: down to the leaf, then the data page), the guest-physical line of
+#: each guest step's entry (11-14), and the guest ASAP block (15-23).
+_NESTED_COLS = 24
+_R_LEAF, _R_LAZY, _R_CHAIN, _R_GLINE, _R_ASAP = 3, 5, 6, 11, 15
+_EMPTY_NESTED = np.zeros(_NESTED_COLS, dtype=np.int64)
+_EMPTY_NESTED[_R_ASAP + 1:_R_ASAP + 5] = -1
 
 _C_SOURCE = r"""
 #include <string.h>
@@ -193,13 +233,15 @@ typedef long long i64;
 
 /* geometry slots */
 enum {
-    G_T = 0, G_U = 3, G_P2 = 6, G_P3 = 9, G_P4 = 12,
+    G_T = 0, G_U = 3, G_P2 = 6,
     G_C1 = 15, G_C2 = 18, G_C3 = 21,
     G_LAT1 = 24, G_LAT2 = 25, G_LAT3 = 26, G_LATM = 27,
     G_PWC_LAT = 28, G_BASE_CYCLES = 29, G_VBIAS = 30, G_PROBE_LARGE = 31,
     G_MODE = 32, G_REQ_MSHR = 33, G_MSHR_CAP = 34,
     G_PF_N = 35, G_PF_L = 36,
-    G_PROBE_LAT = 40, G_PARK_SELF = 41
+    G_PROBE_LAT = 40, G_PARK_SELF = 41,
+    G_H2 = 42, G_HPWC_LAT = 51, G_NESTED = 52,
+    G_HPF_N = 53, G_HPF_L = 54, G_HREQ_MSHR = 58
 };
 
 /* counter slots */
@@ -213,10 +255,28 @@ enum {
     K_RR_H, K_RR_M, K_PF_ISSUED, K_PF_USEFUL, K_PF_DROPNM,
     K_PF_NODESC, K_PF_HOLE, K_H_PF_ISSUED, K_H_PF_DROP,
     K_MSHR_ALLOC, K_MSHR_REJ, K_MSHR_MERGE,
-    K_V_PROBE_H, K_V_PROBE_M, K_V_LOST
+    K_V_PROBE_H, K_V_PROBE_M, K_V_LOST,
+    K_HRR_H, K_HRR_M, K_HPF_ISSUED, K_HPF_USEFUL, K_HPF_DROPNM,
+    K_HPF_NODESC, K_HPF_HOLE,
+    K_HPWC_PROBES, K_HPWC_HITS, K_H2_H, K_H2_M, K_H3_H, K_H3_M,
+    K_H4_H, K_H4_M, K_WALK_ACC
 };
 
+/* One prefetcher's counter block (K_RR_H.. for the native or guest
+   prefetcher, K_HRR_H.. for the host one) and one PWC's (K_PWC_PROBES..
+   for the native or guest PWC, K_HPWC_PROBES.. for the host one). */
+enum { PF_RR_H, PF_RR_M, PF_ISSUED, PF_USEFUL, PF_DROPNM, PF_NODESC,
+       PF_HOLE };
+enum { PW_PROBES, PW_HITS, PW_L2_H, PW_L2_M };
+
+/* Walk rows: native path rows (and the host chains of nested rows) are
+   PATH_COLS wide, nested rows NESTED_COLS; column names below. */
 #define PATH_COLS 19
+enum { W_LINES = 0, W_TG = 4, W_LEAF = 7, W_FRAME = 8, W_LARGE = 9,
+       W_ASAP = 10 };
+#define NESTED_COLS 24
+enum { R_TG = 0, R_LEAF = 3, R_LARGE = 4, R_LAZY = 5, R_CHAIN = 6,
+       R_GLINE = 11, R_ASAP = 15 };
 #define PARK_BASE (1LL << 50)
 
 /* carry slots */
@@ -753,26 +813,296 @@ static void tlb_fill_small(i64 vpn, i64 frame, const i64 *g, i64 *k,
     }
 }
 
+/* --- walk helpers.  A memory context bundles what every access needs:
+   the three data caches, geometry, counters and the MSHR file. ------ */
+
+typedef struct {
+    cache_t c1, c2, c3;
+    const i64 *g;
+    i64 *k;
+    i64 *mshr;
+} mem_t;
+
+/* CacheHierarchy.access with the L1 MRU shortcut; *level_out as in
+   cache_access (1 on the shortcut). */
+static i64 mem_access(const mem_t *m, i64 line, i64 *level_out, i64 now)
+{
+    const cache_t *c1 = &m->c1;
+    if (c1->lines[(line & (c1->nsets - 1)) * c1->stride] == line) {
+        m->k[K_C1_H]++;
+        m->k[K_SRV_L1]++;
+        *level_out = 1;
+        return m->g[G_LAT1];
+    }
+    return cache_access(c1, &m->c2, &m->c3, m->g, m->k, line, level_out,
+                        now, m->mshr);
+}
+
+/* One split PWC: PL2, PL3 and PL4 arrays; geom holds nsets, stride and
+   ways per level, PL2 first. */
+typedef struct {
+    i64 *tags[3], *frames[3], *sizes[3];
+    const i64 *geom;
+} pwc_t;
+
+/* SplitPwc.probe over a walk's three tags (tg[0] PL2 .. tg[2] PL4):
+   the deepest cached level (2..4), or 0; counters in pk[PW_*]. */
+static i64 pwc_walk_probe(const pwc_t *p, const i64 *tg, i64 *pk)
+{
+    pk[PW_PROBES]++;
+    for (int l = 0; l < 3; l++) {
+        const i64 *geom = p->geom + 3 * l;
+        if (pwc_probe(p->tags[l], p->frames[l], p->sizes[l],
+                      geom[0], geom[1], tg[l])) {
+            pk[PW_HITS]++;
+            pk[PW_L2_H + 2 * l]++;
+            return l + 2;
+        }
+        pk[PW_L2_M + 2 * l]++;
+    }
+    return 0;
+}
+
+/* SplitPwc.insert after a walk whose leaf level is `leaf`: the
+   intermediate levels leaf+1..4. */
+static void pwc_walk_insert(const pwc_t *p, const i64 *tg, i64 leaf)
+{
+    for (i64 l = leaf - 1; l < 3; l++) {
+        const i64 *geom = p->geom + 3 * l;
+        pwc_insert(p->tags[l], p->frames[l], p->sizes[l],
+                   geom[0], geom[1], geom[2], tg[l]);
+    }
+}
+
+/* AsapPrefetcher.on_tlb_miss at `now`, replayed from a row's ASAP block
+   A: A[0] the range-register hit, A[1 + s] the target line of slot s
+   (-1: none), A[5 + s] its hole flag.  The prefetcher's counters are
+   pf[PF_*]; each useful prefetch's completion lands in comp[level]. */
+static void asap_issue(const mem_t *m, const i64 *A, i64 pf_n,
+                       const i64 *levels, i64 require_mshr, i64 now,
+                       i64 *comp, i64 *pf)
+{
+    const i64 *g = m->g;
+    i64 *k = m->k;
+    if (!A[0]) {
+        pf[PF_RR_M]++;
+        pf[PF_NODESC]++;
+        return;
+    }
+    pf[PF_RR_H]++;
+    for (i64 s = 0; s < pf_n; s++) {
+        const i64 pline = A[1 + s];
+        if (pline < 0)
+            continue;
+        i64 completion;
+        if (cache_probe(&m->c1, pline)) {
+            k[K_C1_H]++;
+            k[K_SRV_L1]++;
+            completion = now + g[G_LAT1];
+        } else {
+            k[K_C1_M]++;
+            i64 lvl, lat;
+            if (cache_probe(&m->c2, pline)) {
+                k[K_C2_H]++;
+                lvl = 3;
+                lat = g[G_LAT2];
+            } else {
+                k[K_C2_M]++;
+                if (cache_probe(&m->c3, pline)) {
+                    k[K_C3_H]++;
+                    lvl = 4;
+                    lat = g[G_LAT3];
+                } else {
+                    k[K_C3_M]++;
+                    lvl = 5;
+                    lat = g[G_LATM];
+                }
+            }
+            completion = now + lat;
+            if (require_mshr &&
+                !mshr_try_allocate(m->mshr, g[G_MSHR_CAP], pline, now,
+                                   completion, k)) {
+                k[K_H_PF_DROP]++;
+                pf[PF_DROPNM]++;
+                continue;
+            }
+            cache_install(&m->c1, pline, &k[K_C1_E]);
+            if (lvl >= 4)
+                cache_install(&m->c2, pline, &k[K_C2_E]);
+            if (lvl == 5)
+                cache_install(&m->c3, pline, &k[K_C3_E]);
+            if (lvl == 3) k[K_SRV_L2]++;
+            else if (lvl == 4) k[K_SRV_L3]++;
+            else k[K_SRV_MEM]++;
+            k[K_H_PF_ISSUED]++;
+        }
+        pf[PF_ISSUED]++;
+        if (A[5 + s]) {
+            pf[PF_HOLE]++;
+            continue;
+        }
+        pf[PF_USEFUL]++;
+        comp[levels[s]] = completion;
+    }
+}
+
+/* The node accesses of one radix walk over a PATH_COLS row W, from step
+   `start` (level 4 - start) down to the leaf, beginning at time t: each
+   access may finish no earlier than an in-flight prefetch of its level
+   (comp, -1 for none).  svc, when not NULL, is the walk dimension's
+   service histogram (row = level - 1); *accesses counts the accesses
+   when not NULL.  Returns the finish time. */
+static i64 walk_lines(const mem_t *m, const i64 *W, i64 start, i64 t,
+                      const i64 *comp, i64 *svc, i64 *accesses)
+{
+    const i64 nlines = 5 - W[W_LEAF];
+    for (i64 j = start; j < nlines; j++) {
+        i64 level;
+        t += mem_access(m, W[W_LINES + j], &level, t);
+        if (comp[4 - j] > t)
+            t = comp[4 - j];   /* overlap with prefetch */
+        if (svc)
+            svc[(3 - j) * 6 + level]++;
+        if (accesses)
+            (*accesses)++;
+    }
+    return t;
+}
+
+/* The PWC-served prefix of a walk: steps 0..start-1 (levels 4 down). */
+static void walk_skipped(i64 *svc, i64 start)
+{
+    if (svc)
+        for (i64 j = 0; j < start; j++)
+            svc[(3 - j) * 6 + 0]++;
+}
+
+/* NestedPageWalker._host_walk over the host chain C of one nested step,
+   starting at t: host PWC probe after its latency, host prefetches at
+   that time, then the host node accesses.  Returns the finish time. */
+static i64 host_walk(const mem_t *m, const pwc_t *hpwc, const i64 *C,
+                     i64 t, i64 *svc)
+{
+    const i64 *g = m->g;
+    t += g[G_HPWC_LAT];
+    const i64 skip = pwc_walk_probe(hpwc, C + W_TG, m->k + K_HPWC_PROBES);
+    const i64 start = skip ? 5 - skip : 0;
+    walk_skipped(svc, start);
+    i64 comp[5] = {-1, -1, -1, -1, -1};
+    if (g[G_HPF_N])
+        asap_issue(m, C + W_ASAP, g[G_HPF_N], g + G_HPF_L, g[G_HREQ_MSHR],
+                   t, comp, m->k + K_HRR_H);
+    t = walk_lines(m, C, start, t, comp, svc, &m->k[K_WALK_ACC]);
+    pwc_walk_insert(hpwc, C + W_TG, C[W_LEAF]);
+    return t;
+}
+
+/* NestedPageWalker.walk over nested row R at `now` (Figure 7): guest
+   prefetches at walk start, the guest PWC probe, then per nested step
+   the host walk of its guest-physical page and (guest steps) the guest
+   entry's access at its host line.  The last step translates the data
+   page and has no entry access.  svc, when not NULL, is the service
+   histogram (guest rows 0-3, host rows 4-7).  Returns the latency. */
+static i64 nested_walk(const mem_t *m, const pwc_t *gpwc, const pwc_t *hpwc,
+                       const i64 *R, const i64 *chains, i64 now, i64 *svc)
+{
+    const i64 *g = m->g;
+    i64 comp[5] = {-1, -1, -1, -1, -1};
+    if (g[G_PF_N])
+        asap_issue(m, R + R_ASAP, g[G_PF_N], g + G_PF_L, g[G_REQ_MSHR],
+                   now, comp, m->k + K_RR_H);
+    i64 t = now + g[G_PWC_LAT];
+    const i64 skip = pwc_walk_probe(gpwc, R + R_TG, m->k + K_PWC_PROBES);
+    const i64 start = skip ? 5 - skip : 0;
+    const i64 data = 5 - R[R_LEAF];
+    i64 *hsvc = svc ? svc + 24 : 0;
+    walk_skipped(svc, start);
+    for (i64 j = start;; j++) {
+        const i64 *C = chains + R[R_CHAIN + j] * PATH_COLS;
+        t = host_walk(m, hpwc, C, t, hsvc);
+        if (j == data)
+            break;
+        i64 level;
+        const i64 line = (C[W_FRAME] << 6) | (R[R_GLINE + j] & 63);
+        t += mem_access(m, line, &level, t);
+        if (comp[4 - j] > t)
+            t = comp[4 - j];
+        if (svc)
+            svc[(3 - j) * 6 + level]++;
+        m->k[K_WALK_ACC]++;
+    }
+    pwc_walk_insert(gpwc, R + R_TG, R[R_LEAF]);
+    return t - now;
+}
+
+/* Whether the record for `vpn` would reach the page walk: no TLB level
+   holds a tag for it and (victima) the running tenant's pool has no
+   L2-resident entry for it.  Pure (the scans restore their guard slots
+   and move nothing), so the record replays unchanged on resume. */
+static int walk_pending(const mem_t *m, i64 vpn, i64 *t_tags,
+                        const i64 *t_sizes, i64 *u_tags, const i64 *u_sizes,
+                        const park_t *parks)
+{
+    const i64 *g = m->g;
+    const i64 tags[2] = {vpn << 1, ((vpn >> 9) << 1) | 1};
+    const int ntags = g[G_PROBE_LARGE] ? 2 : 1;
+    for (int x = 0; x < ntags; x++) {
+        i64 set = tags[x] & (g[G_T] - 1);
+        i64 base = set * g[G_T + 1];
+        if (lru_scan(t_tags, base, base + t_sizes[set], tags[x]) >= 0)
+            return 0;
+        set = tags[x] & (g[G_U] - 1);
+        base = set * g[G_U + 1];
+        if (lru_scan(u_tags, base, base + u_sizes[set], tags[x]) >= 0)
+            return 0;
+    }
+    if (g[G_MODE] == 2 && park_find(&parks[g[G_PARK_SELF]], vpn) >= 0) {
+        const i64 line = PARK_BASE | vpn;
+        const cache_t *c2 = &m->c2;
+        const i64 base = (line & (c2->nsets - 1)) * c2->stride;
+        if (lru_scan(c2->lines, base,
+                     base + c2->sizes[line & (c2->nsets - 1)], line) >= 0)
+            return 0;
+    }
+    return 1;
+}
+
+/* Replay records [0, n) and return how many ran: n, or fewer when
+   `lazy` is set and the next record would walk a nested row whose path
+   crosses a guest-physical page the host page table does not map yet
+   (the caller maps it, fixes the rows and resumes at that record).
+   Native rows (G_NESTED 0) are PATH_COLS wide; nested rows index the
+   host-chain table `chains` and use the host PWC (h*). */
 i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
                   i64 collect_service,
                   const i64 *rowidx, const i64 *paths,
+                  const i64 *chains, i64 lazy,
                   i64 *carry, i64 *k, const i64 *g, i64 *service,
                   i64 *t_tags, i64 *t_frames, i64 *t_sizes,
                   i64 *u_tags, i64 *u_frames, i64 *u_sizes,
                   i64 *p2_tags, i64 *p2_frames, i64 *p2_sizes,
                   i64 *p3_tags, i64 *p3_frames, i64 *p3_sizes,
                   i64 *p4_tags, i64 *p4_frames, i64 *p4_sizes,
+                  i64 *h2_tags, i64 *h2_frames, i64 *h2_sizes,
+                  i64 *h3_tags, i64 *h3_frames, i64 *h3_sizes,
+                  i64 *h4_tags, i64 *h4_frames, i64 *h4_sizes,
                   i64 *c1_lines, i64 *c1_sizes, unsigned char *c1_touched,
                   i64 *c2_lines, i64 *c2_sizes, unsigned char *c2_touched,
                   i64 *c3_lines, i64 *c3_sizes, unsigned char *c3_touched,
                   i64 *mshr, const park_t *parks, const i64 *route)
 {
-    const cache_t c1 = {c1_lines, c1_sizes, c1_touched,
-                        g[G_C1], g[G_C1 + 1], g[G_C1 + 2]};
-    const cache_t c2 = {c2_lines, c2_sizes, c2_touched,
-                        g[G_C2], g[G_C2 + 1], g[G_C2 + 2]};
-    const cache_t c3 = {c3_lines, c3_sizes, c3_touched,
-                        g[G_C3], g[G_C3 + 1], g[G_C3 + 2]};
+    const mem_t m = {
+        {c1_lines, c1_sizes, c1_touched, g[G_C1], g[G_C1 + 1], g[G_C1 + 2]},
+        {c2_lines, c2_sizes, c2_touched, g[G_C2], g[G_C2 + 1], g[G_C2 + 2]},
+        {c3_lines, c3_sizes, c3_touched, g[G_C3], g[G_C3 + 1], g[G_C3 + 2]},
+        g, k, mshr};
+    const pwc_t pwc = {{p2_tags, p3_tags, p4_tags},
+                       {p2_frames, p3_frames, p4_frames},
+                       {p2_sizes, p3_sizes, p4_sizes}, g + G_P2};
+    const pwc_t hpwc = {{h2_tags, h3_tags, h4_tags},
+                        {h2_frames, h3_frames, h4_frames},
+                        {h2_sizes, h3_sizes, h4_sizes}, g + G_H2};
+    const cache_t *c2 = &m.c2;
     i64 now = carry[CAR_NOW];
     i64 measuring = carry[CAR_MEASURING];
     i64 acc = carry[CAR_ACC];
@@ -784,15 +1114,21 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
     const i64 base_cycles = g[G_BASE_CYCLES];
     const i64 pwc_lat = g[G_PWC_LAT];
     const i64 mode = g[G_MODE];
+    const i64 nested = g[G_NESTED];
 
-    for (i64 i = 0; i < n; i++) {
+    i64 i;
+    for (i = 0; i < n; i++) {
+        const i64 va = va_arr[i];
+        const i64 vpn = (va >> 12) | vbias;
+        if (lazy && paths[rowidx[i] * NESTED_COLS + R_LAZY]
+                && walk_pending(&m, vpn, t_tags, t_sizes, u_tags, u_sizes,
+                                parks))
+            break;
         if (!measuring && i >= warmup) {
             measuring = 1;
             carry[CAR_L1_BASE] = k[K_L1H];
             carry[CAR_L2_BASE] = k[K_L2H];
         }
-        const i64 va = va_arr[i];
-        const i64 vpn = (va >> 12) | vbias;
         i64 frame = EMPTY;
         i64 translation = 0;
 
@@ -885,9 +1221,9 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
                 if (slot >= 0) {
                     const i64 idx = own->hash[slot];
                     const i64 pline = PARK_BASE | vpn;
-                    if (cache_probe(&c2, pline)) {
+                    if (cache_probe(c2, pline)) {
                         k[K_C2_H]++;
-                        cache_invalidate(&c2, pline);
+                        cache_invalidate(c2, pline);
                         frame = own->pool[idx * PS_SLOT + PS_FRAME];
                         park_unlink(own, slot, idx);
                         k[K_V_PROBE_H]++;
@@ -895,7 +1231,7 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
                         tlb_fill_small(vpn, frame, g, k,
                                        t_tags, t_frames, t_sizes,
                                        u_tags, u_frames, u_sizes,
-                                       1, parks, route, &c2);
+                                       1, parks, route, c2);
                         if (measuring)
                             walk_c += translation;
                         walked = 0;
@@ -912,145 +1248,41 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
             }
             if (walked) {
             /* --- full miss: priced page walk ----------------------- */
-            const i64 *P = paths + rowidx[i] * PATH_COLS;
-            i64 comp[5] = {-1, -1, -1, -1, -1};
-            if (mode == 1) {
-                /* --- ASAP prefetch replay (at `now`, before the PWC
-                   probes, exactly where the scalar walk_start hook
-                   fires) -------------------------------------------- */
-                if (!P[10]) {
-                    k[K_RR_M]++;
-                    k[K_PF_NODESC]++;
-                } else {
-                    k[K_RR_H]++;
-                    const i64 pf_n = g[G_PF_N];
-                    for (i64 s = 0; s < pf_n; s++) {
-                        const i64 pline = P[11 + s];
-                        if (pline < 0)
-                            continue;
-                        i64 completion;
-                        if (cache_probe(&c1, pline)) {
-                            k[K_C1_H]++;
-                            k[K_SRV_L1]++;
-                            completion = now + g[G_LAT1];
-                        } else {
-                            k[K_C1_M]++;
-                            i64 lvl, lat;
-                            if (cache_probe(&c2, pline)) {
-                                k[K_C2_H]++;
-                                lvl = 3;
-                                lat = g[G_LAT2];
-                            } else {
-                                k[K_C2_M]++;
-                                if (cache_probe(&c3, pline)) {
-                                    k[K_C3_H]++;
-                                    lvl = 4;
-                                    lat = g[G_LAT3];
-                                } else {
-                                    k[K_C3_M]++;
-                                    lvl = 5;
-                                    lat = g[G_LATM];
-                                }
-                            }
-                            completion = now + lat;
-                            if (g[G_REQ_MSHR] &&
-                                !mshr_try_allocate(mshr, g[G_MSHR_CAP],
-                                                   pline, now,
-                                                   completion, k)) {
-                                k[K_H_PF_DROP]++;
-                                k[K_PF_DROPNM]++;
-                                continue;
-                            }
-                            cache_install(&c1, pline, &k[K_C1_E]);
-                            if (lvl >= 4)
-                                cache_install(&c2, pline, &k[K_C2_E]);
-                            if (lvl == 5)
-                                cache_install(&c3, pline, &k[K_C3_E]);
-                            if (lvl == 3) k[K_SRV_L2]++;
-                            else if (lvl == 4) k[K_SRV_L3]++;
-                            else k[K_SRV_MEM]++;
-                            k[K_H_PF_ISSUED]++;
-                        }
-                        k[K_PF_ISSUED]++;
-                        if (P[15 + s]) {
-                            k[K_PF_HOLE]++;
-                            continue;
-                        }
-                        k[K_PF_USEFUL]++;
-                        comp[g[G_PF_L + s]] = completion;
-                    }
-                }
-            }
-            i64 t_clock = now + pwc_lat;
-            i64 skip_from = 0;
-            k[K_PWC_PROBES]++;
-            if (pwc_probe(p2_tags, p2_frames, p2_sizes,
-                          g[G_P2], g[G_P2 + 1], P[4])) {
-                k[K_PWC_HITS]++;
-                k[K_P2_H]++;
-                skip_from = 2;
+            i64 *svc = (measuring && collect_service) ? service : 0;
+            i64 large;
+            if (nested) {
+                const i64 *R = paths + rowidx[i] * NESTED_COLS;
+                translation = nested_walk(&m, &pwc, &hpwc, R, chains, now,
+                                          svc);
+                frame = chains[R[R_CHAIN + 5 - R[R_LEAF]] * PATH_COLS
+                               + W_FRAME];
+                large = R[R_LARGE];
             } else {
-                k[K_P2_M]++;
-                if (pwc_probe(p3_tags, p3_frames, p3_sizes,
-                              g[G_P3], g[G_P3 + 1], P[5])) {
-                    k[K_PWC_HITS]++;
-                    k[K_P3_H]++;
-                    skip_from = 3;
-                } else {
-                    k[K_P3_M]++;
-                    if (pwc_probe(p4_tags, p4_frames, p4_sizes,
-                                  g[G_P4], g[G_P4 + 1], P[6])) {
-                        k[K_PWC_HITS]++;
-                        k[K_P4_H]++;
-                        skip_from = 4;
-                    } else {
-                        k[K_P4_M]++;
-                    }
-                }
+                const i64 *P = paths + rowidx[i] * PATH_COLS;
+                i64 comp[5] = {-1, -1, -1, -1, -1};
+                if (mode == 1)
+                    /* ASAP prefetch replay (at `now`, before the PWC
+                       probes, exactly where the scalar walk_start hook
+                       fires) */
+                    asap_issue(&m, P + W_ASAP, g[G_PF_N], g + G_PF_L,
+                               g[G_REQ_MSHR], now, comp, k + K_RR_H);
+                const i64 skip = pwc_walk_probe(&pwc, P + W_TG,
+                                                k + K_PWC_PROBES);
+                const i64 start = skip ? 5 - skip : 0;
+                walk_skipped(svc, start);
+                translation = walk_lines(&m, P, start, now + pwc_lat, comp,
+                                         svc, 0) - now;
+                pwc_walk_insert(&pwc, P + W_TG, P[W_LEAF]);
+                frame = P[W_FRAME];
+                large = P[W_LARGE];
             }
-            const i64 leaf = P[7];
-            const i64 nlines = leaf == 1 ? 4 : 3;
-            const int svc = (measuring && collect_service) ? 1 : 0;
-            const i64 start = skip_from ? 5 - skip_from : 0;
-            if (svc) {
-                /* skipped prefix: level 4-j served by the PWC */
-                for (i64 j = 0; j < start; j++)
-                    service[(4 - j - 1) * 6 + 0]++;
-            }
-            for (i64 j = start; j < nlines; j++) {
-                const i64 line = P[j];
-                i64 level = 1;
-                i64 lat;
-                if (c1.lines[(line & (c1.nsets - 1)) * c1.stride] == line) {
-                    k[K_C1_H]++;
-                    k[K_SRV_L1]++;
-                    lat = g[G_LAT1];
-                } else {
-                    lat = cache_access(&c1, &c2, &c3, g, k, line, &level,
-                                       t_clock, mshr);
-                }
-                t_clock += lat;
-                if (mode == 1 && comp[4 - j] > t_clock)
-                    t_clock = comp[4 - j];  /* overlap with prefetch */
-                if (svc)
-                    service[(4 - j - 1) * 6 + level]++;
-            }
-            if (leaf == 1)
-                pwc_insert(p2_tags, p2_frames, p2_sizes,
-                           g[G_P2], g[G_P2 + 1], g[G_P2 + 2], P[4]);
-            pwc_insert(p3_tags, p3_frames, p3_sizes,
-                       g[G_P3], g[G_P3 + 1], g[G_P3 + 2], P[5]);
-            pwc_insert(p4_tags, p4_frames, p4_sizes,
-                       g[G_P4], g[G_P4 + 1], g[G_P4 + 2], P[6]);
-            translation = t_clock - now;
             k[K_WALKS]++;
             k[K_WALK_CYCLES] += translation;
-            frame = P[8];
             /* TLB fill — both tags known absent after the full miss.
                Large fills never hand a victim to the park hook (the
                generic fill path has no hook); small fills do when in
                victima mode. */
-            if (P[9]) {
+            if (large) {
                 const i64 ltag = ((vpn >> 9) << 1) | 1;
                 const i64 t_set = ltag & (g[G_T] - 1);
                 lru_install(t_tags, t_frames, t_sizes, t_set,
@@ -1062,7 +1294,7 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
                 tlb_fill_small(vpn, frame, g, k,
                                t_tags, t_frames, t_sizes,
                                u_tags, u_frames, u_sizes,
-                               mode == 2, parks, route, &c2);
+                               mode == 2, parks, route, c2);
             }
             if (measuring) {
                 walk_c += translation;
@@ -1075,15 +1307,7 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
         {
             const i64 line = (frame << 6) | ((va & 0xFFF) >> 6);
             i64 level;
-            i64 dlat;
-            if (c1.lines[(line & (c1.nsets - 1)) * c1.stride] == line) {
-                k[K_C1_H]++;
-                k[K_SRV_L1]++;
-                dlat = g[G_LAT1];
-            } else {
-                dlat = cache_access(&c1, &c2, &c3, g, k, line, &level,
-                                    now + translation, mshr);
-            }
+            const i64 dlat = mem_access(&m, line, &level, now + translation);
             now += base_cycles + translation + dlat;
             if (measuring) {
                 acc++;
@@ -1098,7 +1322,7 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
     carry[CAR_DATA_C] = data_c;
     carry[CAR_WALK_C] = walk_c;
     carry[CAR_WALK_COUNT] = walk_count;
-    return 0;
+    return i;
 }
 """
 
@@ -1112,6 +1336,7 @@ typedef struct {
 long long col_run_chunk(const long long *va_arr, long long n,
     long long warmup, long long collect_service,
     const long long *rowidx, const long long *paths,
+    const long long *chains, long long lazy,
     long long *carry, long long *k, const long long *g,
     long long *service,
     long long *t_tags, long long *t_frames, long long *t_sizes,
@@ -1119,6 +1344,9 @@ long long col_run_chunk(const long long *va_arr, long long n,
     long long *p2_tags, long long *p2_frames, long long *p2_sizes,
     long long *p3_tags, long long *p3_frames, long long *p3_sizes,
     long long *p4_tags, long long *p4_frames, long long *p4_sizes,
+    long long *h2_tags, long long *h2_frames, long long *h2_sizes,
+    long long *h3_tags, long long *h3_frames, long long *h3_sizes,
+    long long *h4_tags, long long *h4_frames, long long *h4_sizes,
     long long *c1_lines, long long *c1_sizes, unsigned char *c1_touched,
     long long *c2_lines, long long *c2_sizes, unsigned char *c2_touched,
     long long *c3_lines, long long *c3_sizes, unsigned char *c3_touched,
@@ -1208,13 +1436,28 @@ def columnar_available() -> bool:
     return _BACKEND is not None
 
 
-def _pow2_geometry(sim: "NativeSimulation") -> bool:
+def _nested(sim) -> bool:
+    """Whether ``sim`` is a VirtualizedSimulation (nested rows, a guest
+    and a host PWC) rather than a NativeSimulation."""
+    from repro.sim.virt import VirtualizedSimulation
+
+    return isinstance(sim, VirtualizedSimulation)
+
+
+def _pwcs(sim) -> tuple:
+    """The simulation's split PWCs: the native one, or guest then host."""
+    if _nested(sim):
+        return sim.guest_pwc, sim.host_pwc
+    return (sim.pwc,)
+
+
+def _pow2_geometry(sim) -> bool:
     # The C kernel maps tags to sets with `tag & (nsets - 1)`; custom
     # machine geometries with non-power-of-two set counts (valid for
     # the scalar `tag % nsets`) stay on the scalar loop.
     units = [sim.tlbs.l1, sim.tlbs.l2_plain,
              sim.hierarchy.l1, sim.hierarchy.l2, sim.hierarchy.l3]
-    units += [unit for _, unit in sim.pwc.view]
+    units += [unit for pwc in _pwcs(sim) for _, unit in pwc.view]
     return not any(unit.num_sets & (unit.num_sets - 1) for unit in units)
 
 
@@ -1246,7 +1489,7 @@ def _asap_rows_exact(prefetcher) -> bool:
     return True
 
 
-def _park_routes(sim: "NativeSimulation") -> tuple | None:
+def _park_routes(sim) -> tuple | None:
     """Where the L2 S-TLB victims of this run park, when the kernel can
     park them: ``(schemes, route)``.
 
@@ -1295,48 +1538,87 @@ def _park_routes(sim: "NativeSimulation") -> tuple | None:
     return tuple(schemes), (None if routed is None else tuple(route))
 
 
-def engine_mode(sim: "NativeSimulation", fast_ok: bool) -> str | None:
+def _asap_prefetchers(sim) -> tuple | None:
+    """``(walk-start prefetcher, host prefetcher)`` when the scheme's
+    ASAP hooks are prefetchers the kernel replays exactly, else ``None``.
+
+    The walk-start one (the native or guest dimension's) must be an
+    AsapPrefetcher's bound ``on_tlb_miss``; the host one (nested walks
+    only) races every host walk.  Either may be absent, not both.  Each
+    must prefetch one to four levels in 1..4 into ``sim.hierarchy``,
+    from descriptors whose rows :func:`_asap_rows_exact` allows.
+    """
+    from repro.core.prefetcher import AsapPrefetcher
+
+    scheme = sim.scheme
+    walk_start = scheme.walk_start_hook()
+    host = scheme.host_prefetcher if _nested(sim) else None
+    if walk_start is None and host is None:
+        return None
+    guest = None
+    if walk_start is not None:
+        if getattr(walk_start, "__func__", None) is not \
+                AsapPrefetcher.on_tlb_miss:
+            return None
+        guest = walk_start.__self__
+    for prefetcher in (guest, host):
+        if prefetcher is not None and not (
+                type(prefetcher) is AsapPrefetcher
+                and prefetcher.hierarchy is sim.hierarchy
+                and 0 < len(prefetcher.levels) <= 4
+                and all(1 <= lv <= 4 for lv in prefetcher.levels)
+                and _asap_rows_exact(prefetcher)):
+            return None
+    return guest, host
+
+
+def _nested_walker_ok(sim) -> bool:
+    """The nested structure the kernel transliterates: 4-level guest and
+    host page tables, and a NestedPageWalker over the simulation's own
+    hierarchy and PWCs."""
+    walker = sim.walker
+    return (sim.vm.guest.page_table.levels == 4 and sim.vm.hpt.levels == 4
+            and type(walker) is NestedPageWalker
+            and walker.hierarchy is sim.hierarchy
+            and walker.guest_pwc is sim.guest_pwc
+            and walker.host_pwc is sim.host_pwc)
+
+
+def engine_mode(sim, fast_ok: bool) -> str | None:
     """Which compiled kernel mode (if any) can replay this run().
 
-    Returns ``"plain"`` for the hook-free fast-sweep configuration
-    (``fast_ok``), ``"asap"`` when the only hook is an AsapPrefetcher's
-    ``on_tlb_miss`` walk-start, ``"victima"`` when the probe is the
-    scheme's own Victima probe and every victim parks through a Victima
-    ``_park`` (:func:`_park_routes`), and ``None`` otherwise (Revelator,
-    co-runner and custom-hook cells stay on the scalar loop).  All modes additionally need power-of-two set counts
-    and a compiled backend.  In-flight MSHRs are fine — the kernel
-    carries the MSHR file and has the merge branch.
+    ``sim`` is a NativeSimulation or a VirtualizedSimulation; ``fast_ok``
+    says the run has no scheme hook at all (the native fast-sweep
+    configuration; for a nested run, no host prefetcher either).
+    Returns ``"plain"`` then, ``"asap"`` when the only hooks are
+    AsapPrefetchers (:func:`_asap_prefetchers`), ``"victima"`` when the
+    probe is the scheme's own Victima probe and every victim parks
+    through a Victima ``_park`` (:func:`_park_routes`), and ``None``
+    otherwise: Revelator, co-runner, infinite- or clustered-TLB,
+    5-level and custom-hook cells stay on the scalar loop.  All modes
+    additionally need power-of-two set counts and a compiled backend.
+    In-flight MSHRs are fine — the kernel carries the MSHR file and has
+    the merge branch.
     """
+    tlbs = sim.tlbs
+    if (sim.corunner is not None or tlbs.infinite or tlbs.l2_plain is None
+            or any(len(pwc.view) != 3 for pwc in _pwcs(sim))
+            or (_nested(sim) and not _nested_walker_ok(sim))):
+        return None
     mode = None
     if fast_ok:
         mode = "plain"
     else:
-        # Structural preconditions shared with fast_ok, minus the hooks.
-        tlbs = sim.tlbs
-        if (sim.corunner is not None or tlbs.infinite
-                or sim.clustered_tlb or len(sim.pwc.view) != 3):
-            return None
         scheme = sim.scheme
         probe = scheme.probe_hook()
-        walk_start = scheme.walk_start_hook()
         if (scheme.walk_end_hook() is not None
                 or scheme.fill_hook() is not None):
             return None
-        if (walk_start is not None and probe is None
-                and tlbs.l2_evict_hook is None):
-            from repro.core.prefetcher import AsapPrefetcher
-
-            prefetcher = getattr(walk_start, "__self__", None)
-            if (type(prefetcher) is AsapPrefetcher
-                    and getattr(walk_start, "__func__", None)
-                    is AsapPrefetcher.on_tlb_miss
-                    and prefetcher.hierarchy is sim.hierarchy
-                    and prefetcher.levels
-                    and len(prefetcher.levels) <= 4
-                    and all(1 <= lv <= 4 for lv in prefetcher.levels)
-                    and _asap_rows_exact(prefetcher)):
+        if probe is None and tlbs.l2_evict_hook is None:
+            if _asap_prefetchers(sim) is not None:
                 mode = "asap"
-        elif probe is not None and walk_start is None:
+        elif (probe is not None and scheme.walk_start_hook() is None
+              and scheme.host_prefetcher is None):
             from repro.schemes.victima import VictimaLike
 
             if (type(scheme) is VictimaLike
@@ -1365,23 +1647,32 @@ class _PathTable:
     lines from one node-map lookup per distinct node, ASAP columns per
     descriptor as a contiguous slice of the sorted pages.  Every column
     is written straight into the grown ``paths`` matrix.
+
+    Subclasses keep the key-to-row mapping and change what a row holds
+    (``EMPTY`` and ``_add``): the host chains and the nested rows of a
+    VirtualizedSimulation below.
     """
 
+    #: A row before its columns are written (its width is the row's).
+    EMPTY = _EMPTY_ROW
+    #: Rows whose walk needs a host mapping made first (nested rows).
+    lazy = 0
+
     def __init__(self) -> None:
-        self.known = np.empty(0, dtype=np.int64)  # sorted biased vpns
+        self.known = np.empty(0, dtype=np.int64)  # sorted keys
         self.rows = np.empty(0, dtype=np.int64)   # row ids, aligned
-        self.paths = np.empty((0, _PATH_COLS), dtype=np.int64)
+        self.paths = np.empty((0, self.EMPTY.size), dtype=np.int64)
         self.count = 0
 
     def clear(self) -> None:
         self.__init__()
 
-    def rows_for(self, vpns: np.ndarray, process, vbias: int,
-                 prefetcher=None) -> np.ndarray:
-        """Row index for every element of ``vpns`` (biased), building
-        rows for VPNs not seen before.  ``prefetcher`` is ``None`` or
-        the :class:`~repro.core.prefetcher.AsapPrefetcher` whose replay
-        columns the rows carry.
+    def rows_for(self, vpns: np.ndarray, *context) -> np.ndarray:
+        """Row index for every element of ``vpns``, building rows for
+        keys not seen before.  ``context`` is what ``_add`` builds them
+        from; a native table's is the process, the ASID bias and the
+        :class:`~repro.core.prefetcher.AsapPrefetcher` whose replay
+        columns the rows carry (or ``None``).
 
         One sort per chunk maps records to rows: the distinct VPNs are
         looked up in (or added to) ``known``, and the inverse index
@@ -1396,8 +1687,7 @@ class _PathTable:
             ids[hit] = self.rows[slot[hit]]
             fresh = ~hit
         if fresh.any():
-            ids[fresh] = self._add(uniq[fresh], process, vbias,
-                                   prefetcher)
+            ids[fresh] = self._add(uniq[fresh], *context)
         return ids[inverse]
 
     def _add(self, new: np.ndarray, process, vbias: int,
@@ -1407,37 +1697,34 @@ class _PathTable:
         is committed."""
         pt = process.page_table
         raw = new & ((1 << ASID_SHIFT) - 1) if vbias else new
-        leaf, pframe = self._leaves(raw, process)
-        count = new.size
+        leaf, pframe = self._leaves(raw, pt)
+        _require_mapped(raw, leaf, process)
+        self._walk_rows(self._grow(new.size), raw, leaf, pframe, pt, vbias,
+                        prefetcher)
+        return self._commit(new)
+
+    def _grow(self, count: int) -> np.ndarray:
+        """The next ``count`` rows, set to ``EMPTY``."""
         start = self.count
         needed = start + count
         if needed > self.paths.shape[0]:
             # Doubling past `needed` leaves room for the next chunks'
             # rows without another copy; rows never written are never
             # paged in.
-            grown = np.empty((max(2 * needed, 1024), _PATH_COLS),
+            grown = np.empty((max(2 * needed, 1024), self.EMPTY.size),
                              dtype=np.int64)
             grown[:start] = self.paths[:start]
             self.paths = grown
         rows = self.paths[start:needed]
-        rows[:] = _EMPTY_ROW
-        rows[:, 0] = self._node_lines(raw, 4, pt)
-        rows[:, 1] = self._node_lines(raw, 3, pt)
-        rows[:, 2] = self._node_lines(raw, 2, pt)
-        small = leaf == 1
-        if small.any():
-            rows[small, 3] = self._node_lines(raw[small], 1, pt)
-        rows[:, 4] = (raw >> 9) | vbias
-        rows[:, 5] = (raw >> 18) | vbias
-        rows[:, 6] = (raw >> 27) | vbias
-        rows[:, 7] = leaf
-        rows[:, 8] = pframe
-        rows[:, 9] = ~small
-        if prefetcher is not None:
-            self._asap_columns(rows, raw << 12, prefetcher)
-        self.count = needed
+        rows[:] = self.EMPTY
+        return rows
 
-        ids = np.arange(start, needed, dtype=np.int64)
+    def _commit(self, new: np.ndarray) -> np.ndarray:
+        """Publish the rows ``_grow`` handed out for the sorted keys
+        ``new``; returns their ids."""
+        start = self.count
+        self.count = start + new.size
+        ids = np.arange(start, self.count, dtype=np.int64)
         # `new` is sorted (np.unique output), so one merged insert keeps
         # `known`/`rows` aligned and sorted.
         at = np.searchsorted(self.known, new)
@@ -1445,14 +1732,32 @@ class _PathTable:
         self.rows = np.insert(self.rows, at, ids)
         return ids
 
+    @classmethod
+    def _walk_rows(cls, rows: np.ndarray, raw: np.ndarray, leaf, pframe,
+                   pt, vbias: int, prefetcher) -> None:
+        """Write the walk columns of ``rows`` for the sorted vpns ``raw``,
+        which ``pt`` maps (``leaf``/``pframe`` from :meth:`_leaves`)."""
+        rows[:, 0] = cls._node_lines(raw, 4, pt)
+        rows[:, 1] = cls._node_lines(raw, 3, pt)
+        rows[:, 2] = cls._node_lines(raw, 2, pt)
+        small = leaf == 1
+        if small.any():
+            rows[small, 3] = cls._node_lines(raw[small], 1, pt)
+        rows[:, 4] = (raw >> 9) | vbias
+        rows[:, 5] = (raw >> 18) | vbias
+        rows[:, 6] = (raw >> 27) | vbias
+        rows[:, 7] = leaf
+        rows[:, 8] = pframe
+        rows[:, 9] = ~small
+        if prefetcher is not None:
+            cls._asap_columns(rows[:, _ASAP_COL:], raw << 12, prefetcher)
+
     @staticmethod
-    def _leaves(raw: np.ndarray, process) -> tuple[np.ndarray, np.ndarray]:
-        """``(leaf level, frame)`` per (raw, sorted) vpn: the 4KB map
-        first, then the 2MB map for the misses.  The first unmapped vpn
-        raises the PageFault the scalar walk would (at chunk pre-scan
-        rather than at the faulting record — the only observable
-        divergence, and only on faulting traces)."""
-        pages, large = process.page_table.leaf_maps()
+    def _leaves(raw: np.ndarray, pt) -> tuple[np.ndarray, np.ndarray]:
+        """``(leaf level, frame)`` per (raw, sorted) vpn of page table
+        ``pt``: the 4KB map first, then the 2MB map for the misses.
+        Leaf 0 and frame -1 where ``pt`` maps neither."""
+        pages, large = pt.leaf_maps()
         pframe = np.fromiter(map(pages.get, raw.tolist(), repeat(-1)),
                              dtype=np.int64, count=raw.size)
         leaf = np.ones(raw.size, dtype=np.int64)
@@ -1462,13 +1767,9 @@ class _PathTable:
             bases = np.fromiter(
                 map(large.get, (vpns >> 9).tolist(), repeat(-1)),
                 dtype=np.int64, count=miss.size)
-            unmapped = np.flatnonzero(bases < 0)
-            if unmapped.size:
-                process.flat_walk(int(vpns[unmapped[0]]) << 12)
-                raise AssertionError("flat_walk did not raise for an "
-                                     "unmapped vpn")
-            leaf[miss] = 2
-            pframe[miss] = bases + (vpns & 511)
+            found = bases >= 0
+            leaf[miss] = np.where(found, 2, 0)
+            pframe[miss] = np.where(found, bases + (vpns & 511), -1)
         return leaf, pframe
 
     @staticmethod
@@ -1485,12 +1786,14 @@ class _PathTable:
         return (np.repeat(bases, runs) + index * 8) >> 6
 
     @staticmethod
-    def _asap_columns(rows: np.ndarray, vas: np.ndarray, prefetcher) -> None:
-        """The ASAP replay columns for page-base addresses ``vas``
-        (sorted).  Descriptors are sorted and disjoint, so the pages a
-        descriptor covers are one slice of ``vas``: the range-register
-        hit, replayed without touching the register counters (those
-        live in the kernel).  Targets come from the descriptor's own
+    def _asap_columns(block: np.ndarray, vas: np.ndarray,
+                      prefetcher) -> None:
+        """The ASAP replay block (descriptor flag, four target lines,
+        four hole flags) for page-base addresses ``vas`` (sorted).
+        Descriptors are sorted and disjoint, so the pages a descriptor
+        covers are one slice of ``vas``: the range-register hit,
+        replayed without touching the register counters (those live in
+        the kernel).  Targets come from the descriptor's own
         base-plus-offset arithmetic over the slice; hole verdicts once
         per (descriptor, level, node), which the module's node-constancy
         rule makes exact."""
@@ -1500,20 +1803,157 @@ class _PathTable:
             lo, hi = np.searchsorted(vas, (descriptor.start, descriptor.end))
             if lo == hi:
                 continue
-            block = rows[lo:hi]
+            rows = block[lo:hi]
             pages = vas[lo:hi]
-            block[:, 10] = 1
+            rows[:, 0] = 1
             for s, level in enumerate(levels):
                 target = descriptor.entry_addr(pages, level)
                 if target is None:
                     continue
-                block[:, 11 + s] = target >> 6
+                rows[:, 1 + s] = target >> 6
                 if hole_checker is None:
                     continue
                 first, runs = _runs(node_tag(pages, level))
                 verdicts = [hole_checker(va, level)
                             for va in pages[first].tolist()]
-                block[:, 15 + s] = np.repeat(verdicts, runs)
+                rows[:, 5 + s] = np.repeat(verdicts, runs)
+
+
+def _require_mapped(raw: np.ndarray, leaf: np.ndarray, process) -> None:
+    """Raise the PageFault the scalar walk would for the first vpn of
+    ``raw`` that ``process`` does not map (at chunk pre-scan rather than
+    at the faulting record — the only observable divergence, and only
+    on faulting traces)."""
+    unmapped = np.flatnonzero(leaf == 0)
+    if unmapped.size:
+        process.flat_walk(int(raw[unmapped[0]]) << 12)
+        raise AssertionError("flat_walk did not raise for an unmapped vpn")
+
+
+class _HostChains(_PathTable):
+    """The host walks of a VirtualizedSimulation's nested rows: one path
+    row per guest-physical page over the VM's host page table, its PWC
+    tags ORed with the VM's bias — host walks translate a page, so one
+    row serves every nested step that lands in it.
+
+    Populate backs every guest page and every guest page-table node it
+    creates, but not the guest root node's page: the scalar loop maps
+    that through ``VirtualMachine.translate_gpa`` at the first walk that
+    needs it, drawing a host frame.  A row for a page the host page
+    table does not map yet keeps leaf 0 until :meth:`remap` finds it
+    mapped.
+    """
+
+    def _add(self, new: np.ndarray, hpt, vbias: int,
+             prefetcher=None) -> np.ndarray:
+        leaf, frame = self._leaves(new, hpt)
+        self._fill(self._grow(new.size), new, leaf, frame, hpt, vbias,
+                   prefetcher)
+        return self._commit(new)
+
+    def _fill(self, rows, gpages, leaf, frame, hpt, vbias,
+              prefetcher) -> None:
+        """The walk columns of the mapped pages among ``gpages``."""
+        mapped = leaf > 0
+        if mapped.all():
+            self._walk_rows(rows, gpages, leaf, frame, hpt, vbias,
+                            prefetcher)
+        elif mapped.any():
+            block = np.tile(self.EMPTY, (int(mapped.sum()), 1))
+            self._walk_rows(block, gpages[mapped], leaf[mapped],
+                            frame[mapped], hpt, vbias, prefetcher)
+            rows[mapped] = block
+
+    def remap(self, hpt, vbias: int, prefetcher=None) -> bool:
+        """Fill the rows of pages mapped since they were built; returns
+        whether there were any."""
+        pending = np.flatnonzero(self.paths[:self.count, 7] == 0)
+        if not pending.size:
+            return False
+        keys = np.empty(self.count, dtype=np.int64)
+        keys[self.rows] = self.known
+        pending = pending[np.argsort(keys[pending])]
+        gpages = keys[pending]
+        leaf, frame = self._leaves(gpages, hpt)
+        if not leaf.any():
+            return False
+        rows = self.paths[pending]
+        self._fill(rows, gpages, leaf, frame, hpt, vbias, prefetcher)
+        self.paths[pending] = rows
+        return True
+
+
+class _NestedRows(_PathTable):
+    """A VirtualizedSimulation's rows, one per guest page (keyed by
+    biased guest VPN), in the nested layout (``_NESTED_COLS``).
+
+    The guest half comes from the same passes over the guest page table
+    as a native row; each nested step — guest levels 4 down to the leaf,
+    then the data page — points at the :class:`_HostChains` row of its
+    guest-physical page, which also gives the guest entry's host line
+    and the data frame.  A row is *lazy* while any of its chains waits
+    for a host mapping; the kernel stops before a lazy row's walk so the
+    caller can make that mapping where the scalar loop does.
+    """
+
+    EMPTY = _EMPTY_NESTED
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.chains = _HostChains()
+        self.lazy = 0
+
+    def _add(self, new: np.ndarray, vm, vbias: int, prefetcher=None,
+             host_prefetcher=None) -> np.ndarray:
+        guest = vm.guest
+        gpt = guest.page_table
+        raw = new & ((1 << ASID_SHIFT) - 1) if vbias else new
+        leaf, gframe = self._leaves(raw, gpt)
+        _require_mapped(raw, leaf, guest)
+        small = leaf == 1
+        glines = np.zeros((new.size, 4), dtype=np.int64)
+        for step, level in enumerate((4, 3, 2)):
+            glines[:, step] = self._node_lines(raw, level, gpt)
+        if small.any():
+            glines[small, 3] = self._node_lines(raw[small], 1, gpt)
+        # The guest-physical page of each nested step; the data page is
+        # step 5 - leaf (step 4 of a 2MB page repeats it, never read).
+        pages = np.empty((new.size, 5), dtype=np.int64)
+        pages[:, :4] = glines >> 6
+        pages[:, 4] = gframe
+        pages[~small, 3] = gframe[~small]
+        chains = self.chains.rows_for(pages.ravel(), vm.hpt, vbias,
+                                      host_prefetcher).reshape(-1, 5)
+        rows = self._grow(new.size)
+        rows[:, 0] = (raw >> 9) | vbias
+        rows[:, 1] = (raw >> 18) | vbias
+        rows[:, 2] = (raw >> 27) | vbias
+        rows[:, _R_LEAF] = leaf
+        rows[:, 4] = ~small
+        rows[:, _R_CHAIN:_R_CHAIN + 5] = chains
+        rows[:, _R_GLINE:_R_GLINE + 4] = glines
+        lazy = self._waiting(chains)
+        rows[:, _R_LAZY] = lazy
+        self.lazy += int(lazy.sum())
+        if prefetcher is not None:
+            self._asap_columns(rows[:, _R_ASAP:], raw << 12, prefetcher)
+        return self._commit(new)
+
+    def _waiting(self, chains: np.ndarray) -> np.ndarray:
+        """Per row of chain ids: whether a chain's page is unmapped."""
+        return (self.chains.paths[chains, 7] == 0).any(axis=1)
+
+    def remap(self, vm, vbias: int, prefetcher=None,
+              host_prefetcher=None) -> None:
+        """Take in the host mappings made since the lazy rows were built
+        (same arguments as :meth:`rows_for`)."""
+        if not self.lazy or not self.chains.remap(vm.hpt, vbias,
+                                                  host_prefetcher):
+            return
+        lazy = np.flatnonzero(self.paths[:self.count, _R_LAZY])
+        waiting = self._waiting(self.paths[lazy, _R_CHAIN:_R_CHAIN + 5])
+        self.paths[lazy, _R_LAZY] = waiting
+        self.lazy = int(waiting.sum())
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1557,8 +1997,10 @@ class _CacheImage:
         self.touched[touched] = 0
 
 
-def _ptr(arr: np.ndarray):
-    return _BACKEND[0].cast("long long *", arr.ctypes.data)
+def _ptr(arr: np.ndarray, offset: int = 0):
+    """A ``long long *`` to element ``offset`` of the contiguous int64
+    array (``from_buffer`` costs a fraction of a ``ctypes`` address)."""
+    return _BACKEND[0].from_buffer("long long[]", arr) + offset
 
 
 class _ParkImage:
@@ -1611,15 +2053,26 @@ class _ParkImage:
                           frames[:changed].tolist()))
 
 
-def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
-                 collect_service: bool, stats, carry: tuple,
-                 obs_probe=None, mode: str = "plain") -> tuple:
+def _get(owner, name: str) -> int:
+    return owner[name] if isinstance(owner, dict) else getattr(owner, name)
+
+
+def _set(owner, name: str, value: int) -> None:
+    if isinstance(owner, dict):
+        owner[name] = value
+    else:
+        setattr(owner, name, value)
+
+
+def run_columnar(sim, chunks, warmup: int, collect_service: bool, stats,
+                 carry: tuple, obs_probe=None, mode: str = "plain") -> tuple:
     """Drive every chunk of ``chunks`` through the C kernel.
 
-    ``mode`` is :func:`engine_mode`'s verdict — ``"plain"``, ``"asap"``
-    or ``"victima"`` — and selects which scheme state machine the
-    kernel replays (and which scheme-side state is round-tripped
-    through flat arrays).
+    ``sim`` is a NativeSimulation or a VirtualizedSimulation (nested
+    rows, both PWC dimensions).  ``mode`` is :func:`engine_mode`'s
+    verdict — ``"plain"``, ``"asap"`` or ``"victima"`` — and selects
+    which scheme state machine the kernel replays (and which scheme-side
+    state is round-tripped through flat arrays).
 
     ``carry`` is the scalar loop's run-wide state tuple ``(now,
     measuring, acc, data_c, walk_c, walk_count, tlb_l1_base,
@@ -1634,6 +2087,11 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
     the kernel touched, and each Victima scheme's parked map reuses its
     resident pool and writes back only the entries the call changed.
 
+    A nested walk whose path crosses a guest-physical page the host page
+    table does not map yet stops the kernel before that record; the
+    page is mapped through ``VirtualMachine.nested_path``, as the scalar
+    loop maps it at that walk, and the kernel resumes at the record.
+
     ``obs_probe`` (a :class:`repro.obs.probe.SimProbe`, or ``None``)
     snapshots counters at each chunk boundary.  The snapshot reads the
     live ``k``/``carry_arr`` arrays, not the stats owners — those are
@@ -1641,32 +2099,37 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
     the whole loop.
     """
     ffi, lib = _BACKEND
+    nested = _nested(sim)
     tlbs = sim.tlbs
-    pwc = sim.pwc
     hierarchy = sim.hierarchy
     l1t = tlbs.l1
     l2t = tlbs.l2_plain
-    (_, p2), (_, p3), (_, p4) = pwc.view
+    pwcs = _pwcs(sim)
     c1, c2, c3 = hierarchy.l1, hierarchy.l2, hierarchy.l3
     walker = sim.walker
     vbias = asid_bias(sim.asid)
 
     geom = np.zeros(_GEOM_SLOTS, dtype=np.int64)
-    for off, unit in ((_G_T, l1t), (_G_U, l2t), (_G_P2, p2),
-                      (_G_P3, p3), (_G_P4, p4),
-                      (_G_C1, c1), (_G_C2, c2), (_G_C3, c3)):
+    placed = [(_G_T, l1t), (_G_U, l2t),
+              (_G_C1, c1), (_G_C2, c2), (_G_C3, c3)]
+    for base, pwc in zip((_G_P2, _G_H2), pwcs):
+        placed += [(base + 3 * index, unit)
+                   for index, (_, unit) in enumerate(pwc.view)]
+    for off, unit in placed:
         geom[off] = unit.num_sets
         geom[off + 1] = unit.stride
         geom[off + 2] = unit.ways
+    for off, pwc in zip((_G_PWC_LAT, _G_HPWC_LAT), pwcs):
+        geom[off] = pwc.params.latency
     geom[_G_LAT1] = hierarchy.latency_of("L1")
     geom[_G_LAT2] = hierarchy.latency_of("L2")
     geom[_G_LAT3] = hierarchy.latency_of("L3")
     geom[_G_LATM] = hierarchy.latency_of("MEM")
-    geom[_G_PWC_LAT] = pwc.params.latency
     geom[_G_BASE_CYCLES] = sim.machine.core.base_cycles
     geom[_G_VBIAS] = vbias
     geom[_G_PROBE_LARGE] = 1 if tlbs.probe_large[0] else 0
     geom[_G_MODE] = {"plain": 0, "asap": 1, "victima": 2}[mode]
+    geom[_G_NESTED] = 1 if nested else 0
 
     # The MSHR file rides along in every mode (the kernel has the merge
     # branch, and ASAP replays allocations into it): [count, lines...,
@@ -1681,66 +2144,61 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
         mshr_arr[1 + i] = line
         mshr_arr[1 + mshr_cap + i] = when
 
-    k = np.zeros(_COUNTER_SLOTS, dtype=np.int64)
-    k[K_TH] = tlbs.stats.hits
-    k[K_TM] = tlbs.stats.misses
-    k[K_L1H] = tlbs.l1_hits
-    k[K_L2H] = tlbs.l2_hits
-    k[K_LS_H] = l1t.stats.hits
-    k[K_LS_M] = l1t.stats.misses
-    k[K_US_H] = l2t.stats.hits
-    k[K_US_M] = l2t.stats.misses
-    k[K_PWC_PROBES] = pwc.probes
-    k[K_PWC_HITS] = pwc.hits
-    k[K_P2_H] = p2.stats.hits
-    k[K_P2_M] = p2.stats.misses
-    k[K_P3_H] = p3.stats.hits
-    k[K_P3_M] = p3.stats.misses
-    k[K_P4_H] = p4.stats.hits
-    k[K_P4_M] = p4.stats.misses
-    k[K_WALKS] = walker.walks
-    k[K_WALK_CYCLES] = walker.total_latency
-    k[K_C1_H] = c1.stats.hits
-    k[K_C1_M] = c1.stats.misses
-    k[K_C1_E] = c1.stats.evictions
-    k[K_C2_H] = c2.stats.hits
-    k[K_C2_M] = c2.stats.misses
-    k[K_C2_E] = c2.stats.evictions
-    k[K_C3_H] = c3.stats.hits
-    k[K_C3_M] = c3.stats.misses
-    k[K_C3_E] = c3.stats.evictions
-    k[K_SRV_L1] = hierarchy.served["L1"]
-    k[K_SRV_L2] = hierarchy.served["L2"]
-    k[K_SRV_L3] = hierarchy.served["L3"]
-    k[K_SRV_MEM] = hierarchy.served["MEM"]
-    k[K_H_PF_ISSUED] = hierarchy.prefetches_issued
-    k[K_H_PF_DROP] = hierarchy.prefetches_dropped
-    k[K_MSHR_ALLOC] = mshrs.allocations
-    k[K_MSHR_REJ] = mshrs.rejections
-    k[K_MSHR_MERGE] = mshrs.merges
+    # Every counter the kernel keeps, as (slot, owner, attribute or key):
+    # loaded here, written back after the last chunk.
+    counters = [
+        (K_TH, tlbs.stats, "hits"), (K_TM, tlbs.stats, "misses"),
+        (K_L1H, tlbs, "l1_hits"), (K_L2H, tlbs, "l2_hits"),
+        (K_LS_H, l1t.stats, "hits"), (K_LS_M, l1t.stats, "misses"),
+        (K_US_H, l2t.stats, "hits"), (K_US_M, l2t.stats, "misses"),
+        (K_WALKS, walker, "walks"), (K_WALK_CYCLES, walker, "total_latency"),
+        (K_C1_H, c1.stats, "hits"), (K_C1_M, c1.stats, "misses"),
+        (K_C1_E, c1.stats, "evictions"),
+        (K_C2_H, c2.stats, "hits"), (K_C2_M, c2.stats, "misses"),
+        (K_C2_E, c2.stats, "evictions"),
+        (K_C3_H, c3.stats, "hits"), (K_C3_M, c3.stats, "misses"),
+        (K_C3_E, c3.stats, "evictions"),
+        (K_SRV_L1, hierarchy.served, "L1"), (K_SRV_L2, hierarchy.served, "L2"),
+        (K_SRV_L3, hierarchy.served, "L3"),
+        (K_SRV_MEM, hierarchy.served, "MEM"),
+        (K_H_PF_ISSUED, hierarchy, "prefetches_issued"),
+        (K_H_PF_DROP, hierarchy, "prefetches_dropped"),
+        (K_MSHR_ALLOC, mshrs, "allocations"),
+        (K_MSHR_REJ, mshrs, "rejections"), (K_MSHR_MERGE, mshrs, "merges"),
+    ]
+    for base, pwc in zip((K_PWC_PROBES, K_HPWC_PROBES), pwcs):
+        counters += [(base, pwc, "probes"), (base + 1, pwc, "hits")]
+        for index, (_, unit) in enumerate(pwc.view):
+            counters += [(base + 2 + 2 * index, unit.stats, "hits"),
+                         (base + 3 + 2 * index, unit.stats, "misses")]
+    if nested:
+        counters.append((K_WALK_ACC, walker, "total_accesses"))
 
-    prefetcher = None
+    # ASAP: the walk-start prefetcher (native or guest dimension) and,
+    # in a nested walk, the host one, each with its own counter block.
+    prefetcher = host_prefetcher = None
     if mode == "asap":
-        prefetcher = sim.scheme.walk_start_hook().__self__
-        geom[_G_REQ_MSHR] = 1 if prefetcher.require_mshr else 0
-        geom[_G_PF_N] = len(prefetcher.levels)
-        for s, level in enumerate(prefetcher.levels):
-            geom[_G_PF_L + s] = level
-        registers = prefetcher.registers
-        k[K_RR_H] = registers.hits
-        k[K_RR_M] = registers.misses
-        k[K_PF_ISSUED] = prefetcher.stats.issued
-        k[K_PF_USEFUL] = prefetcher.stats.useful
-        k[K_PF_DROPNM] = prefetcher.stats.dropped_no_mshr
-        k[K_PF_NODESC] = prefetcher.stats.no_descriptor
-        k[K_PF_HOLE] = prefetcher.stats.wasted_on_hole
+        prefetcher, host_prefetcher = _asap_prefetchers(sim)
+    for pf, base, (n_slot, l_slot, mshr_slot) in (
+            (prefetcher, K_RR_H, (_G_PF_N, _G_PF_L, _G_REQ_MSHR)),
+            (host_prefetcher, K_HRR_H, (_G_HPF_N, _G_HPF_L, _G_HREQ_MSHR))):
+        if pf is None:
+            continue
+        geom[mshr_slot] = 1 if pf.require_mshr else 0
+        geom[n_slot] = len(pf.levels)
+        geom[l_slot:l_slot + len(pf.levels)] = pf.levels
+        counters += [
+            (base, pf.registers, "hits"), (base + 1, pf.registers, "misses"),
+            (base + 2, pf.stats, "issued"), (base + 3, pf.stats, "useful"),
+            (base + 4, pf.stats, "dropped_no_mshr"),
+            (base + 5, pf.stats, "no_descriptor"),
+            (base + 6, pf.stats, "wasted_on_hole")]
 
     # Victima: one pool per scheme the victims park for.  The running
     # scheme's pool takes its probes (and their counters); each victim
     # parks in its owner's pool, under that scheme's `parked` counter.
     # Like the cache images, each pool is reused if resident and stays
     # detached from its scheme until the write-back below has run.
-    vscheme = None
     schemes = ()
     pools: list[_ParkImage] = []
     parks = route_arr = ffi.NULL
@@ -1749,9 +2207,9 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
         schemes, route = _park_routes(sim)
         geom[_G_PROBE_LAT] = vscheme._probe_latency
         geom[_G_PARK_SELF] = schemes.index(vscheme)
-        k[K_V_PROBE_H] = vscheme.stats["probe_hits"]
-        k[K_V_PROBE_M] = vscheme.stats["probe_misses"]
-        k[K_V_LOST] = vscheme.stats["parked_lost_to_data"]
+        counters += [(K_V_PROBE_H, vscheme.stats, "probe_hits"),
+                     (K_V_PROBE_M, vscheme.stats, "probe_misses"),
+                     (K_V_LOST, vscheme.stats, "parked_lost_to_data")]
         parks = ffi.new("park_t[]", len(schemes))
         for entry, scheme in zip(parks, schemes):
             pool = scheme.park_image
@@ -1768,6 +2226,10 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
             route_ids = np.array(route, dtype=np.int64)
             route_arr = _ptr(route_ids)
 
+    k = np.zeros(_COUNTER_SLOTS, dtype=np.int64)
+    for slot, owner, name in counters:
+        k[slot] = _get(owner, name)
+
     carry_arr = np.zeros(_CARRY_SLOTS, dtype=np.int64)
     (carry_arr[_CAR_NOW], measuring, carry_arr[_CAR_ACC],
      carry_arr[_CAR_DATA_C], carry_arr[_CAR_WALK_C],
@@ -1778,20 +2240,22 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
 
     state = sim._columnar_paths
     if state is None:
-        state = sim._columnar_paths = _PathTable()
+        state = sim._columnar_paths = (_NestedRows() if nested
+                                       else _PathTable())
+    if nested:
+        context = (sim.vm, vbias, prefetcher, host_prefetcher)
+        state.remap(*context)
+    else:
+        context = (sim.process, vbias, prefetcher)
 
-    arrays = {
-        "t_tags": _as_array(l1t.tags), "t_frames": _as_array(l1t.frames),
-        "t_sizes": _as_array(l1t.sizes),
-        "u_tags": _as_array(l2t.tags), "u_frames": _as_array(l2t.frames),
-        "u_sizes": _as_array(l2t.sizes),
-        "p2_tags": _as_array(p2.tags), "p2_frames": _as_array(p2.frames),
-        "p2_sizes": _as_array(p2.sizes),
-        "p3_tags": _as_array(p3.tags), "p3_frames": _as_array(p3.frames),
-        "p3_sizes": _as_array(p3.sizes),
-        "p4_tags": _as_array(p4.tags), "p4_frames": _as_array(p4.frames),
-        "p4_sizes": _as_array(p4.sizes),
-    }
+    # The TLBs and PWCs in the kernel's argument order (the host PWC only
+    # in a nested run), each as tags, frames and sizes.
+    units = [l1t, l2t] + [unit for pwc in pwcs for _, unit in pwc.view]
+    unit_arrays = [(_as_array(unit.tags), _as_array(unit.frames),
+                    _as_array(unit.sizes)) for unit in units]
+    struct_ptrs = [_ptr(array) for arrays in unit_arrays for array in arrays]
+    if not nested:
+        struct_ptrs += [ffi.NULL] * 9
     # Reuse each cache's resident image, or build it from the lists.
     # It stays detached until the write-back below has run, so an
     # interrupted write-back cannot leave a stale image attached.
@@ -1799,14 +2263,9 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
     images = [cache.image or _CacheImage(cache) for cache in caches]
     for cache in caches:
         cache.image = None
-
-    struct_ptrs = [_ptr(arrays[name]) for name in (
-        "t_tags", "t_frames", "t_sizes", "u_tags", "u_frames", "u_sizes",
-        "p2_tags", "p2_frames", "p2_sizes", "p3_tags", "p3_frames",
-        "p3_sizes", "p4_tags", "p4_frames", "p4_sizes")]
     for image in images:
         struct_ptrs += [_ptr(image.lines), _ptr(image.sizes),
-                        ffi.cast("unsigned char *", image.touched.ctypes.data)]
+                        ffi.from_buffer("unsigned char[]", image.touched)]
 
     try:
         chunk_base = 0
@@ -1816,16 +2275,27 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
             if n == 0:
                 continue
             vpns = (addresses >> 12) | vbias
-            rowidx = np.ascontiguousarray(
-                state.rows_for(vpns, sim.process, vbias, prefetcher))
-            local_warmup = min(max(warmup - chunk_base, 0), n)
-            lib.col_run_chunk(
-                _ptr(addresses), n, local_warmup,
-                1 if collect_service else 0,
-                _ptr(rowidx), _ptr(state.paths),
-                _ptr(carry_arr), _ptr(k), _ptr(geom), _ptr(service),
-                *struct_ptrs,
-                _ptr(mshr_arr), parks, route_arr)
+            rowidx = np.ascontiguousarray(state.rows_for(vpns, *context))
+            chains = _ptr(state.chains.paths) if nested else ffi.NULL
+            done = 0
+            while True:
+                done += lib.col_run_chunk(
+                    _ptr(addresses, done), n - done,
+                    min(max(warmup - chunk_base - done, 0), n - done),
+                    1 if collect_service else 0,
+                    _ptr(rowidx, done), _ptr(state.paths), chains,
+                    1 if state.lazy else 0,
+                    _ptr(carry_arr), _ptr(k), _ptr(geom), _ptr(service),
+                    *struct_ptrs,
+                    _ptr(mshr_arr), parks, route_arr)
+                if done == n:
+                    break
+                # The next record walks through a guest-physical page
+                # the host page table does not map yet: map it the way
+                # the scalar loop does at this walk, then resume there.
+                sim.vm.nested_path(int(addresses[done]))
+                state.remap(*context)
+                assert not state.paths[rowidx[done], _R_LAZY]
             chunk_base += n
             if obs_probe is not None:
                 obs_probe.sample(
@@ -1845,92 +2315,36 @@ def run_columnar(sim: "NativeSimulation", chunks, warmup: int,
         for cache, image in zip(caches, images):
             image.write_back(cache)
             cache.image = image
-        l1t.tags[:] = arrays["t_tags"].tolist()
-        l1t.frames[:] = arrays["t_frames"].tolist()
-        l1t.sizes[:] = arrays["t_sizes"].tolist()
-        l2t.tags[:] = arrays["u_tags"].tolist()
-        l2t.frames[:] = arrays["u_frames"].tolist()
-        l2t.sizes[:] = arrays["u_sizes"].tolist()
-        p2.tags[:] = arrays["p2_tags"].tolist()
-        p2.frames[:] = arrays["p2_frames"].tolist()
-        p2.sizes[:] = arrays["p2_sizes"].tolist()
-        p3.tags[:] = arrays["p3_tags"].tolist()
-        p3.frames[:] = arrays["p3_frames"].tolist()
-        p3.sizes[:] = arrays["p3_sizes"].tolist()
-        p4.tags[:] = arrays["p4_tags"].tolist()
-        p4.frames[:] = arrays["p4_frames"].tolist()
-        p4.sizes[:] = arrays["p4_sizes"].tolist()
-
-        tlbs.stats.hits = int(k[K_TH])
-        tlbs.stats.misses = int(k[K_TM])
-        tlbs.l1_hits = int(k[K_L1H])
-        tlbs.l2_hits = int(k[K_L2H])
-        l1t.stats.hits = int(k[K_LS_H])
-        l1t.stats.misses = int(k[K_LS_M])
-        l2t.stats.hits = int(k[K_US_H])
-        l2t.stats.misses = int(k[K_US_M])
-        pwc.probes = int(k[K_PWC_PROBES])
-        pwc.hits = int(k[K_PWC_HITS])
-        p2.stats.hits = int(k[K_P2_H])
-        p2.stats.misses = int(k[K_P2_M])
-        p3.stats.hits = int(k[K_P3_H])
-        p3.stats.misses = int(k[K_P3_M])
-        p4.stats.hits = int(k[K_P4_H])
-        p4.stats.misses = int(k[K_P4_M])
-        walker.walks = int(k[K_WALKS])
-        walker.total_latency = int(k[K_WALK_CYCLES])
-        c1.stats.hits = int(k[K_C1_H])
-        c1.stats.misses = int(k[K_C1_M])
-        c1.stats.evictions = int(k[K_C1_E])
-        c2.stats.hits = int(k[K_C2_H])
-        c2.stats.misses = int(k[K_C2_M])
-        c2.stats.evictions = int(k[K_C2_E])
-        c3.stats.hits = int(k[K_C3_H])
-        c3.stats.misses = int(k[K_C3_M])
-        c3.stats.evictions = int(k[K_C3_E])
-        hierarchy.served["L1"] = int(k[K_SRV_L1])
-        hierarchy.served["L2"] = int(k[K_SRV_L2])
-        hierarchy.served["L3"] = int(k[K_SRV_L3])
-        hierarchy.served["MEM"] = int(k[K_SRV_MEM])
-        hierarchy.prefetches_issued = int(k[K_H_PF_ISSUED])
-        hierarchy.prefetches_dropped = int(k[K_H_PF_DROP])
-        mshrs.allocations = int(k[K_MSHR_ALLOC])
-        mshrs.rejections = int(k[K_MSHR_REJ])
-        mshrs.merges = int(k[K_MSHR_MERGE])
+        for unit, (tags, frames, sizes) in zip(units, unit_arrays):
+            unit.tags[:] = tags.tolist()
+            unit.frames[:] = frames.tolist()
+            unit.sizes[:] = sizes.tolist()
+        for slot, owner, name in counters:
+            _set(owner, name, int(k[slot]))
         mshrs._inflight.clear()
         for i in range(int(mshr_arr[0])):
             mshrs._inflight[int(mshr_arr[1 + i])] = int(
                 mshr_arr[1 + mshr_cap + i])
-
-        if prefetcher is not None:
-            registers = prefetcher.registers
-            registers.hits = int(k[K_RR_H])
-            registers.misses = int(k[K_RR_M])
-            prefetcher.stats.issued = int(k[K_PF_ISSUED])
-            prefetcher.stats.useful = int(k[K_PF_USEFUL])
-            prefetcher.stats.dropped_no_mshr = int(k[K_PF_DROPNM])
-            prefetcher.stats.no_descriptor = int(k[K_PF_NODESC])
-            prefetcher.stats.wasted_on_hole = int(k[K_PF_HOLE])
-
-        if vscheme is not None:
-            vscheme.stats["probe_hits"] = int(k[K_V_PROBE_H])
-            vscheme.stats["probe_misses"] = int(k[K_V_PROBE_M])
-            vscheme.stats["parked_lost_to_data"] = int(k[K_V_LOST])
-            for scheme, pool in zip(schemes, pools):
-                pool.write_back(scheme)
-                scheme.park_image = pool
+        for scheme, pool in zip(schemes, pools):
+            pool.write_back(scheme)
+            scheme.park_image = pool
 
         if collect_service:
-            # Root-first (level 4 down) so dict insertion order matches
-            # the scalar recorder's walk order.
+            # Each dimension root first (level 4 down), the host one
+            # before the guest one: the order of a cold walk's records.
+            # Insertion order is presentation only; the distribution
+            # compares by value.
             counts = stats.service._counts
-            for row in range(3, -1, -1):
-                level = row + 1
-                for col, label in enumerate(_SERVICE_LABELS):
-                    value = int(service[row * 6 + col])
-                    if value:
-                        bucket = counts.setdefault(level, {})
-                        bucket[label] = bucket.get(label, 0) + value
+            dims = ((4, "h"), (0, "g")) if nested else ((0, ""),)
+            for row_base, prefix in dims:
+                for level in (4, 3, 2, 1):
+                    row = (row_base + level - 1) * 6
+                    key = f"{prefix}{level}" if prefix else level
+                    for col, label in enumerate(_SERVICE_LABELS):
+                        value = int(service[row + col])
+                        if value:
+                            bucket = counts.setdefault(key, {})
+                            bucket[label] = bucket.get(label, 0) + value
 
     return (int(carry_arr[_CAR_NOW]), bool(carry_arr[_CAR_MEASURING]),
             int(carry_arr[_CAR_ACC]), int(carry_arr[_CAR_DATA_C]),

@@ -407,12 +407,17 @@ def run_virtualized_mt(
     scale: Scale = Scale(),
     collect_service: bool = True,
     scheme: SchemeSpec | None = None,
+    kernel: str = "columnar",
 ) -> SimStats:
     """Run one virtualized multi-tenant scenario (N VMs on one host).
 
     Each tenant is a guest VM; all VMs share the host's physical memory
     and buddy allocator, and the ASID doubles as the VMID tagging both
-    the shared TLBs and the host-dimension PWC.
+    the shared TLBs and the host-dimension PWC.  ``kernel`` selects each
+    tenant simulator's record-loop engine, as in :func:`run_native_mt`;
+    a compiled tenant maps its lazily backed host pages in the quantum
+    where the scalar loop would, so tenants sharing the host buddy draw
+    the same frames under either kernel.
     """
     specs, traces = _tenant_traces(workload, mt, scale)
     sims: list[VirtualizedSimulation] = []
@@ -443,6 +448,7 @@ def run_virtualized_mt(
                 host_pwc=host_pwc,
                 walker=walker,
                 asid=index,
+                kernel=kernel,
             )
             evict_hooks.append(tlbs.l2_evict_hook)
             tlbs.l2_evict_hook = None

@@ -310,11 +310,13 @@ def run_virtualized(
     collect_service: bool = True,
     scheme: SchemeSpec | None = None,
     trace_source: TraceSource | None = None,
+    kernel: str = "columnar",
 ) -> SimStats:
     """Run one virtualized scenario and return its statistics.
 
-    ``trace_source`` replays an explicit trace, as in
-    :func:`run_native`.
+    ``trace_source`` replays an explicit trace and ``kernel`` selects
+    the record-loop engine (compiled where it applies, ``"scalar"`` for
+    the oracle loop), as in :func:`run_native`.
     """
     spec = _resolve(workload)
     trace = _trace_for(spec, scale, trace_source)
@@ -327,6 +329,7 @@ def run_virtualized(
             infinite_tlb=infinite_tlb,
             corunner=_corunner(scale) if colocated else None,
             scheme=scheme,
+            kernel=kernel,
         )
     return simulation.run(trace, warmup=scale.warmup,
                           collect_service=collect_service,

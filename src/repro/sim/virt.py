@@ -83,6 +83,7 @@ class VirtualizedSimulation:
         host_pwc: SplitPwc | None = None,
         walker: NestedPageWalker | None = None,
         asid: int = 0,
+        kernel: str = "columnar",
     ) -> None:
         """The optional structure arguments let the multi-tenant driver
         (`repro.sim.multitenant`) run several VMs against one shared set
@@ -90,12 +91,17 @@ class VirtualizedSimulation:
         VM's entries in the shared TLBs and in both PWC dimensions (0 —
         the single-tenant default — changes nothing, bit for bit).
 
-        The 2D run loop has one engine, the scalar one: the nested
-        walk's guest/host interleaving has no compiled transliteration
-        (yet), so this simulator takes no ``kernel`` selector."""
+        ``kernel`` selects the record-loop engine, as on the native
+        simulator: ``"columnar"`` (the default) runs each ``run()``
+        through the compiled chunk kernel of `repro.sim.columnar`, which
+        replays the nested walk, wherever its ``engine_mode`` allows, and
+        through the scalar loop below otherwise; ``"scalar"`` forces that
+        loop, the differential oracle.  Both are byte-identical."""
         if asid and infinite_tlb:
             raise ValueError(
                 "ASID-tagged simulations do not compose with infinite TLBs")
+        if kernel not in ("scalar", "columnar"):
+            raise ValueError(f"unknown simulation kernel {kernel!r}")
         self.vm = vm
         self.machine = machine
         self.asap = asap
@@ -108,10 +114,14 @@ class VirtualizedSimulation:
             self.hierarchy, self.guest_pwc, self.host_pwc)
         self.corunner = corunner
         self.asid = asid
+        self.kernel = kernel
         #: Per-vpn nested walk paths; instance state for the same reasons
         #: as the native simulator's flat caches (quantum splitting and
         #: coherent flushing).
         self._nested_paths: dict[int, tuple] = {}
+        #: The columnar kernel's nested-row cache (same role as the dict
+        #: above, owned by `repro.sim.columnar`); lazily built.
+        self._columnar_paths = None
         #: Set by AsapScheme.bind_virtualized for introspection/back-compat.
         self.guest_prefetcher: AsapPrefetcher | None = None
         self.host_prefetcher: AsapPrefetcher | None = None
@@ -134,9 +144,11 @@ class VirtualizedSimulation:
         self.flush_private_translation_state()
 
     def flush_private_translation_state(self) -> None:
-        """Per-VM half of the flush: the nested-path cache and the
+        """Per-VM half of the flush: the nested-path caches and the
         scheme's own translation state (see the native simulator)."""
         self._nested_paths.clear()
+        if self._columnar_paths is not None:
+            self._columnar_paths.clear()
         self.scheme.on_translation_flush()
 
     # ------------------------------------------------------------------
@@ -179,7 +191,9 @@ class VirtualizedSimulation:
         every co-runner record and the warmup boundary.  Nested walk
         paths are cached per vpn — the guest and host page tables cannot
         change mid-run — so repeat walks skip the Figure 7 schedule
-        reconstruction.
+        reconstruction.  With the default kernel the whole call runs in
+        the compiled chunk kernel instead wherever its ``engine_mode``
+        allows (`repro.sim.columnar`), with byte-identical results.
         """
         #: Observation seam (see the native simulator): phase spans and
         #: per-chunk counter snapshots when a recorder is active.
@@ -338,42 +352,78 @@ class VirtualizedSimulation:
         #: biased vpn of the previous chunk's last record.
         prev_block = -1
         prev_vpn = 0
-        # See the native simulator: pause the cyclic collector while the
-        # loop runs (restored even on error).
+        #: The compiled kernel's mode for this call, or None for the
+        #: scalar loop below; decided before the obs log names it.  The
+        #: hook-free case is what the native simulator calls fast_ok.
+        mode = None
+        if self.kernel == "columnar":
+            from repro.sim import columnar as _columnar
+
+            hook_free = (probe is None and walk_start is None
+                         and walk_end is None and fill_hook is None
+                         and host_prefetcher is None
+                         and tlbs.l2_evict_hook is None)
+            mode = _columnar.engine_mode(self, hook_free)
         #: Chunk stream, re-cut at the warmup/sample seams under
         #: observation (statistics chunking-invariant — see the native
         #: simulator).
         if obs is not None:
-            obs.run_begin(kernel="scalar")
+            obs.run_begin(kernel=mode or "scalar")
             chunk_stream = obs.chunks(iter_trace_chunks(trace))
         else:
             chunk_stream = iter_trace_chunks(trace)
-        # The loop writes the cache lists through the inlined ``access``
-        # closure: drop the compiled kernel's resident images (see the
-        # native simulator).
-        hierarchy.drop_images()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for chunk in chunk_stream:
-                n_records = len(chunk)
-                if not n_records:
-                    continue
-                addresses = chunk.tolist()
-                run_starts, run_counts = detect_runs(chunk, n_records)
-                lead = 0
-                if prev_block == addresses[0] >> 6:
-                    lead = run_counts[0]
-                    run_starts = run_starts[1:]
-                    run_counts = run_counts[1:]
-                    if bulk_ok:
-                        bulk(prev_vpn, 0, lead)
-                    else:
-                        for index in range(lead):
+        if mode is not None:
+            # Whole-chunk C engine with the nested walk compiled in
+            # (byte-identical to the loop below; see repro.sim.columnar).
+            (now, measuring, acc, data_c, walk_c, walk_count,
+             tlb_l1_base, tlb_l2_base) = _columnar.run_columnar(
+                self, chunk_stream, warmup, collect_service, stats,
+                (now, measuring, acc, data_c, walk_c, walk_count,
+                 tlb_l1_base, tlb_l2_base), obs_probe=obs, mode=mode)
+        else:
+            # The loop writes the cache lists through the inlined
+            # ``access`` closure: drop the compiled kernel's resident
+            # images, and pause the cyclic collector while it runs
+            # (restored even on error; see the native simulator).
+            hierarchy.drop_images()
+            gc_was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                for chunk in chunk_stream:
+                    n_records = len(chunk)
+                    if not n_records:
+                        continue
+                    addresses = chunk.tolist()
+                    run_starts, run_counts = detect_runs(chunk, n_records)
+                    lead = 0
+                    if prev_block == addresses[0] >> 6:
+                        lead = run_counts[0]
+                        run_starts = run_starts[1:]
+                        run_counts = run_counts[1:]
+                        if bulk_ok:
+                            bulk(prev_vpn, 0, lead)
+                        else:
+                            for index in range(lead):
+                                handle(index)
+                    prev_block = addresses[-1] >> 6
+                    prev_vpn = (addresses[-1] >> 12) | vbias
+                    if not run_starts:
+                        chunk_base += n_records
+                        if obs is not None:
+                            obs.sample(chunk_base, now=now, accesses=acc,
+                                       data_cycles=data_c, walk_cycles=walk_c,
+                                       walks=walk_count,
+                                       tlb_l1_hits=tlbs.l1_hits,
+                                       tlb_l2_hits=tlbs.l2_hits,
+                                       tlb_misses=tlbs.stats.misses)
+                        continue
+                    if bulk_ok and len(run_starts) == n_records - lead:
+                        # No same-block repeats in the chunk: scalar sweep.
+                        for index in range(lead, n_records):
                             handle(index)
-                prev_block = addresses[-1] >> 6
-                prev_vpn = (addresses[-1] >> 12) | vbias
-                if not run_starts:
+                    else:
+                        drive_batched(run_starts, run_counts, handle, bulk,
+                                      scalar_only=not bulk_ok)
                     chunk_base += n_records
                     if obs is not None:
                         obs.sample(chunk_base, now=now, accesses=acc,
@@ -382,25 +432,9 @@ class VirtualizedSimulation:
                                    tlb_l1_hits=tlbs.l1_hits,
                                    tlb_l2_hits=tlbs.l2_hits,
                                    tlb_misses=tlbs.stats.misses)
-                    continue
-                if bulk_ok and len(run_starts) == n_records - lead:
-                    # No same-block repeats in the chunk: scalar sweep.
-                    for index in range(lead, n_records):
-                        handle(index)
-                else:
-                    drive_batched(run_starts, run_counts, handle, bulk,
-                                  scalar_only=not bulk_ok)
-                chunk_base += n_records
-                if obs is not None:
-                    obs.sample(chunk_base, now=now, accesses=acc,
-                               data_cycles=data_c, walk_cycles=walk_c,
-                               walks=walk_count,
-                               tlb_l1_hits=tlbs.l1_hits,
-                               tlb_l2_hits=tlbs.l2_hits,
-                               tlb_misses=tlbs.stats.misses)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+            finally:
+                if gc_was_enabled:
+                    gc.enable()
         stats.accesses = acc
         stats.base_cycles = acc * base_cycles
         stats.data_cycles = data_c

@@ -1,21 +1,23 @@
 """Randomized differential tests: columnar chunk kernel vs scalar oracle.
 
 The compiled columnar kernel (`repro.sim.columnar`) re-implements the
-native simulator's scalar record loop in C; the scalar loop is the
-*oracle* and every statistic, service distribution and structure image
-must match it byte for byte.  These tests drive both engines through
-the same cells — every scheme of the comparison roster, single- and
-multi-tenant, chunk sizes down to one record with warmup boundaries
-landing on and around chunk seams — and compare whole ``SimStats``
-values (``ServiceDistribution`` has value equality, so ``==`` covers
-the Figure 9 distributions too).  Virtualized cells have no compiled
-mode; they are checked to run the scalar loop.
+native and virtualized simulators' scalar record loops in C; the scalar
+loops are the *oracle* and every statistic, service distribution and
+structure image must match them byte for byte.  These tests drive both
+engines through the same cells — every scheme of the comparison roster,
+native and virtualized (the nested 2D walk, on 4KB and 2MB host pages),
+single- and multi-tenant, chunk sizes down to one record with warmup
+boundaries landing on and around chunk seams — and compare whole
+``SimStats`` values (``ServiceDistribution`` has value equality, so
+``==`` covers the Figure 9 distributions too).
 
-Where the columnar engine's preconditions hold (plain baseline, native
-asap, native victima; no co-runner, standard TLBs) the suite also
-asserts the C kernel actually *engaged*, with ``REPRO_REQUIRE_CCORE=1``
-making a silent fallback an error; revelator/corunner cells exercise
-the documented wholesale fallback instead.  The scheme-state seam tests
+Where the columnar engine's preconditions hold (plain baseline, asap,
+victima; no co-runner, standard TLBs) the suite also asserts the C
+kernel actually *engaged*, with ``REPRO_REQUIRE_CCORE=1`` making a
+silent fallback an error; revelator/corunner cells exercise the
+documented wholesale fallback instead.  Virtualized cells also compare
+the host page table and host buddy a run leaves: the walk that first
+needs a lazily backed guest-physical page maps it, under either kernel.  The scheme-state seam tests
 pin the hardest part of the compiled scheme paths: in-flight prefetch
 MSHRs and the parked-victim pool must round-trip through the per-chunk
 writeback/reload exactly, even when every record lands on its own seam.
@@ -34,11 +36,14 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.experiments.common import SCHEMES
 from repro.kernelsim.buddy import BuddyAllocator
 from repro.kernelsim.phys import PhysicalMemory
+from repro.kernelsim.process import ProcessAddressSpace
+from repro.kernelsim.pt_layout import AsapPtLayout
 from repro.mem.hierarchy import CacheHierarchy
 from repro.obs.events import capture
 from repro.pagetable.pwc import SplitPwc
@@ -47,8 +52,12 @@ from repro.params import DEFAULT_MACHINE
 from repro.sim import columnar, multitenant
 from repro.sim.multitenant import MultiTenantSpec, round_robin_schedule, \
     run_native_mt, run_virtualized_mt
-from repro.sim.runner import Scale, run_native, run_virtualized
+from repro.core import config as cfg
+from repro.core.config import AsapConfig
+from repro.kernelsim.hypervisor import VirtualMachine
+from repro.sim.runner import Scale, build_vm, make_trace, run_native
 from repro.sim.simulator import NativeSimulation
+from repro.sim.virt import VirtualizedSimulation
 from repro.tlb.hierarchy import TlbHierarchy
 from repro.tlb.tlb import ASID_SHIFT
 from repro.traces.source import ArraySource
@@ -108,13 +117,20 @@ def reused_images(monkeypatch):
     yield calls
 
 
+def _pwcs(sim) -> tuple:
+    if isinstance(sim, VirtualizedSimulation):
+        return sim.guest_pwc, sim.host_pwc
+    return (sim.pwc,)
+
+
 def _machine_state(sim) -> dict:
-    """Everything a run leaves in the shared hardware structures."""
+    """Everything a run leaves in the shared hardware structures (both
+    PWC dimensions of a virtualized machine)."""
     hierarchy = sim.hierarchy
     state = {cache.name: (list(cache.lines), list(cache.sizes))
              for cache in (hierarchy.l1, hierarchy.l2, hierarchy.l3)}
     units = [sim.tlbs.l1, sim.tlbs.l2_plain]
-    units += [unit for _, unit in sim.pwc.view]
+    units += [unit for pwc in _pwcs(sim) for _, unit in pwc.view]
     state["tlb_pwc"] = [(list(unit.tags), list(unit.frames),
                          list(unit.sizes)) for unit in units]
     mshrs = hierarchy.mshrs
@@ -181,19 +197,6 @@ def test_native_asap_holes_differential(workload, hole_rate, monkeypatch):
     assert col.scheme_stats["wasted_on_hole"] > 0
 
 
-@pytest.mark.parametrize("name", ("baseline", "asap"))
-def test_virtualized_schemes_differential(name, monkeypatch):
-    """The 2D walk has one engine: with the compiled backend loaded, a
-    virtualized cell still runs the scalar loop."""
-    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
-    entry = SCHEMES[name]
-    with capture() as recorder:
-        stats = run_virtualized("mc80", entry.virt_config,
-                                scheme=entry.spec, scale=SCALE)
-    assert _simulate_kernels(recorder) == ["scalar"]
-    assert stats.walks > 0
-
-
 def test_native_corunner_falls_back_identically():
     scalar, col = _native_pair("baseline", colocated=True)
     assert scalar == col
@@ -202,6 +205,295 @@ def test_native_corunner_falls_back_identically():
 def test_native_clustered_tlb_falls_back_identically():
     scalar, col = _native_pair("baseline", clustered_tlb=True)
     assert scalar == col
+
+
+# ----------------------------------------------------------------------
+# virtualized cells: the nested 2D walk through the kernel
+# ----------------------------------------------------------------------
+#: Host-dimension ASAP alone (the Figure 10 ladder has no such rung).
+HOST_ONLY = AsapConfig(name="P1h+P2h", host_levels=(1, 2))
+
+#: Each compiled scheme with the mode its runs log.
+COMPILED = (("baseline", "plain"), ("asap", "asap"), ("victima", "victima"))
+
+
+def _host_state(vm) -> tuple:
+    """What lazy host mappings change: the host page table's maps and
+    the host buddy's allocation state."""
+    hpt = vm.hpt
+    pages, large = hpt.leaf_maps()
+    buddy = vm.host_buddy
+    return (dict(pages), dict(large),
+            [dict(hpt.leaf_nodes(level)) for level in range(1, 5)],
+            buddy._rng.getstate(),
+            {name: vars(pool) for name, pool in buddy._pools.items()},
+            sorted(buddy._used_slots), vars(buddy.stats))
+
+
+def _virt_state(sim) -> dict:
+    """Everything a virtualized run leaves: the machine, every counter
+    the kernel writes back, the scheme's state and the host side of the
+    VM."""
+    state = _machine_state(sim)
+    tlbs, hierarchy, walker = sim.tlbs, sim.hierarchy, sim.walker
+    state["counters"] = (
+        (walker.walks, walker.total_latency, walker.total_accesses),
+        [(pwc.probes, pwc.hits, [vars(unit.stats) for _, unit in pwc.view])
+         for pwc in _pwcs(sim)],
+        (vars(tlbs.stats), tlbs.l1_hits, tlbs.l2_hits,
+         vars(tlbs.l1.stats), vars(tlbs.l2_plain.stats)),
+        [vars(cache.stats)
+         for cache in (hierarchy.l1, hierarchy.l2, hierarchy.l3)],
+        (dict(hierarchy.served), hierarchy.prefetches_issued,
+         hierarchy.prefetches_dropped),
+        [(pf.registers.hits, pf.registers.misses, vars(pf.stats))
+         for pf in (sim.guest_prefetcher, sim.host_prefetcher)
+         if pf is not None])
+    state["parked"] = list(getattr(sim.scheme, "_parked", {}).items())
+    state["scheme"] = sim.scheme.scheme_stats()
+    state["host"] = _host_state(sim.vm)
+    return state
+
+
+def _virt_run(kernel: str, name: str = "baseline", *, config=None,
+              host_page_level: int = 1, scale: Scale = SCALE,
+              chunk_records: int | None = None, hole_rate: float = 0.0,
+              collect_service: bool = True, make_vm=None, trace=None):
+    """One virtualized cell on ``kernel`` — mc80, or ``make_vm(config,
+    host_page_level)`` running ``trace`` — returning its statistics, its
+    simulation and the kernel its ``simulate`` span names.
+    ``hole_rate`` injects guest PT-region holes (§3.7.2) before
+    population."""
+    entry = SCHEMES[name]
+    config = entry.virt_config if config is None else config
+    spec = get_workload("mc80")
+    if make_vm is None:
+        vm = build_vm(spec, config, scale, host_page_level=host_page_level)
+        trace = make_trace(spec, scale)
+    else:
+        vm = make_vm(config, host_page_level)
+    if hole_rate:
+        vm.guest.asap_layout.pinned_failure_prob = hole_rate
+    sim = VirtualizedSimulation(vm, asap=config, scheme=entry.spec,
+                                kernel=kernel)
+    if chunk_records is not None:
+        trace = ArraySource(trace, chunk_records=chunk_records)
+    with capture() as recorder:
+        stats = sim.run(trace, warmup=scale.warmup,
+                        collect_service=collect_service,
+                        init_order=spec.init_order)
+    return stats, sim, _simulate_kernels(recorder)
+
+
+def _assert_virt_identical(mode: str, **kwargs):
+    """Scalar and compiled runs of one virtualized cell agree on the
+    statistics and on every state they leave; the compiled run ran
+    ``mode``.  Returns the compiled run's statistics and simulation."""
+    (scalar, s_sim, s_kernels), (col, c_sim, c_kernels) = [
+        _virt_run(kernel, **kwargs) for kernel in ("scalar", "columnar")]
+    assert scalar == col, kwargs
+    assert scalar.service._counts == col.service._counts, kwargs
+    assert _virt_state(s_sim) == _virt_state(c_sim), kwargs
+    assert (s_kernels, c_kernels) == (["scalar"], [mode]), kwargs
+    return col, c_sim
+
+
+@pytest.mark.parametrize("name", ("baseline", "asap", "victima"))
+def test_virtualized_schemes_differential(name, monkeypatch):
+    """Each scheme's virtualized cell runs the compiled nested walk, on
+    4KB and on 2MB host pages, with and without service collection, and
+    matches the scalar loop on every statistic and every state it
+    leaves."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    mode = dict(COMPILED)[name]
+    for host_page_level, collect in ((1, True), (2, True), (1, False)):
+        stats, _ = _assert_virt_identical(
+            mode, name=name, host_page_level=host_page_level,
+            collect_service=collect)
+        assert stats.walks > 0
+        assert bool(stats.service._counts) == collect
+        if name == "victima":
+            assert stats.scheme_stats["probe_hits"] > 0
+            assert stats.scheme_stats["parked_lost_to_data"] > 0
+
+
+@pytest.mark.parametrize("config", (cfg.P1G_P2G, HOST_ONLY, cfg.FULL_2D),
+                         ids=("guest", "host", "both"))
+def test_virtualized_asap_dimensions_differential(config, monkeypatch):
+    """Guest-only, host-only and combined ASAP: guest prefetches at walk
+    start, host prefetches at every host walk, or both."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    stats, sim = _assert_virt_identical("asap", name="asap", config=config)
+    assert (sim.guest_prefetcher is not None) == bool(config.guest_levels)
+    assert (sim.host_prefetcher is not None) == bool(config.host_levels)
+    assert stats.prefetches_useful > 0
+
+
+@pytest.mark.parametrize("hole_rate", (0.05, 0.5, 1.0))
+def test_virtualized_asap_holes_differential(hole_rate, monkeypatch):
+    """Guest PT-region holes put 1s into the guest ASAP hole columns:
+    those prefetches are issued but never overlap the walk."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    stats, _ = _assert_virt_identical("asap", name="asap",
+                                      hole_rate=hole_rate)
+    assert stats.scheme_stats["wasted_on_hole"] > 0
+
+
+@pytest.mark.parametrize("chunk_records", (1, 7, 4096))
+def test_virtualized_chunk_size_seams(chunk_records, monkeypatch):
+    """Warmup exactly on a seam, just past one, and mid-chunk: chunked
+    compiled == chunked scalar == the monolithic scalar run."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    length = max(3_000, chunk_records + 2_000)
+    for warmup in (chunk_records, chunk_records + 1, 2_000):
+        scale = Scale(trace_length=length, warmup=warmup, seed=23)
+        stats, _ = _assert_virt_identical("plain", scale=scale,
+                                          chunk_records=chunk_records)
+        monolithic, _, _ = _virt_run("scalar", scale=scale)
+        assert stats == monolithic, f"warmup={warmup}"
+
+
+@pytest.mark.parametrize("name", ("asap", "victima"))
+def test_virtualized_scheme_state_straddles_seams(name, monkeypatch):
+    """In-flight prefetch MSHRs and the parked-victim pool cross every
+    seam of a one-record-chunk nested run."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    stats, sim = _assert_virt_identical(name, name=name, chunk_records=1)
+    if name == "asap":
+        assert sim.hierarchy.mshrs.allocations > 0
+    else:
+        assert stats.scheme_stats["parked"] > 0
+
+
+#: A guest heap of 4KB pages next to a 2MB-backed VMA: no suite workload
+#: maps 2MB guest pages, whose nested walks stop at the guest PL2 entry.
+HEAP, HUGE = 0x5555_0000_0000, 0x7000_0000_0000
+
+
+def _large_page_vm(config, host_page_level: int) -> VirtualMachine:
+    guest_mem = 1 << 34
+    buddy = BuddyAllocator(PhysicalMemory(guest_mem), seed=29)
+    layout = (AsapPtLayout(buddy, levels=config.guest_levels, seed=29)
+              if config.guest_levels else None)
+    guest = ProcessAddressSpace(buddy=buddy, asap_layout=layout)
+    vm = VirtualMachine(guest, guest_mem_bytes=guest_mem,
+                        host_page_level=host_page_level,
+                        host_asap_levels=config.host_levels,
+                        back_guest_pt_contiguously=bool(config.guest_levels),
+                        seed=29)
+    vm.mmap(HEAP, 16 << 20, name="heap")
+    vm.mmap(HUGE, 32 << 20, name="huge", page_level=2)
+    return vm
+
+
+def _large_page_trace() -> np.ndarray:
+    """Pages of both VMAs, a third of them repeated in short streaks."""
+    rng = np.random.default_rng(29)
+    pages = np.where(rng.random(4_000) < 0.5,
+                     (HEAP >> 12) + rng.integers(0, 4_096, 4_000),
+                     (HUGE >> 12) + rng.integers(0, 8_192, 4_000))
+    trace = (pages << 12) | (rng.integers(0, 64, 4_000) << 6)
+    return np.repeat(trace, rng.choice((1, 1, 3), trace.size))
+
+
+@pytest.mark.parametrize("name", ("baseline", "asap", "victima"))
+def test_virtualized_large_guest_pages_differential(name, monkeypatch):
+    """Walks that end at a 2MB guest leaf (three guest steps, then the
+    data page) and fill large TLB tags, on 4KB and 2MB host pages."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    trace = _large_page_trace()
+    scale = Scale(trace_length=trace.size, warmup=1_000, seed=29)
+    for host_page_level in (1, 2):
+        _, sim = _assert_virt_identical(
+            dict(COMPILED)[name], name=name, scale=scale,
+            host_page_level=host_page_level, make_vm=_large_page_vm,
+            trace=trace)
+        assert sim.vm.guest.page_table.has_large_pages
+        leaves = sim._columnar_paths.paths[:sim._columnar_paths.count, 3]
+        assert set(leaves.tolist()) == {1, 2}
+
+
+def _lazy_run(kernel: str, host_page_level: int) -> tuple:
+    """A populated baseline VM whose first record is already translated:
+    a run of that record alone never walks, and in the next run the first
+    walk lands mid-chunk.  Returns both runs' statistics, the host state
+    before and after each and the machine, then the kernel each run's
+    ``simulate`` span names."""
+    spec = get_workload("mc80")
+    scale = Scale(trace_length=3_000, warmup=500, seed=19)
+    vm = build_vm(spec, cfg.BASELINE, scale,
+                  host_page_level=host_page_level)
+    sim = VirtualizedSimulation(vm, kernel=kernel)
+    trace = make_trace(spec, scale)
+    sim.populate(trace, order=spec.init_order)
+    vpn = int(trace[0]) >> 12
+    sim.tlbs.fill(vpn, vm.hpt.frame_of(vm.guest.frame_of(vpn)))
+    states = [_host_state(vm)]
+    with capture() as recorder:
+        hit = sim.run(trace[:1], populate=False)
+        states.append(_host_state(vm))
+        stats = sim.run(trace, warmup=scale.warmup, populate=False)
+        states.append(_host_state(vm))
+    return (hit, stats, states, _machine_state(sim)), \
+        _simulate_kernels(recorder)
+
+
+@pytest.mark.parametrize("host_page_level", (1, 2))
+def test_lazy_host_mapping_matches_scalar(host_page_level, monkeypatch):
+    """Populate backs every guest page and PT node it creates but not
+    the guest root node's page; on 4KB host pages the run's first walk
+    maps it, drawing a host frame.  The compiled run stops before that
+    walk, maps the page through one ``nested_path`` call (the scalar
+    loop calls it once per walked page) and leaves the same host page
+    table and host buddy.  2MB host pages already back the root."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    calls = []
+    nested_path = VirtualMachine.nested_path
+
+    def counting(vm, va):
+        calls.append(va)
+        return nested_path(vm, va)
+
+    monkeypatch.setattr(VirtualMachine, "nested_path", counting)
+    runs = []
+    for kernel, mode in (("scalar", "scalar"), ("columnar", "plain")):
+        calls.clear()
+        run, kernels = _lazy_run(kernel, host_page_level)
+        assert kernels == [mode, mode]
+        runs.append(run)
+    assert runs[0] == runs[1]
+    hit, _, (before, after_hit, after), _ = runs[1]
+    assert hit.walks == 0 and after_hit == before
+    mapped = len(after[0]) - len(before[0])
+    assert mapped == (1 if host_page_level == 1 else 0)
+    assert len(calls) == mapped
+
+
+def test_lazy_host_mapping_two_tenants_share_a_host_buddy(monkeypatch):
+    """Two VMs draw their lazily mapped root pages from one host buddy,
+    each in its own first quantum: the compiled schedule maps them in
+    the same order, so both host page tables and the shared buddy end up
+    as the scalar schedule leaves them."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    calls = []
+    nested_path = VirtualMachine.nested_path
+
+    def counting(vm, va):
+        calls.append(vm)
+        return nested_path(vm, va)
+
+    monkeypatch.setattr(VirtualMachine, "nested_path", counting)
+    mt = MultiTenantSpec(tenants=2, quantum=400, switch_policy="asid")
+    hosts = []
+    for kernel, mode in (("scalar", "scalar"), ("columnar", "plain")):
+        calls.clear()
+        _, sims, kernels = _run_mt("baseline", mt, kernel, monkeypatch,
+                                   virtualized=True)
+        assert set(kernels) == {mode}
+        assert sims[0].vm.host_buddy is sims[1].vm.host_buddy
+        hosts.append([_host_state(sim.vm) for sim in sims])
+    assert hosts[0] == hosts[1]
+    assert calls == [sim.vm for sim in sims]
 
 
 # ----------------------------------------------------------------------
@@ -361,9 +653,11 @@ def test_randomized_differential(seed, monkeypatch):
 # multi-tenant: per-quantum sections through the chunk kernel
 # ----------------------------------------------------------------------
 def _run_mt(name: str, mt: MultiTenantSpec, kernel: str, monkeypatch,
-            workload: str = "mc80", scale: Scale = SCALE):
-    """One native multi-tenant cell: its statistics, its tenants'
-    simulations and the kernel each quantum's ``simulate`` span names."""
+            workload: str = "mc80", scale: Scale = SCALE,
+            virtualized: bool = False):
+    """One multi-tenant cell (native, or virtualized: one VM per tenant):
+    its statistics, its tenants' simulations and the kernel each
+    quantum's ``simulate`` span names."""
     drive = multitenant._drive
     tenants = []
 
@@ -373,30 +667,35 @@ def _run_mt(name: str, mt: MultiTenantSpec, kernel: str, monkeypatch,
 
     monkeypatch.setattr(multitenant, "_drive", capturing_drive)
     entry = SCHEMES[name]
+    runner, config = ((run_virtualized_mt, entry.virt_config) if virtualized
+                      else (run_native_mt, entry.native_config))
     with capture() as recorder:
-        stats = run_native_mt(workload, entry.native_config, mt=mt,
-                              scale=scale, scheme=entry.spec, kernel=kernel)
+        stats = runner(workload, config, mt=mt, scale=scale,
+                       scheme=entry.spec, kernel=kernel)
     return stats, tenants[-1], _simulate_kernels(recorder)
 
 
 def _schedule_state(sims) -> dict:
     """The shared machine plus every tenant's scheme state: Victima's
-    parked map in FIFO order (the order picks the next bound victim)."""
+    parked map in FIFO order (the order picks the next bound victim).
+    VMs add their host page tables and the shared host buddy."""
     state = _machine_state(sims[0])
     state["schemes"] = [
         (list(getattr(sim.scheme, "_parked", {}).items()),
          sim.scheme.scheme_stats())
         for sim in sims]
+    if isinstance(sims[0], VirtualizedSimulation):
+        state["hosts"] = [_host_state(sim.vm) for sim in sims]
     return state
 
 
 def _assert_mt_identical(name, mt, monkeypatch, compiled_mode,
-                         workload="mc80", scale=SCALE):
+                         workload="mc80", scale=SCALE, virtualized=False):
     """Scalar and compiled runs of one cell agree on the statistics and
     on every state the schedule leaves behind; every compiled quantum
     ran ``compiled_mode``.  Returns the compiled run's tenants."""
     (scalar, s_sims, s_kernels), (col, c_sims, c_kernels) = [
-        _run_mt(name, mt, kernel, monkeypatch, workload, scale)
+        _run_mt(name, mt, kernel, monkeypatch, workload, scale, virtualized)
         for kernel in ("scalar", "columnar")]
     assert scalar == col, name
     assert scalar.service._counts == col.service._counts, name
@@ -595,13 +894,29 @@ def test_mixed_kernels_share_one_hierarchy(reused_images, monkeypatch):
 
 
 def test_multitenant_virtualized_differential(monkeypatch):
-    """Every virtualized quantum runs the scalar loop, as above."""
+    """Two VMs on one host under both switch policies: every quantum of
+    each scheme runs the compiled nested walk, and the statistics and
+    the state the schedule leaves — host page tables and the shared
+    host buddy included — match the scalar schedule's."""
     monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
-    mt = MultiTenantSpec(tenants=2, quantum=900, switch_policy="asid")
-    with capture() as recorder:
-        run_virtualized_mt("mc80", mt=mt, scale=SCALE)
-    kernels = _simulate_kernels(recorder)
-    assert kernels and set(kernels) == {"scalar"}
+    for policy in ("flush", "asid"):
+        mt = MultiTenantSpec(tenants=2, quantum=900, switch_policy=policy)
+        for name, mode in COMPILED:
+            _assert_mt_identical(name, mt, monkeypatch, mode,
+                                 virtualized=True)
+
+
+@pytest.mark.parametrize("policy", ("flush", "asid"))
+def test_multitenant_virtualized_four_tenants(policy, monkeypatch):
+    """Four VMs with short quanta: under ``asid`` each tenant's fills
+    evict the others' translations, and Victima parks each victim in
+    its owner's pool."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    mt = MultiTenantSpec(tenants=4, quantum=300, switch_policy=policy)
+    for name, mode in (("baseline", "plain"), ("victima", "victima")):
+        sims = _assert_mt_identical(name, mt, monkeypatch, mode,
+                                    workload="mix-server", virtualized=True)
+    assert all(sim.scheme.stats["parked"] for sim in sims)
 
 
 # ----------------------------------------------------------------------
@@ -635,3 +950,6 @@ def test_unknown_kernel_rejected():
     process = spec.build_process(seed=5)
     with pytest.raises(ValueError, match="unknown simulation kernel"):
         NativeSimulation(process, kernel="simd")
+    vm = build_vm(spec, cfg.BASELINE, SCALE)
+    with pytest.raises(ValueError, match="unknown simulation kernel"):
+        VirtualizedSimulation(vm, kernel="simd")

@@ -20,6 +20,7 @@ from repro.core import config as cfg
 from repro.params import DEFAULT_MACHINE, TlbHierarchyParams, TlbParams
 from repro.runtime.job import VIRTUALIZED, Job, execute_job
 from repro.schemes import SchemeSpec
+from repro.sim import columnar
 from repro.sim.runner import (
     Scale,
     _corunner,
@@ -255,17 +256,23 @@ def run_oracle(*args, **kwargs):
     return run_native(*args, kernel="scalar", **kwargs)
 
 
+def run_virt_oracle(*args, **kwargs):
+    """``run_virtualized`` forced onto the scalar loop."""
+    return run_virtualized(*args, kernel="scalar", **kwargs)
+
+
 def run_native_trace(trace, warmup, *, collect=True, **sim_kwargs):
     sim = native_sim(**sim_kwargs)
     return sim.run(trace, warmup=warmup, collect_service=collect,
                    init_order=SPEC.init_order)
 
 
-def virt_sim(*, config=cfg.BASELINE, scheme=None, coloc=False):
+def virt_sim(*, config=cfg.BASELINE, scheme=None, coloc=False,
+             kernel="scalar"):
     vm = build_vm(SPEC, config, VSCALE)
     return VirtualizedSimulation(
         vm, asap=config, corunner=_corunner(VSCALE) if coloc else None,
-        scheme=scheme)
+        scheme=scheme, kernel=kernel)
 
 
 def run_virt_trace(trace, warmup, **sim_kwargs):
@@ -285,7 +292,7 @@ def vtrace():
 
 class TestRunnerParity:
     """Runner-level scenarios: every scheme, mode and TLB variant.
-    Native cells force the scalar loop, the oracle these goldens pin;
+    Every cell forces the scalar loop, the oracle these goldens pin;
     ``TestColumnarGoldenParity`` runs them on the compiled kernel."""
 
     def test_native_baseline(self):
@@ -354,30 +361,30 @@ class TestRunnerParity:
 
     def test_virtualized_baseline(self):
         _assert_golden("virt-baseline",
-                       run_virtualized("mc80", cfg.BASELINE, scale=VSCALE))
+                       run_virt_oracle("mc80", cfg.BASELINE, scale=VSCALE))
 
     def test_virtualized_asap(self):
         _assert_golden("virt-asap",
-                       run_virtualized("mc80", cfg.FULL_2D, scale=VSCALE))
+                       run_virt_oracle("mc80", cfg.FULL_2D, scale=VSCALE))
 
     def test_virtualized_victima(self):
         _assert_golden("virt-victima",
-                       run_virtualized("mc80", scale=VSCALE,
+                       run_virt_oracle("mc80", scale=VSCALE,
                                        scheme=SchemeSpec.victima()))
 
     def test_virtualized_revelator(self):
         _assert_golden("virt-revelator",
-                       run_virtualized("mc80", scale=VSCALE,
+                       run_virt_oracle("mc80", scale=VSCALE,
                                        scheme=SchemeSpec.revelator()))
 
     def test_virtualized_infinite(self):
         _assert_golden("virt-infinite-baseline",
-                       run_virtualized("mc80", cfg.BASELINE,
+                       run_virt_oracle("mc80", cfg.BASELINE,
                                        infinite_tlb=True, scale=VSCALE))
 
     def test_virtualized_colocated(self):
         _assert_golden("virt-coloc-baseline",
-                       run_virtualized("mc80", cfg.BASELINE, colocated=True,
+                       run_virt_oracle("mc80", cfg.BASELINE, colocated=True,
                                        scale=VSCALE))
 
 
@@ -540,8 +547,8 @@ class TestServiceParity:
 
     @pytest.mark.parametrize("kernel", ("scalar", "columnar"))
     def test_virtualized_asap(self, kernel):
-        # A job's kernel is provenance: the virtualized executor has one
-        # engine and must yield the same distribution under either value.
+        # A job's kernel is provenance: the virtualized executor must
+        # yield the same distribution on either engine.
         job = Job(kind=VIRTUALIZED, workload="mc80", config=cfg.FULL_2D,
                   scale=VSCALE, collect_service=True, kernel=kernel)
         assert self._distribution(execute_job(job)) == SERVICE_GOLDEN[
@@ -560,7 +567,6 @@ def _vstreaky(vt):
 
 
 #: tag -> callable(ntrace, vtrace, kernel) reproducing the golden cell.
-#: Virtualized cells take no kernel: the 2D walk has one engine.
 COLUMNAR_SCENARIOS = {
     "allsame-native": lambda nt, vt, k: run_native_trace(
         np.full(500, int(nt[0]), dtype=nt.dtype), 100, kernel=k),
@@ -616,15 +622,15 @@ COLUMNAR_SCENARIOS = {
     "streak-native-warmup0": lambda nt, vt, k: run_native_trace(
         _streaky(nt), 0, kernel=k),
     "streak-virt-asap": lambda nt, vt, k: run_virt_trace(
-        _vstreaky(vt), 800, config=cfg.FULL_2D),
+        _vstreaky(vt), 800, config=cfg.FULL_2D, kernel=k),
     "streak-virt-baseline": lambda nt, vt, k: run_virt_trace(
-        _vstreaky(vt), 800),
+        _vstreaky(vt), 800, kernel=k),
     "streak-virt-coloc": lambda nt, vt, k: run_virt_trace(
-        _vstreaky(vt), 800, coloc=True),
+        _vstreaky(vt), 800, coloc=True, kernel=k),
     "streak-virt-revelator": lambda nt, vt, k: run_virt_trace(
-        _vstreaky(vt), 800, scheme=SchemeSpec.revelator()),
+        _vstreaky(vt), 800, scheme=SchemeSpec.revelator(), kernel=k),
     "streak-virt-warmup-mid": lambda nt, vt, k: run_virt_trace(
-        _vstreaky(vt), 801),
+        _vstreaky(vt), 801, kernel=k),
     "tiny-native-1rec": lambda nt, vt, k: run_native_trace(
         nt[:1], 0, kernel=k),
     "tiny-native-3rec-samepage": lambda nt, vt, k: run_native_trace(
@@ -632,17 +638,17 @@ COLUMNAR_SCENARIOS = {
     "tiny-native-run-to-end": lambda nt, vt, k: run_native_trace(
         np.repeat(nt[:10], 600), 1000, kernel=k),
     "virt-asap": lambda nt, vt, k: run_virtualized(
-        "mc80", cfg.FULL_2D, scale=VSCALE),
+        "mc80", cfg.FULL_2D, scale=VSCALE, kernel=k),
     "virt-baseline": lambda nt, vt, k: run_virtualized(
-        "mc80", cfg.BASELINE, scale=VSCALE),
+        "mc80", cfg.BASELINE, scale=VSCALE, kernel=k),
     "virt-coloc-baseline": lambda nt, vt, k: run_virtualized(
-        "mc80", cfg.BASELINE, colocated=True, scale=VSCALE),
+        "mc80", cfg.BASELINE, colocated=True, scale=VSCALE, kernel=k),
     "virt-infinite-baseline": lambda nt, vt, k: run_virtualized(
-        "mc80", cfg.BASELINE, infinite_tlb=True, scale=VSCALE),
+        "mc80", cfg.BASELINE, infinite_tlb=True, scale=VSCALE, kernel=k),
     "virt-revelator": lambda nt, vt, k: run_virtualized(
-        "mc80", scale=VSCALE, scheme=SchemeSpec.revelator()),
+        "mc80", scale=VSCALE, scheme=SchemeSpec.revelator(), kernel=k),
     "virt-victima": lambda nt, vt, k: run_virtualized(
-        "mc80", scale=VSCALE, scheme=SchemeSpec.victima()),
+        "mc80", scale=VSCALE, scheme=SchemeSpec.victima(), kernel=k),
 }
 
 
@@ -651,13 +657,19 @@ class TestColumnarGoldenParity:
 
     The goldens above are the scalar oracle; every scenario — engaged
     C kernel and documented scalar fallbacks alike — must land on the
-    identical numbers under ``kernel="columnar"``."""
+    identical numbers under ``kernel="columnar"``.  Without a compiled
+    backend a case skips (the scalar cells above still pin its golden);
+    with ``REPRO_REQUIRE_CCORE=1`` already set, as in CI's columnar job,
+    the availability check raises instead, so a compiled case can never
+    pass on a silent scalar fallback."""
 
     def test_covers_every_golden(self):
         assert set(COLUMNAR_SCENARIOS) == set(GOLDEN)
 
     @pytest.mark.parametrize("tag", sorted(GOLDEN))
     def test_matches_golden(self, tag, ntrace, vtrace, monkeypatch):
+        if not columnar.columnar_available():
+            pytest.skip("no C compiler/cffi for the columnar backend")
         monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
         _assert_golden(tag,
                        COLUMNAR_SCENARIOS[tag](ntrace, vtrace, "columnar"))

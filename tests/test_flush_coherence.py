@@ -25,7 +25,7 @@ SPEC = get("mc80")
 NSCALE = Scale(trace_length=4_000, warmup=0, seed=7)
 VSCALE = Scale(trace_length=1_500, warmup=0, seed=7)
 
-#: Both native kernels; each caches walk paths in its own structure.
+#: Both kernels; each caches walk paths in its own structure.
 KERNELS = ("scalar", pytest.param("columnar", marks=pytest.mark.skipif(
     not columnar.columnar_available(),
     reason="no C compiler/cffi for the columnar backend")))
@@ -38,15 +38,18 @@ def _native_sim(**kwargs):
 
 def _cached_paths(sim) -> int:
     """How many walk paths the simulator's own kernel has cached: the
-    compiled kernel's path rows, or the scalar loop's two dicts."""
+    compiled kernel's path rows (nested rows of a virtualized one), or
+    the scalar loop's dicts."""
     if sim.kernel == "columnar":
         return sim._columnar_paths.count
+    if isinstance(sim, VirtualizedSimulation):
+        return len(sim._nested_paths)
     return len(sim._fast_paths) + len(sim._flat_paths)
 
 
-def _virt_sim():
+def _virt_sim(**kwargs):
     vm = build_vm(SPEC, cfg.BASELINE, VSCALE)
-    return VirtualizedSimulation(vm)
+    return VirtualizedSimulation(vm, **kwargs)
 
 
 def _tlb_state(tlbs):
@@ -134,25 +137,28 @@ class TestNativeFlush:
 
 
 class TestVirtualizedFlush:
-    def test_mid_run_flush_is_byte_identical_to_cold_structures(self):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_mid_run_flush_is_byte_identical_to_cold_structures(
+            self, kernel):
         trace = make_trace(SPEC, VSCALE)
-        sim = _virt_sim()
+        sim = _virt_sim(kernel=kernel)
         sim.run(trace, warmup=0, init_order=SPEC.init_order)
         assert sim.tlbs.l1.occupancy > 0
-        assert sim._nested_paths
+        assert _cached_paths(sim) > 0
 
         sim.flush_translation_state()
 
-        cold = _virt_sim()
+        cold = _virt_sim(kernel=kernel)
         assert _tlb_state(sim.tlbs) == _tlb_state(cold.tlbs)
         assert _pwc_state(sim.guest_pwc) == _pwc_state(cold.guest_pwc)
         assert _pwc_state(sim.host_pwc) == _pwc_state(cold.host_pwc)
         assert sim.hierarchy.mshrs.occupancy == 0
-        assert not sim._nested_paths
+        assert _cached_paths(sim) == 0
 
-    def test_continuation_after_flush_rewalks(self):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_continuation_after_flush_rewalks(self, kernel):
         trace = make_trace(SPEC, VSCALE)
-        sim = _virt_sim()
+        sim = _virt_sim(kernel=kernel)
         sim.run(trace, warmup=0, init_order=SPEC.init_order)
         warm = sim.run(trace, warmup=0, populate=False)
         sim.flush_translation_state()

@@ -203,7 +203,8 @@ class TestDeterminism:
     def test_scalar_stats_identical(self, virtualized):
         entry = SCHEMES["asap"]
         if virtualized:
-            config, runner = entry.virt_config, run_virtualized
+            config = entry.virt_config
+            runner = functools.partial(run_virtualized, kernel="scalar")
         else:
             config = entry.native_config
             runner = functools.partial(run_native, kernel="scalar")
@@ -220,14 +221,14 @@ class TestDeterminism:
                                "backend")
     def test_columnar_stats_identical(self, monkeypatch):
         monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
-
-        def run():
-            return run_native("mc80", scale=TINY, kernel="columnar",
+        for runner in (run_native, run_virtualized):
+            def run():
+                return runner("mc80", scale=TINY, kernel="columnar",
                               collect_service=False)
 
-        baseline = run()
-        assert _observed(run) == baseline
-        assert _observed(run, sample_records=700) == baseline
+            baseline = run()
+            assert _observed(run) == baseline
+            assert _observed(run, sample_records=700) == baseline
 
     def test_mt_stats_identical(self):
         mt = MultiTenantSpec(tenants=2, quantum=500, switch_policy="flush")
@@ -258,43 +259,77 @@ def test_mt_logs_setup_and_populate_phases(runner):
 # ----------------------------------------------------------------------
 # the logged kernel is the one that ran
 # ----------------------------------------------------------------------
+def _logged_kernels(recorder) -> list[str]:
+    return [event["args"]["kernel"] for event in recorder.events
+            if event["type"] == "B" and event["name"] == "simulate"]
+
+
 @pytest.mark.skipif(not columnar.columnar_available(),
                     reason="no C compiler/cffi for the columnar backend")
-@pytest.mark.parametrize("name, expected", [
-    ("victima", "victima"),
-    ("baseline", "plain"),
-    ("revelator", "scalar"),  # no compiled mode: every quantum falls back
+@pytest.mark.parametrize("name, expected, virtualized", [
+    pytest.param("victima", "victima", False, id="victima-victima"),
+    pytest.param("baseline", "plain", False, id="baseline-plain"),
+    # no compiled mode: every quantum falls back
+    pytest.param("revelator", "scalar", False, id="revelator-scalar"),
+    pytest.param("victima", "victima", True, id="virt-victima-victima"),
+    pytest.param("baseline", "plain", True, id="virt-baseline-plain"),
+    pytest.param("asap", "asap", True, id="virt-asap-asap"),
+    pytest.param("revelator", "scalar", True, id="virt-revelator-scalar"),
 ])
-def test_simulate_span_logs_effective_kernel(name, expected, monkeypatch):
+def test_simulate_span_logs_effective_kernel(name, expected, virtualized,
+                                             monkeypatch):
     monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
     entry = SCHEMES[name]
+    runner, config = ((run_virtualized_mt, entry.virt_config) if virtualized
+                      else (run_native_mt, entry.native_config))
     mt = MultiTenantSpec(tenants=2, quantum=700, switch_policy="asid")
     with capture() as recorder:
-        run_native_mt("mc80", entry.native_config, mt=mt, scale=TINY,
-                      scheme=entry.spec, kernel="columnar")
-    kernels = [event["args"]["kernel"] for event in recorder.events
-               if event["type"] == "B" and event["name"] == "simulate"]
+        runner("mc80", config, mt=mt, scale=TINY, scheme=entry.spec,
+               kernel="columnar")
+    kernels = _logged_kernels(recorder)
     assert len(kernels) == 6  # 2 tenants x 2000 records / quantum 700
     assert set(kernels) == {expected}
 
 
 @pytest.mark.skipif(not columnar.columnar_available(),
                     reason="no C compiler/cffi for the columnar backend")
-@pytest.mark.parametrize("name, expected", [
-    ("baseline", "plain"), ("asap", "asap"), ("victima", "victima")])
-def test_default_kernel_is_compiled(name, expected, monkeypatch):
-    # No kernel argument anywhere: a direct run_native call and a
-    # default Job both take the compiled kernel.
+@pytest.mark.parametrize("name, expected, kind", [
+    pytest.param("baseline", "plain", "native", id="baseline-plain"),
+    pytest.param("asap", "asap", "native", id="asap-asap"),
+    pytest.param("victima", "victima", "native", id="victima-victima"),
+    pytest.param("baseline", "plain", "virtualized", id="virt-baseline-plain"),
+    pytest.param("asap", "asap", "virtualized", id="virt-asap-asap"),
+    pytest.param("victima", "victima", "virtualized",
+                 id="virt-victima-victima"),
+])
+def test_default_kernel_is_compiled(name, expected, kind, monkeypatch):
+    # No kernel argument anywhere: a direct runner call and a default
+    # Job both take the compiled kernel.
     monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
     entry = SCHEMES[name]
+    runner, config = ((run_native, entry.native_config) if kind == "native"
+                      else (run_virtualized, entry.virt_config))
     with capture() as recorder:
-        run_native("mc80", entry.native_config, scale=TINY,
-                   scheme=entry.spec)
-        execute_job(Job(kind="native", workload="mc80", scale=TINY,
-                        config=entry.native_config, scheme=entry.spec))
-    kernels = [event["args"]["kernel"] for event in recorder.events
-               if event["type"] == "B" and event["name"] == "simulate"]
-    assert kernels == [expected, expected]
+        runner("mc80", config, scale=TINY, scheme=entry.spec)
+        execute_job(Job(kind=kind, workload="mc80", scale=TINY,
+                        config=config, scheme=entry.spec))
+    assert _logged_kernels(recorder) == [expected, expected]
+
+
+@pytest.mark.skipif(not columnar.columnar_available(),
+                    reason="no C compiler/cffi for the columnar backend")
+def test_virtualized_fallbacks_log_scalar(monkeypatch):
+    """Revelator and co-runner cells have no compiled nested walk, and a
+    Job that asks for the scalar kernel gets it: each simulate span of
+    those runs says ``scalar``."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    with capture() as recorder:
+        run_virtualized("mc80", scale=TINY,
+                        scheme=SCHEMES["revelator"].spec)
+        run_virtualized("mc80", scale=TINY, colocated=True)
+        execute_job(Job(kind="virtualized", workload="mc80", scale=TINY,
+                        kernel="scalar"))
+    assert _logged_kernels(recorder) == ["scalar"] * 3
 
 
 # ----------------------------------------------------------------------
