@@ -26,6 +26,12 @@ Model mapping:
 The verification walk always completes and its result is what fills the
 TLB, mirroring Revelator's (and ASAP §3.1's) security posture: no
 translation is consumed that the walk did not produce.
+
+:meth:`RevelatorLike._walk_end` is the oracle of a compiled replay: the
+columnar kernel (`repro.sim.columnar`, mode ``"revelator"``) runs the
+same lottery, wrong-path access and latency arithmetic in C after each
+walk, and the differential suite pins the two byte for byte.  A change
+here needs the same change in the kernel's ``revelator_walk_end``.
 """
 
 from __future__ import annotations

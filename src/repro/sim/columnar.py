@@ -67,21 +67,26 @@ each call.
 
 Byte-identity with the scalar path is a hard invariant (the scalar
 kernel is the differential oracle; see tests/test_columnar_differential
-and ARCHITECTURE.md §12).  The kernel engages in one of three modes —
+and ARCHITECTURE.md §12).  The kernel engages in one of four modes —
 ``plain`` (no scheme hooks; the original fast-sweep configuration),
 ``asap`` (the only hooks are AsapPrefetchers — the walk-start one and,
 in a nested walk, the host one: the prefetch issue/completion state
 machine is compiled into the chunk loop, with the range-register
 outcome, per-level target lines and hole flags precomputed per page
-into the path rows) and ``victima`` (the
+into the path rows), ``victima`` (the
 probe is a Victima scheme's and the L2-TLB-eviction hook is a Victima
 park, directly or through the multi-tenant victim router: each
 scheme's parked-entry map is carried as a C hash + FIFO pool, the
 TLB-fill victim filter runs inline and parks each victim in its
-owner's pool).  All other configurations (Revelator, co-runners,
-infinite or clustered TLBs, 5-level page tables, custom hooks,
-non-power-of-two geometries) fall back to the scalar loop, so every
-scheme still runs.  MSHR state is
+owner's pool) and ``revelator`` (the only hook is a RevelatorLike's
+walk end: after each walk, native or nested, the kernel replays its
+speculate-and-verify step, with the CRC-32 placement lottery over the
+ASID-biased vpn and the wrong-path access computed in C, so there are
+no extra row columns).  Every scheme of the comparison roster thus
+compiles.  All other configurations (co-runners, infinite or
+clustered TLBs, 5-level page tables, custom hooks, non-power-of-two
+geometries) fall back to the scalar loop, so every cell still runs.
+MSHR state is
 round-tripped in every mode and the C ``cache_access`` has the merge
 branch, so in-flight prefetches straddle chunk seams byte-identically.
 
@@ -118,6 +123,7 @@ from itertools import repeat
 import numpy as np
 
 from repro.kernelsim.pt_layout import VmaHoleChecker
+from repro.mem.cache import EMPTY
 from repro.pagetable.constants import node_tag
 from repro.pagetable.nested import NestedPageWalker
 from repro.sim.order import run_starts
@@ -143,7 +149,7 @@ _G_PWC_LAT = 28
 _G_BASE_CYCLES = 29
 _G_VBIAS = 30
 _G_PROBE_LARGE = 31
-_G_MODE = 32        # 0 plain, 1 asap, 2 victima
+_G_MODE = 32        # 0 plain, 1 asap, 2 victima, 3 revelator
 _G_REQ_MSHR = 33    # asap: require a free MSHR per prefetch
 _G_MSHR_CAP = 34
 _G_PF_N = 35        # asap: number of prefetch-target levels
@@ -156,7 +162,10 @@ _G_NESTED = 52      # 1 for a VirtualizedSimulation's nested rows
 _G_HPF_N = 53       # nested asap: the host prefetcher's levels (54-57)
 _G_HPF_L = 54
 _G_HREQ_MSHR = 58
-_GEOM_SLOTS = 59
+_G_REV_COVERAGE = 59  # revelator: placement coverage, in 1/10,000
+_G_REV_SPEC = 60      # revelator: speculation latency
+_G_REV_PENALTY = 61   # revelator: misprediction squash penalty
+_GEOM_SLOTS = 62
 
 # park meta slots (mirror the C PM_* enum): count, FIFO head and tail,
 # free-list head, hash tombstones, bound (= capacity), hash capacity,
@@ -179,8 +188,9 @@ _PARK_SLOT = 5    # pool slot fields: vpn, frame, prev, next, mark
  K_HRR_H, K_HRR_M, K_HPF_ISSUED, K_HPF_USEFUL, K_HPF_DROPNM,
  K_HPF_NODESC, K_HPF_HOLE,
  K_HPWC_PROBES, K_HPWC_HITS, K_H2_H, K_H2_M, K_H3_H, K_H3_M,
- K_H4_H, K_H4_M, K_WALK_ACC) = range(62)
-_COUNTER_SLOTS = 62
+ K_H4_H, K_H4_M, K_WALK_ACC,
+ K_SPEC, K_SPEC_OK, K_SPEC_MISS) = range(65)
+_COUNTER_SLOTS = 65
 
 # carry slots (the scalar loop's run-wide state tuple)
 _CAR_NOW = 0
@@ -241,7 +251,8 @@ enum {
     G_PF_N = 35, G_PF_L = 36,
     G_PROBE_LAT = 40, G_PARK_SELF = 41,
     G_H2 = 42, G_HPWC_LAT = 51, G_NESTED = 52,
-    G_HPF_N = 53, G_HPF_L = 54, G_HREQ_MSHR = 58
+    G_HPF_N = 53, G_HPF_L = 54, G_HREQ_MSHR = 58,
+    G_REV_COVERAGE = 59, G_REV_SPEC = 60, G_REV_PENALTY = 61
 };
 
 /* counter slots */
@@ -259,7 +270,8 @@ enum {
     K_HRR_H, K_HRR_M, K_HPF_ISSUED, K_HPF_USEFUL, K_HPF_DROPNM,
     K_HPF_NODESC, K_HPF_HOLE,
     K_HPWC_PROBES, K_HPWC_HITS, K_H2_H, K_H2_M, K_H3_H, K_H3_M,
-    K_H4_H, K_H4_M, K_WALK_ACC
+    K_H4_H, K_H4_M, K_WALK_ACC,
+    K_SPEC, K_SPEC_OK, K_SPEC_MISS
 };
 
 /* One prefetcher's counter block (K_RR_H.. for the native or guest
@@ -1035,6 +1047,42 @@ static i64 nested_walk(const mem_t *m, const pwc_t *gpwc, const pwc_t *hpwc,
     return t - now;
 }
 
+/* zlib.crc32 of the 8 little-endian bytes of x: bitwise CRC-32 with
+   the reflected polynomial 0xEDB88320, init and final xor 0xFFFFFFFF. */
+static i64 crc32_u64(unsigned long long x)
+{
+    unsigned int crc = 0xFFFFFFFFu;
+    for (int shift = 0; shift < 64; shift += 8) {
+        crc ^= (unsigned int)(x >> shift) & 0xFFu;
+        for (int bit = 0; bit < 8; bit++)
+            crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+    return (i64)(crc ^ 0xFFFFFFFFu);
+}
+
+/* RevelatorLike._walk_end for the record at `now` whose walk took
+   `translation` cycles: the hash-placement lottery over the (biased)
+   vpn.  A placed page stalls only for the speculation; a misplaced one
+   fetches the wrong-path line at now + spec_latency and pays the squash
+   penalty after the walk.  Returns the translation latency. */
+static i64 revelator_walk_end(const mem_t *m, i64 va, i64 vpn, i64 now,
+                              i64 translation)
+{
+    const i64 *g = m->g;
+    i64 *k = m->k;
+    k[K_SPEC]++;
+    if (crc32_u64(vpn) % 10000 < g[G_REV_COVERAGE]) {
+        k[K_SPEC_OK]++;
+        return g[G_REV_SPEC] < translation ? g[G_REV_SPEC] : translation;
+    }
+    k[K_SPEC_MISS]++;
+    const i64 wrong_frame = crc32_u64((unsigned long long)vpn ^ 0x5EED);
+    i64 level;
+    mem_access(m, (wrong_frame << 6) | ((va & 0xFFF) >> 6), &level,
+               now + g[G_REV_SPEC]);
+    return translation + g[G_REV_PENALTY];
+}
+
 /* Whether the record for `vpn` would reach the page walk: no TLB level
    holds a tag for it and (victima) the running tenant's pool has no
    L2-resident entry for it.  Pure (the scans restore their guard slots
@@ -1278,6 +1326,11 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
             }
             k[K_WALKS]++;
             k[K_WALK_CYCLES] += translation;
+            if (mode == 3)
+                /* the walker has charged the walk; the hook prices
+                   what the core stalls for, before the TLB fill */
+                translation = revelator_walk_end(&m, va, vpn, now,
+                                                 translation);
             /* TLB fill — both tags known absent after the full miss.
                Large fills never hand a victim to the park hook (the
                generic fill path has no hook); small fills do when in
@@ -1593,12 +1646,15 @@ def engine_mode(sim, fast_ok: bool) -> str | None:
     Returns ``"plain"`` then, ``"asap"`` when the only hooks are
     AsapPrefetchers (:func:`_asap_prefetchers`), ``"victima"`` when the
     probe is the scheme's own Victima probe and every victim parks
-    through a Victima ``_park`` (:func:`_park_routes`), and ``None``
-    otherwise: Revelator, co-runner, infinite- or clustered-TLB,
-    5-level and custom-hook cells stay on the scalar loop.  All modes
-    additionally need power-of-two set counts and a compiled backend.
-    In-flight MSHRs are fine — the kernel carries the MSHR file and has
-    the merge branch.
+    through a Victima ``_park`` (:func:`_park_routes`), ``"revelator"``
+    when the only hook is a ``RevelatorLike``'s own bound ``_walk_end``
+    pricing against ``sim.hierarchy`` (a subclass or a custom walk-end
+    hook does not count), and ``None`` otherwise: co-runner, infinite-
+    or clustered-TLB, 5-level and custom-hook cells stay on the scalar
+    loop.  All modes additionally
+    need power-of-two set counts and a compiled backend.  In-flight
+    MSHRs are fine — the kernel carries the MSHR file and has the merge
+    branch.
     """
     tlbs = sim.tlbs
     if (sim.corunner is not None or tlbs.infinite or tlbs.l2_plain is None
@@ -1611,10 +1667,22 @@ def engine_mode(sim, fast_ok: bool) -> str | None:
     else:
         scheme = sim.scheme
         probe = scheme.probe_hook()
-        if (scheme.walk_end_hook() is not None
-                or scheme.fill_hook() is not None):
+        walk_end = scheme.walk_end_hook()
+        if scheme.fill_hook() is not None:
             return None
-        if probe is None and tlbs.l2_evict_hook is None:
+        if walk_end is not None:
+            from repro.schemes.revelator import RevelatorLike
+
+            if (type(scheme) is RevelatorLike
+                    and getattr(walk_end, "__self__", None) is scheme
+                    and getattr(walk_end, "__func__", None)
+                    is RevelatorLike._walk_end
+                    and scheme._hierarchy is sim.hierarchy
+                    and probe is None and tlbs.l2_evict_hook is None
+                    and scheme.walk_start_hook() is None
+                    and scheme.host_prefetcher is None):
+                mode = "revelator"
+        elif probe is None and tlbs.l2_evict_hook is None:
             if _asap_prefetchers(sim) is not None:
                 mode = "asap"
         elif (probe is not None and scheme.walk_start_hook() is None
@@ -1979,8 +2047,14 @@ class _CacheImage:
     __slots__ = ("lines", "sizes", "touched")
 
     def __init__(self, cache) -> None:
-        self.lines = _as_array(cache.lines)
-        self.sizes = _as_array(cache.sizes)
+        if any(cache.sizes):
+            self.lines = _as_array(cache.lines)
+            self.sizes = _as_array(cache.sizes)
+        else:
+            # An empty cache holds EMPTY in every slot (each slot past a
+            # set's size does), so skip converting the lists.
+            self.lines = np.full(len(cache.lines), EMPTY, dtype=np.int64)
+            self.sizes = np.zeros(cache.num_sets, dtype=np.int64)
         self.touched = np.zeros(cache.num_sets, dtype=np.uint8)
 
     def write_back(self, cache) -> None:
@@ -2070,9 +2144,9 @@ def run_columnar(sim, chunks, warmup: int, collect_service: bool, stats,
 
     ``sim`` is a NativeSimulation or a VirtualizedSimulation (nested
     rows, both PWC dimensions).  ``mode`` is :func:`engine_mode`'s
-    verdict — ``"plain"``, ``"asap"`` or ``"victima"`` — and selects
-    which scheme state machine the kernel replays (and which scheme-side
-    state is round-tripped through flat arrays).
+    verdict — ``"plain"``, ``"asap"``, ``"victima"`` or ``"revelator"``
+    — and selects which scheme state machine the kernel replays (and
+    which scheme-side state is round-tripped through flat arrays).
 
     ``carry`` is the scalar loop's run-wide state tuple ``(now,
     measuring, acc, data_c, walk_c, walk_count, tlb_l1_base,
@@ -2128,7 +2202,8 @@ def run_columnar(sim, chunks, warmup: int, collect_service: bool, stats,
     geom[_G_BASE_CYCLES] = sim.machine.core.base_cycles
     geom[_G_VBIAS] = vbias
     geom[_G_PROBE_LARGE] = 1 if tlbs.probe_large[0] else 0
-    geom[_G_MODE] = {"plain": 0, "asap": 1, "victima": 2}[mode]
+    geom[_G_MODE] = {"plain": 0, "asap": 1, "victima": 2,
+                     "revelator": 3}[mode]
     geom[_G_NESTED] = 1 if nested else 0
 
     # The MSHR file rides along in every mode (the kernel has the merge
@@ -2193,6 +2268,17 @@ def run_columnar(sim, chunks, warmup: int, collect_service: bool, stats,
             (base + 4, pf.stats, "dropped_no_mshr"),
             (base + 5, pf.stats, "no_descriptor"),
             (base + 6, pf.stats, "wasted_on_hole")]
+
+    # Revelator: the lottery's coverage and the two latencies, and the
+    # scheme's speculation counters.
+    if mode == "revelator":
+        rscheme = sim.scheme
+        geom[_G_REV_COVERAGE] = rscheme.coverage_pct
+        geom[_G_REV_SPEC] = rscheme.spec_latency
+        geom[_G_REV_PENALTY] = rscheme.penalty
+        counters += [(K_SPEC, rscheme.stats, "speculations"),
+                     (K_SPEC_OK, rscheme.stats, "correct"),
+                     (K_SPEC_MISS, rscheme.stats, "mispredicts")]
 
     # Victima: one pool per scheme the victims park for.  The running
     # scheme's pool takes its probes (and their counters); each victim

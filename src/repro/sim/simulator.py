@@ -913,8 +913,8 @@ class NativeSimulation:
         if mode is not None:
             # Whole-chunk C engine (byte-identical to the loop below;
             # see repro.sim.columnar).  Covers the fast-sweep
-            # configuration plus the compiled ASAP and Victima state
-            # machines; everything else takes the scalar loop.
+            # configuration plus the compiled ASAP, Victima and
+            # Revelator hooks; everything else takes the scalar loop.
             (now, measuring, acc, data_c, walk_c, walk_count,
              tlb_l1_base, tlb_l2_base) = _columnar.run_columnar(
                 self, chunk_stream, warmup,

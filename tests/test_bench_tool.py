@@ -289,15 +289,18 @@ def test_child_generates_the_traces_before_the_timer(
 
 @pytest.mark.skipif(not columnar.columnar_available(),
                     reason="no C compiler/cffi for the columnar backend")
-@pytest.mark.parametrize("scheme, mode", [
-    ("revelator", "scalar"),  # no compiled mode: the record loop ran
-    ("baseline", "plain"),
-    ("baseline-mt2", "plain"),
+@pytest.mark.parametrize("scheme, mode, kernel", [
+    pytest.param("revelator", "revelator", "columnar",
+                 id="revelator-revelator"),
+    pytest.param("baseline", "plain", "columnar", id="baseline-plain"),
+    pytest.param("baseline-mt2", "plain", "columnar",
+                 id="baseline-mt2-plain"),
+    # a forced scalar run: the record loop ran
+    pytest.param("revelator", "scalar", "scalar", id="revelator-scalar"),
 ])
-def test_child_run_records_the_mode_that_ran(bench, scheme, mode):
-    row = bench.measure_cell(scheme, 2000, 400, "columnar", seed=42,
-                             seeds=1)
-    assert row["kernel"] == "columnar" and row["warmup"] == 400
+def test_child_run_records_the_mode_that_ran(bench, scheme, mode, kernel):
+    row = bench.measure_cell(scheme, 2000, 400, kernel, seed=42, seeds=1)
+    assert row["kernel"] == kernel and row["warmup"] == 400
     assert row["mode"] == mode
     assert row["walks"] > 0 and row["peak_rss_mb"] > 0
     assert {"populate", "measure"} <= set(row["phases"])

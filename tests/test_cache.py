@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem.cache import SetAssociativeCache
+from repro.mem.cache import EMPTY, SetAssociativeCache
 from repro.params import CacheParams
+from repro.sim.columnar import _CacheImage
 
 
 def small_cache(ways: int = 2, sets: int = 4) -> SetAssociativeCache:
@@ -126,3 +127,49 @@ def test_install_many_equals_installs_in_order(ways, sets, setup, batch,
     bulk.install_many(np.array(batch, dtype=np.int64))
     assert _state(bulk) == _state(one)
     assert bulk.image is None or not batch
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ways=st.sampled_from([1, 2, 4]),
+    sets=st.sampled_from([1, 2, 4, 8]),
+    ops=st.lists(st.tuples(st.sampled_from(["install", "install", "lookup",
+                                            "invalidate", "flush"]),
+                           st.integers(0, 40)), max_size=60),
+)
+def test_slots_past_a_set_size_hold_empty(ways, sets, ops):
+    """From any reachable state, every slot past a set's size holds
+    ``EMPTY``: the compiled kernel's image of an empty cache relies on
+    it."""
+    cache = small_cache(ways, sets)
+    for op, line in ops:
+        getattr(cache, op)(*(() if op == "flush" else (line,)))
+        for index, size in enumerate(cache.sizes):
+            base = index * cache.stride
+            assert cache.lines[base + size:base + cache.stride] == \
+                [EMPTY] * (cache.stride - size)
+
+
+def test_cache_image_equals_its_lists():
+    """An empty cache's image is built without converting its lists; it
+    must still equal them: a new cache, a flushed one, and one filled
+    and then invalidated back to empty.  A filled cache's image is its
+    lists converted."""
+    new = small_cache(4, 8)
+    flushed = small_cache(4, 8)
+    drained = small_cache(4, 8)
+    filled = small_cache(4, 8)
+    for cache in (flushed, drained, filled):
+        for line in range(0, 300, 7):
+            cache.install(line)
+    flushed.flush()
+    for line in sorted(drained.resident_lines(), key=lambda x: x % 5):
+        drained.invalidate(line)
+    for cache, empty in ((new, True), (flushed, True), (drained, True),
+                         (filled, False)):
+        assert any(cache.sizes) != empty
+        image = _CacheImage(cache)
+        assert image.lines.dtype == image.sizes.dtype == np.int64
+        assert np.array_equal(image.lines, np.asarray(cache.lines))
+        assert np.array_equal(image.sizes, np.asarray(cache.sizes))
+        assert not image.touched.any()

@@ -12,7 +12,7 @@ import pytest
 
 from repro.sim import columnar
 
-pytest.importorskip("cffi")
+pytest.importorskip("cffi", exc_type=ImportError)
 pytestmark = pytest.mark.skipif(columnar._find_compiler() is None,
                                 reason="no C compiler on PATH")
 

@@ -12,15 +12,22 @@ boundaries landing on and around chunk seams — and compare whole
 ``==`` covers the Figure 9 distributions too).
 
 Where the columnar engine's preconditions hold (plain baseline, asap,
-victima; no co-runner, standard TLBs) the suite also asserts the C
-kernel actually *engaged*, with ``REPRO_REQUIRE_CCORE=1`` making a
-silent fallback an error; revelator/corunner cells exercise the
-documented wholesale fallback instead.  Virtualized cells also compare
-the host page table and host buddy a run leaves: the walk that first
-needs a lazily backed guest-physical page maps it, under either kernel.  The scheme-state seam tests
-pin the hardest part of the compiled scheme paths: in-flight prefetch
-MSHRs and the parked-victim pool must round-trip through the per-chunk
-writeback/reload exactly, even when every record lands on its own seam.
+victima, revelator; no co-runner, standard TLBs) the suite also asserts
+the C kernel actually *engaged*, naming the mode each ``simulate`` span
+logs, with ``REPRO_REQUIRE_CCORE=1`` making a silent fallback an error;
+co-runner and clustered-TLB cells, a Victima router with a foreign
+hook, and a Revelator subclass, custom walk-end hook or scheme pricing
+against another hierarchy exercise the documented wholesale fallback
+instead.  Virtualized cells also compare the host page table and host
+buddy a run leaves: the walk that first needs a lazily backed
+guest-physical page maps it, under either kernel.  The scheme-state
+seam tests pin the hardest part of the compiled scheme paths: in-flight
+prefetch MSHRs and the parked-victim pool must round-trip through the
+per-chunk writeback/reload exactly, even when every record lands on its
+own seam.  Revelator's lottery runs in C over the ASID-biased vpn, so
+its tests sweep the placement coverage (both branches of the walk end),
+a speculation latency longer than some walks, chunk seams and
+multi-tenant schedules in which tenants other than ASID 0 run.
 
 The kernel keeps its data-cache images and every Victima scheme's
 parked pool resident between ``run()`` calls and writes back only what
@@ -35,6 +42,7 @@ that owns it, whichever tenant is running.
 from __future__ import annotations
 
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -49,6 +57,8 @@ from repro.obs.events import capture
 from repro.pagetable.pwc import SplitPwc
 from repro.pagetable.walker import PageWalker
 from repro.params import DEFAULT_MACHINE
+from repro.schemes import SchemeSpec
+from repro.schemes.revelator import RevelatorLike
 from repro.sim import columnar, multitenant
 from repro.sim.multitenant import MultiTenantSpec, round_robin_schedule, \
     run_native_mt, run_virtualized_mt
@@ -70,6 +80,10 @@ pytestmark = pytest.mark.skipif(
 SCALE = Scale(trace_length=6_000, warmup=1_200, seed=11)
 
 SCHEME_NAMES = ("baseline", "asap", "victima", "revelator")
+
+#: Each compiled scheme with the mode its runs log.
+COMPILED = (("baseline", "plain"), ("asap", "asap"), ("victima", "victima"),
+            ("revelator", "revelator"))
 
 
 def _park_image_items(image) -> list:
@@ -159,12 +173,12 @@ def _simulate_kernels(recorder) -> list[str]:
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", SCHEME_NAMES)
 def test_native_schemes_differential(name, monkeypatch):
-    # Baseline, asap and victima cells must run the C kernel (the
-    # differential point of the test); revelator exercises the
-    # wholesale scalar fallback.
-    if name != "revelator":
-        monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
-    scalar, col = _native_pair(name)
+    # Every scheme's cell must run the C kernel (the differential point
+    # of the test), in the scheme's own mode.
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    with capture() as recorder:
+        scalar, col = _native_pair(name)
+    assert _simulate_kernels(recorder) == ["scalar", dict(COMPILED)[name]]
     assert scalar == col
     assert scalar.service._counts == col.service._counts
 
@@ -213,9 +227,6 @@ def test_native_clustered_tlb_falls_back_identically():
 #: Host-dimension ASAP alone (the Figure 10 ladder has no such rung).
 HOST_ONLY = AsapConfig(name="P1h+P2h", host_levels=(1, 2))
 
-#: Each compiled scheme with the mode its runs log.
-COMPILED = (("baseline", "plain"), ("asap", "asap"), ("victima", "victima"))
-
 
 def _host_state(vm) -> tuple:
     """What lazy host mappings change: the host page table's maps and
@@ -230,14 +241,17 @@ def _host_state(vm) -> tuple:
             sorted(buddy._used_slots), vars(buddy.stats))
 
 
-def _virt_state(sim) -> dict:
-    """Everything a virtualized run leaves: the machine, every counter
-    the kernel writes back, the scheme's state and the host side of the
-    VM."""
+def _sim_state(sim) -> dict:
+    """Everything a run leaves: the machine, every counter the kernel
+    writes back, the scheme's state and, for a VM, its host side."""
     state = _machine_state(sim)
     tlbs, hierarchy, walker = sim.tlbs, sim.hierarchy, sim.walker
+    nested = isinstance(sim, VirtualizedSimulation)
+    prefetchers = ((sim.guest_prefetcher, sim.host_prefetcher) if nested
+                   else (sim.prefetcher,))
     state["counters"] = (
-        (walker.walks, walker.total_latency, walker.total_accesses),
+        (walker.walks, walker.total_latency,
+         walker.total_accesses if nested else None),
         [(pwc.probes, pwc.hits, [vars(unit.stats) for _, unit in pwc.view])
          for pwc in _pwcs(sim)],
         (vars(tlbs.stats), tlbs.l1_hits, tlbs.l2_hits,
@@ -247,25 +261,28 @@ def _virt_state(sim) -> dict:
         (dict(hierarchy.served), hierarchy.prefetches_issued,
          hierarchy.prefetches_dropped),
         [(pf.registers.hits, pf.registers.misses, vars(pf.stats))
-         for pf in (sim.guest_prefetcher, sim.host_prefetcher)
-         if pf is not None])
+         for pf in prefetchers if pf is not None])
     state["parked"] = list(getattr(sim.scheme, "_parked", {}).items())
     state["scheme"] = sim.scheme.scheme_stats()
-    state["host"] = _host_state(sim.vm)
+    if nested:
+        state["host"] = _host_state(sim.vm)
     return state
 
 
 def _virt_run(kernel: str, name: str = "baseline", *, config=None,
               host_page_level: int = 1, scale: Scale = SCALE,
               chunk_records: int | None = None, hole_rate: float = 0.0,
-              collect_service: bool = True, make_vm=None, trace=None):
+              collect_service: bool = True, make_vm=None, trace=None,
+              scheme: SchemeSpec | None = None, tweak=None):
     """One virtualized cell on ``kernel`` — mc80, or ``make_vm(config,
     host_page_level)`` running ``trace`` — returning its statistics, its
     simulation and the kernel its ``simulate`` span names.
     ``hole_rate`` injects guest PT-region holes (§3.7.2) before
-    population."""
+    population; ``scheme`` replaces the roster entry's spec, and
+    ``tweak(sim)`` runs on the built simulation before the run."""
     entry = SCHEMES[name]
     config = entry.virt_config if config is None else config
+    scheme = entry.spec if scheme is None else scheme
     spec = get_workload("mc80")
     if make_vm is None:
         vm = build_vm(spec, config, scale, host_page_level=host_page_level)
@@ -274,8 +291,10 @@ def _virt_run(kernel: str, name: str = "baseline", *, config=None,
         vm = make_vm(config, host_page_level)
     if hole_rate:
         vm.guest.asap_layout.pinned_failure_prob = hole_rate
-    sim = VirtualizedSimulation(vm, asap=config, scheme=entry.spec,
+    sim = VirtualizedSimulation(vm, asap=config, scheme=scheme,
                                 kernel=kernel)
+    if tweak is not None:
+        tweak(sim)
     if chunk_records is not None:
         trace = ArraySource(trace, chunk_records=chunk_records)
     with capture() as recorder:
@@ -285,20 +304,26 @@ def _virt_run(kernel: str, name: str = "baseline", *, config=None,
     return stats, sim, _simulate_kernels(recorder)
 
 
-def _assert_virt_identical(mode: str, **kwargs):
-    """Scalar and compiled runs of one virtualized cell agree on the
-    statistics and on every state they leave; the compiled run ran
-    ``mode``.  Returns the compiled run's statistics and simulation."""
+def _assert_identical(run, mode: str, **kwargs):
+    """Scalar and compiled runs of one cell (``run(kernel, **kwargs)``)
+    agree on the statistics and on every state they leave; the compiled
+    run ran ``mode``.  Returns the compiled run's statistics and
+    simulation."""
     (scalar, s_sim, s_kernels), (col, c_sim, c_kernels) = [
-        _virt_run(kernel, **kwargs) for kernel in ("scalar", "columnar")]
+        run(kernel, **kwargs) for kernel in ("scalar", "columnar")]
     assert scalar == col, kwargs
     assert scalar.service._counts == col.service._counts, kwargs
-    assert _virt_state(s_sim) == _virt_state(c_sim), kwargs
+    assert _sim_state(s_sim) == _sim_state(c_sim), kwargs
     assert (s_kernels, c_kernels) == (["scalar"], [mode]), kwargs
     return col, c_sim
 
 
-@pytest.mark.parametrize("name", ("baseline", "asap", "victima"))
+def _assert_virt_identical(mode: str, **kwargs):
+    """:func:`_assert_identical` over one virtualized cell."""
+    return _assert_identical(_virt_run, mode, **kwargs)
+
+
+@pytest.mark.parametrize("name", ("baseline", "asap", "victima", "revelator"))
 def test_virtualized_schemes_differential(name, monkeypatch):
     """Each scheme's virtualized cell runs the compiled nested walk, on
     4KB and on 2MB host pages, with and without service collection, and
@@ -396,7 +421,7 @@ def _large_page_trace() -> np.ndarray:
     return np.repeat(trace, rng.choice((1, 1, 3), trace.size))
 
 
-@pytest.mark.parametrize("name", ("baseline", "asap", "victima"))
+@pytest.mark.parametrize("name", ("baseline", "asap", "victima", "revelator"))
 def test_virtualized_large_guest_pages_differential(name, monkeypatch):
     """Walks that end at a 2MB guest leaf (three guest steps, then the
     data page) and fill large TLB tags, on 4KB and 2MB host pages."""
@@ -676,14 +701,17 @@ def _run_mt(name: str, mt: MultiTenantSpec, kernel: str, monkeypatch,
 
 
 def _schedule_state(sims) -> dict:
-    """The shared machine plus every tenant's scheme state: Victima's
-    parked map in FIFO order (the order picks the next bound victim).
-    VMs add their host page tables and the shared host buddy."""
+    """The shared machine plus every tenant's scheme state (Victima's
+    parked map in FIFO order: the order picks the next bound victim)
+    and walker counters.  VMs add their host page tables and the shared
+    host buddy."""
     state = _machine_state(sims[0])
     state["schemes"] = [
         (list(getattr(sim.scheme, "_parked", {}).items()),
          sim.scheme.scheme_stats())
         for sim in sims]
+    state["walkers"] = [(sim.walker.walks, sim.walker.total_latency)
+                        for sim in sims]
     if isinstance(sims[0], VirtualizedSimulation):
         state["hosts"] = [_host_state(sim.vm) for sim in sims]
     return state
@@ -917,6 +945,192 @@ def test_multitenant_virtualized_four_tenants(policy, monkeypatch):
         sims = _assert_mt_identical(name, mt, monkeypatch, mode,
                                     workload="mix-server", virtualized=True)
     assert all(sim.scheme.stats["parked"] for sim in sims)
+
+
+# ----------------------------------------------------------------------
+# Revelator: the placement lottery and the wrong-path access in the kernel
+# ----------------------------------------------------------------------
+def _native_run(kernel: str, *, scheme: SchemeSpec, scale: Scale = SCALE,
+                chunk_records: int | None = None,
+                collect_service: bool = True, tweak=None):
+    """One native mc80 cell of ``scheme`` on ``kernel``: its statistics,
+    its simulation and the kernel its ``simulate`` span names.
+    ``tweak(sim)`` runs on the built simulation before the run."""
+    spec = get_workload("mc80")
+    sim = NativeSimulation(spec.build_process(seed=scale.seed),
+                           scheme=scheme, kernel=kernel)
+    if tweak is not None:
+        tweak(sim)
+    trace = make_trace(spec, scale)
+    if chunk_records is not None:
+        trace = ArraySource(trace, chunk_records=chunk_records)
+    with capture() as recorder:
+        stats = sim.run(trace, warmup=scale.warmup,
+                        collect_service=collect_service,
+                        init_order=spec.init_order)
+    return stats, sim, _simulate_kernels(recorder)
+
+
+#: A Revelator cell by where it runs: its runner and host page level.
+REVELATOR_CELLS = {
+    "native": (_native_run, {}),
+    "virt-4k": (_virt_run, {"name": "revelator", "host_page_level": 1}),
+    "virt-2m": (_virt_run, {"name": "revelator", "host_page_level": 2}),
+}
+
+
+def _assert_revelator_identical(cell: str, **kwargs):
+    run, fixed = REVELATOR_CELLS[cell]
+    return _assert_identical(run, "revelator", **fixed, **kwargs)
+
+
+@pytest.mark.parametrize("cell", tuple(REVELATOR_CELLS))
+@pytest.mark.parametrize("coverage", (0.0, 0.5, 1.0))
+def test_revelator_coverage_differential(coverage, cell, monkeypatch):
+    """No page, half the pages, or every page hash-placed: the lottery
+    takes one branch of the walk end, or both.  A misplaced page's
+    wrong-path access goes through the caches and MSHRs at the
+    speculation time and its penalty lands on the translation; a placed
+    page's stall is cut to the speculation latency.  Half coverage also
+    runs without service collection."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    scheme = SchemeSpec.revelator(coverage=coverage)
+    for collect in (True, False) if coverage == 0.5 else (True,):
+        stats, _ = _assert_revelator_identical(
+            cell, scheme=scheme, collect_service=collect)
+        assert bool(stats.service._counts) == collect
+        counts = stats.scheme_stats
+        assert counts["speculations"] == \
+            counts["correct"] + counts["mispredicts"] > stats.walks > 0
+        assert (counts["correct"] > 0) == (coverage > 0)
+        assert (counts["mispredicts"] > 0) == (coverage < 1)
+
+
+@pytest.mark.parametrize("cell", tuple(REVELATOR_CELLS))
+def test_revelator_speculation_outlasts_short_walks(cell, monkeypatch):
+    """A speculation latency longer than some walks: ``min`` keeps the
+    walk's own latency for those and the speculation's for the rest."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    spec_latency = 100
+    scheme = SchemeSpec.revelator(coverage=1.0, spec_latency=spec_latency)
+    stats, sim = _assert_revelator_identical(cell, scheme=scheme)
+    # Every measured walk stalls for min(spec_latency, walk): the sum is
+    # below spec_latency per walk only if some walk was shorter, and
+    # below the walker's own total only if some walk was longer.
+    assert stats.walk_cycles < spec_latency * stats.walks
+    assert stats.walk_cycles < sim.walker.total_latency
+
+
+@pytest.mark.parametrize("cell", tuple(REVELATOR_CELLS))
+@pytest.mark.parametrize("chunk_records", (1, 7, 4096))
+def test_revelator_chunk_seams(chunk_records, cell, monkeypatch):
+    """Warmup exactly on a seam: chunked compiled == chunked scalar ==
+    the monolithic scalar run."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    scheme = SchemeSpec.revelator(coverage=0.5)
+    run, fixed = REVELATOR_CELLS[cell]
+    scale = Scale(trace_length=max(3_000, chunk_records + 2_000),
+                  warmup=chunk_records, seed=23)
+    stats, _ = _assert_revelator_identical(
+        cell, scheme=scheme, scale=scale, chunk_records=chunk_records)
+    assert stats == run("scalar", scheme=scheme, scale=scale, **fixed)[0]
+
+
+@pytest.mark.parametrize("cell", tuple(REVELATOR_CELLS))
+@pytest.mark.parametrize("lead", (0, 1))
+def test_revelator_wrong_path_access_time(lead, cell, monkeypatch):
+    """A miss of one record's wrong-path line is in flight, due ``lead``
+    cycles after that record's now + spec_latency, and the record's walk
+    is shorter than spec_latency (so no walk access retires the miss
+    first).  Issued at now + spec_latency, the wrong-path access finds
+    the miss retired (lead 0) or merges with it (lead 1); issued at the
+    record's start, it would merge either way."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    spec_latency = 100
+    scheme = SchemeSpec.revelator(coverage=0.0, spec_latency=spec_latency)
+    run, fixed = REVELATOR_CELLS[cell]
+    walk_ends = []
+    walk_end = RevelatorLike._walk_end
+
+    def spying(self, va, vpn, now, translation, outcome):
+        walk_ends.append((va, vpn, now, translation))
+        return walk_end(self, va, vpn, now, translation, outcome)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RevelatorLike, "_walk_end", spying)
+        run("scalar", scheme=scheme, **fixed)
+    va, vpn, now = next(end[:3] for end in walk_ends
+                        if end[3] < spec_latency)
+    wrong_frame = zlib.crc32((vpn ^ 0x5EED).to_bytes(8, "little"))
+    wrong_line = (wrong_frame << 6) | ((va & 0xFFF) >> 6)
+
+    def in_flight(sim):
+        assert sim.hierarchy.mshrs.try_allocate(
+            wrong_line, 0, now + spec_latency + lead)
+
+    _, sim = _assert_revelator_identical(cell, scheme=scheme,
+                                         tweak=in_flight)
+    assert sim.hierarchy.mshrs.merges == lead
+
+
+@pytest.mark.parametrize("policy", ("flush", "asid"))
+def test_multitenant_revelator_differential(policy, monkeypatch):
+    """Four native tenants and two VMs: every tenant but the first runs
+    under a nonzero ASID, whose bias the lottery and the wrong-path
+    line both see, and every quantum of both schedules compiles."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    for tenants, virtualized in ((4, False), (2, True)):
+        mt = MultiTenantSpec(tenants=tenants, quantum=300,
+                             switch_policy=policy)
+        sims = _assert_mt_identical("revelator", mt, monkeypatch,
+                                    "revelator", workload="mix-server",
+                                    virtualized=virtualized)
+        assert all(sim.scheme.stats["mispredicts"] for sim in sims)
+
+
+class _RevelatorSubclass(RevelatorLike):
+    pass
+
+
+def _subclassed(sim) -> None:
+    sim.scheme = _RevelatorSubclass(sim.scheme.spec)
+    sim.scheme.bind_native(sim)
+
+
+def _custom_walk_end(sim) -> None:
+    walk_end = sim.scheme._walk_end
+    sim.scheme.walk_end_hook = lambda: (
+        lambda va, vpn, now, translation, outcome:
+        walk_end(va, vpn, now, translation, outcome))
+
+
+def _foreign_walk_end(sim) -> None:
+    other = RevelatorLike(sim.scheme.spec)
+    other.bind_native(sim)
+    sim.scheme.walk_end_hook = other.walk_end_hook
+
+
+def _other_hierarchy(sim) -> None:
+    sim.scheme._hierarchy = CacheHierarchy(DEFAULT_MACHINE.hierarchy)
+
+
+@pytest.mark.parametrize("tweak", (_subclassed, _custom_walk_end,
+                                   _foreign_walk_end, _other_hierarchy),
+                         ids=("subclass", "custom-hook", "foreign-hook",
+                              "other-hierarchy"))
+def test_revelator_lookalikes_fall_back(tweak, monkeypatch):
+    """A ``RevelatorLike`` subclass, a walk-end hook that is not the
+    scheme's own bound ``_walk_end``, and a scheme whose wrong-path
+    accesses go to another hierarchy are not what the kernel replays:
+    they keep the scalar loop, with the scalar loop's results."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    scheme = SchemeSpec.revelator(coverage=0.5)
+    (scalar, _, s_kernels), (col, _, c_kernels) = [
+        _native_run(kernel, scheme=scheme, tweak=tweak)
+        for kernel in ("scalar", "columnar")]
+    assert (s_kernels, c_kernels) == (["scalar"], ["scalar"])
+    assert scalar == col
+    assert col.walks > 0
 
 
 # ----------------------------------------------------------------------

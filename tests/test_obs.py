@@ -269,12 +269,12 @@ def _logged_kernels(recorder) -> list[str]:
 @pytest.mark.parametrize("name, expected, virtualized", [
     pytest.param("victima", "victima", False, id="victima-victima"),
     pytest.param("baseline", "plain", False, id="baseline-plain"),
-    # no compiled mode: every quantum falls back
-    pytest.param("revelator", "scalar", False, id="revelator-scalar"),
+    pytest.param("revelator", "revelator", False, id="revelator-revelator"),
     pytest.param("victima", "victima", True, id="virt-victima-victima"),
     pytest.param("baseline", "plain", True, id="virt-baseline-plain"),
     pytest.param("asap", "asap", True, id="virt-asap-asap"),
-    pytest.param("revelator", "scalar", True, id="virt-revelator-scalar"),
+    pytest.param("revelator", "revelator", True,
+                 id="virt-revelator-revelator"),
 ])
 def test_simulate_span_logs_effective_kernel(name, expected, virtualized,
                                              monkeypatch):
@@ -297,10 +297,14 @@ def test_simulate_span_logs_effective_kernel(name, expected, virtualized,
     pytest.param("baseline", "plain", "native", id="baseline-plain"),
     pytest.param("asap", "asap", "native", id="asap-asap"),
     pytest.param("victima", "victima", "native", id="victima-victima"),
+    pytest.param("revelator", "revelator", "native",
+                 id="revelator-revelator"),
     pytest.param("baseline", "plain", "virtualized", id="virt-baseline-plain"),
     pytest.param("asap", "asap", "virtualized", id="virt-asap-asap"),
     pytest.param("victima", "victima", "virtualized",
                  id="virt-victima-victima"),
+    pytest.param("revelator", "revelator", "virtualized",
+                 id="virt-revelator-revelator"),
 ])
 def test_default_kernel_is_compiled(name, expected, kind, monkeypatch):
     # No kernel argument anywhere: a direct runner call and a default
@@ -319,13 +323,12 @@ def test_default_kernel_is_compiled(name, expected, kind, monkeypatch):
 @pytest.mark.skipif(not columnar.columnar_available(),
                     reason="no C compiler/cffi for the columnar backend")
 def test_virtualized_fallbacks_log_scalar(monkeypatch):
-    """Revelator and co-runner cells have no compiled nested walk, and a
-    Job that asks for the scalar kernel gets it: each simulate span of
-    those runs says ``scalar``."""
+    """Infinite-TLB and co-runner cells have no compiled nested walk,
+    and a Job that asks for the scalar kernel gets it: each simulate
+    span of those runs says ``scalar``."""
     monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
     with capture() as recorder:
-        run_virtualized("mc80", scale=TINY,
-                        scheme=SCHEMES["revelator"].spec)
+        run_virtualized("mc80", scale=TINY, infinite_tlb=True)
         run_virtualized("mc80", scale=TINY, colocated=True)
         execute_job(Job(kind="virtualized", workload="mc80", scale=TINY,
                         kernel="scalar"))

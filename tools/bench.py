@@ -27,8 +27,8 @@ the simulation), and ``ru_maxrss`` is that run's own high-water mark.
 The run appends one entry to the JSON trajectory ``--output``.  Every
 row has one schema: ``scheme``, ``records``, ``warmup``, the requested
 ``kernel``, the ``mode`` the runs' ``simulate`` spans name (``plain``,
-``asap``, ``victima`` or ``scalar`` when a cell fell back to the record
-loop), the unrounded ``per_seed_seconds`` and their median
+``asap``, ``victima``, ``revelator``, or ``scalar`` when a cell ran the
+record loop), the unrounded ``per_seed_seconds`` and their median
 ``seconds``, the highest ``peak_rss_mb``, the median ``phases`` and the
 base seed's walk statistics.  Each entry records the interpreter, machine, git commit,
 whether ``src/`` or ``tools/`` had uncommitted changes (``dirty``) and
