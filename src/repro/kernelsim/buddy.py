@@ -56,7 +56,6 @@ class _Pool:
     mean_run: float
     next_frame: int = 0
     remaining: int = 0
-    runs_started: int = 0
     arena_next: int = 0
     arena_remaining: int = 0
     arena_runs: int = 0
@@ -170,7 +169,6 @@ class BuddyAllocator:
         state.arena_next += length + guard
         state.arena_remaining -= length + guard
         state.arena_runs += 1
-        state.runs_started += 1
 
     def alloc_frame(self, pool: str = "data") -> int:
         """Allocate one frame from ``pool``'s current run."""
@@ -330,12 +328,3 @@ class BuddyAllocator:
 
     def reservation_size(self, base: int) -> int:
         return self._reservations[base].frames
-
-    # ------------------------------------------------------------------
-    @property
-    def reserved_region_start(self) -> int:
-        return self._reserve_top
-
-    def pool_runs(self, pool: str) -> int:
-        state = self._pools.get(pool)
-        return state.runs_started if state else 0

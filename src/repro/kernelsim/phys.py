@@ -22,15 +22,6 @@ class PhysicalMemory:
     def total_frames(self) -> int:
         return self.total_bytes >> PAGE_SHIFT
 
-    def frame_to_addr(self, frame: int) -> int:
-        return frame << PAGE_SHIFT
-
-    def addr_to_frame(self, addr: int) -> int:
-        return addr >> PAGE_SHIFT
-
-    def contains_frame(self, frame: int) -> bool:
-        return 0 <= frame < self.total_frames
-
     def __post_init__(self) -> None:
         if self.total_bytes % PAGE_SIZE:
             raise ValueError("physical memory must be page aligned")

@@ -101,9 +101,6 @@ class ProcessAddressSpace:
         """Grow a VMA upward; PT regions extend lazily on later faults."""
         self.vmas.extend(vma, delta)
 
-    def page_level_of(self, vma: Vma) -> int:
-        return self._page_levels[id(vma)]
-
     # ------------------------------------------------------------------
     # demand paging
     # ------------------------------------------------------------------

@@ -102,9 +102,6 @@ class AsapPtLayout:
     def region(self, vma: Vma, level: int) -> PtRegion | None:
         return self._regions.get((id(vma), level))
 
-    def is_registered(self, vma: Vma) -> bool:
-        return any((id(vma), level) in self._regions for level in self.levels)
-
     # ------------------------------------------------------------------
     def place_node(self, vma: Vma | None, level: int, tag: int) -> int:
         """Physical base address for a new node (fault-time placement)."""

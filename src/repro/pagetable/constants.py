@@ -82,9 +82,6 @@ def pages_mapped_by(level: int) -> int:
 def vpn(va: int) -> int:
     return va >> PAGE_SHIFT
 
-def page_offset(va: int) -> int:
-    return va & (PAGE_SIZE - 1)
-
 
 def line_of(phys_addr: int) -> int:
     """Cache-line number of a physical byte address."""

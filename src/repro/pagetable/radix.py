@@ -335,8 +335,3 @@ class RadixPageTable:
         probes can never hit and the simulators tell the TLB hierarchy
         to skip them."""
         return bool(self._large)
-
-    def has_node(self, level: int, tag: int) -> bool:
-        if not 0 <= level < len(self._nodes_by_level):
-            return False
-        return tag in self._nodes_by_level[level]

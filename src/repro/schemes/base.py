@@ -2,10 +2,11 @@
 
 A *translation scheme* is everything a design adds to the baseline
 radix-walk pipeline of the simulators: what happens on a TLB miss before
-the walk starts, what races the walk, and what happens when a
-translation is filled or evicted.  The source paper's ASAP prefetcher is
-one scheme; the related-work designs modelled in this package (Victima,
-Revelator) are others, and each new scheme is one small module.
+the walk starts, what races the walk, what the walk's latency turns
+into, and what happens when a translation is evicted.  The source
+paper's ASAP prefetcher is one scheme; the related-work designs modelled
+in this package (Victima, Revelator) are others, and each new scheme is
+one small module.
 
 Two objects per scheme:
 
@@ -32,14 +33,14 @@ overhead over a scheme-less loop (measured by ``tools/bench.py``).
 * ``walk_start_hook() -> (va, now) -> {pt_level: completion}`` — called
   when a walk begins; the returned completion times feed the walker's
   overlap rule (ASAP's prefetches race the walk).
-* ``walk_end_hook() -> (va, vpn, now, translation, outcome) -> cycles``
-  — called when a walk finishes with the walk's priced latency and its
-  :class:`~repro.pagetable.walker.WalkOutcome` (per-step service records
-  give walk-step granularity); returns the translation latency the core
+* ``walk_end_hook() -> (va, vpn, now, translation) -> cycles`` —
+  called when a walk finishes, before its translation is filled, with
+  the record's start cycle and the walk's priced latency (plus any
+  failed probe's cycles); returns the translation latency the core
   actually stalls for (Revelator's speculation hides or penalises it).
-* ``fill_hook() -> (vpn, frame) -> None`` — called after each TLB fill.
-  Eviction-driven schemes instead attach to
-  ``TlbHierarchy.l2_evict_hook`` at bind time (Victima parks victims).
+
+Eviction-driven schemes attach to ``TlbHierarchy.l2_evict_hook`` at
+bind time instead (Victima parks L2 S-TLB victims).
 
 Binding and stats: ``bind_native(sim)`` / ``bind_virtualized(sim)`` wire
 the scheme to one simulator (build prefetchers, attach eviction hooks);
@@ -54,7 +55,6 @@ from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim imports us)
     from repro.core.config import AsapConfig
-    from repro.pagetable.walker import WalkOutcome
     from repro.sim.stats import SimStats
 
 #: Scheme kinds understood by :func:`repro.schemes.build_scheme`.
@@ -64,10 +64,8 @@ SCHEME_KINDS = ("baseline", "asap", "victima", "revelator")
 ProbeHook = Callable[[int, int, int], "tuple[int | None, int]"]
 #: walk-start hook: (va, now) -> {pt_level: absolute completion time}.
 WalkStartHook = Callable[[int, int], "dict[int, int]"]
-#: walk-end hook: (va, vpn, now, translation, outcome) -> translation.
-WalkEndHook = Callable[[int, int, int, int, "WalkOutcome"], int]
-#: fill hook: (vpn, frame) -> None.
-FillHook = Callable[[int, int], None]
+#: walk-end hook: (va, vpn, now, translation) -> translation.
+WalkEndHook = Callable[[int, int, int, int], int]
 
 
 @dataclass(frozen=True)
@@ -192,9 +190,6 @@ class TranslationScheme:
         return None
 
     def walk_end_hook(self) -> WalkEndHook | None:
-        return None
-
-    def fill_hook(self) -> FillHook | None:
         return None
 
     # -- translation-state lifecycle ------------------------------------

@@ -71,8 +71,8 @@ class RevelatorLike(TranslationScheme):
     bind_virtualized = _bind
 
     # ------------------------------------------------------------------
-    def _walk_end(self, va: int, vpn: int, now: int, translation: int,
-                  outcome) -> int:
+    def _walk_end(self, va: int, vpn: int, now: int,
+                  translation: int) -> int:
         self.stats["speculations"] += 1
         if _hash_placed(vpn, self.coverage_pct):
             # The speculative fetch at the predicted (correct) PA ran

@@ -1,10 +1,14 @@
-"""Columnar chunk kernel: the scalar fast sweep recast as a C loop.
+"""Columnar chunk kernel: the scalar record loop recast as a C loop.
 
-The scalar simulator already spends almost all of its time in
-``_fast_native_sweep`` — a pure function of the flat-array TLB/PWC/cache
-state plus the page table's translation for each VPN.  This module
-compiles an exact transliteration of that sweep (via cffi's ABI mode and
-the system C compiler) and drives it one TraceSource chunk at a time:
+Both simulators share one scalar record loop (``TraceSimulation.run``
+in `repro.sim.simulator`).  Its plain-pipeline case,
+``_fast_native_sweep``, is a pure function of the flat-array
+TLB/PWC/cache state plus the page table's translation for each VPN.
+This module compiles an exact transliteration of that sweep, extended
+with the nested walk and the scheme hooks below (via cffi's ABI mode
+and the system C compiler), and drives it one TraceSource chunk at a
+time.  It is the default engine of every ``run()`` it can replay, and
+the scalar loop is its oracle:
 
 * Python precomputes, per chunk, a *path row* for every distinct VPN —
   the page-table node cache lines the walker would touch, the three PWC
@@ -50,11 +54,10 @@ call rebuilds it):
   ``invalidate`` and ``flush``;
 * ``CacheHierarchy.access_line``, and through the cache mutators
   ``prefetch_line``, ``warm`` and ``flush``;
-* the start of every scalar record loop — the scalar branches of
-  ``NativeSimulation.run`` and ``VirtualizedSimulation.run`` — whose
-  inlined ``access`` closures write the lists directly, and the public walker
-  entry points (``PageWalker.walk``/``walk_to_fault``,
-  ``NestedPageWalker.walk``).
+* the start of every scalar record loop — the scalar branch of
+  ``TraceSimulation.run`` — whose inlined ``access`` closure writes
+  the lists directly, and the public walker entry points
+  (``PageWalker.walk``/``walk_to_fault``, ``NestedPageWalker.walk``).
 
 Victima's parked maps follow the same rule: each scheme keeps its C
 pool as ``scheme.park_image``, its Python mutators (``_park``,
@@ -1497,20 +1500,13 @@ def _nested(sim) -> bool:
     return isinstance(sim, VirtualizedSimulation)
 
 
-def _pwcs(sim) -> tuple:
-    """The simulation's split PWCs: the native one, or guest then host."""
-    if _nested(sim):
-        return sim.guest_pwc, sim.host_pwc
-    return (sim.pwc,)
-
-
 def _pow2_geometry(sim) -> bool:
     # The C kernel maps tags to sets with `tag & (nsets - 1)`; custom
     # machine geometries with non-power-of-two set counts (valid for
     # the scalar `tag % nsets`) stay on the scalar loop.
     units = [sim.tlbs.l1, sim.tlbs.l2_plain,
              sim.hierarchy.l1, sim.hierarchy.l2, sim.hierarchy.l3]
-    units += [unit for pwc in _pwcs(sim) for _, unit in pwc.view]
+    units += [unit for pwc in sim.pwcs for _, unit in pwc.view]
     return not any(unit.num_sets & (unit.num_sets - 1) for unit in units)
 
 
@@ -1637,64 +1633,60 @@ def _nested_walker_ok(sim) -> bool:
             and walker.host_pwc is sim.host_pwc)
 
 
-def engine_mode(sim, fast_ok: bool) -> str | None:
+def engine_mode(sim) -> str | None:
     """Which compiled kernel mode (if any) can replay this run().
 
-    ``sim`` is a NativeSimulation or a VirtualizedSimulation; ``fast_ok``
-    says the run has no scheme hook at all (the native fast-sweep
-    configuration; for a nested run, no host prefetcher either).
-    Returns ``"plain"`` then, ``"asap"`` when the only hooks are
-    AsapPrefetchers (:func:`_asap_prefetchers`), ``"victima"`` when the
-    probe is the scheme's own Victima probe and every victim parks
-    through a Victima ``_park`` (:func:`_park_routes`), ``"revelator"``
-    when the only hook is a ``RevelatorLike``'s own bound ``_walk_end``
-    pricing against ``sim.hierarchy`` (a subclass or a custom walk-end
-    hook does not count), and ``None`` otherwise: co-runner, infinite-
-    or clustered-TLB, 5-level and custom-hook cells stay on the scalar
-    loop.  All modes additionally
-    need power-of-two set counts and a compiled backend.  In-flight
-    MSHRs are fine — the kernel carries the MSHR file and has the merge
-    branch.
+    ``sim`` is a NativeSimulation or a VirtualizedSimulation.  Returns
+    ``"plain"`` when the run has no scheme hook at all (no probe, walk
+    start or walk end, no L2-TLB evict hook and, for a nested run, no
+    host prefetcher), ``"asap"`` when the only hooks are AsapPrefetchers
+    (:func:`_asap_prefetchers`), ``"victima"`` when the probe is the
+    scheme's own Victima probe and every victim parks through a Victima
+    ``_park`` (:func:`_park_routes`), ``"revelator"`` when the only hook
+    is a ``RevelatorLike``'s own bound ``_walk_end`` pricing against
+    ``sim.hierarchy`` (a subclass or a custom walk-end hook does not
+    count), and ``None`` otherwise: co-runner, infinite- or
+    clustered-TLB, 5-level and custom-hook cells stay on the scalar
+    loop.  All modes additionally need power-of-two set counts and a
+    compiled backend.  In-flight MSHRs are fine — the kernel carries
+    the MSHR file and has the merge branch.
     """
     tlbs = sim.tlbs
     if (sim.corunner is not None or tlbs.infinite or tlbs.l2_plain is None
-            or any(len(pwc.view) != 3 for pwc in _pwcs(sim))
+            or any(len(pwc.view) != 3 for pwc in sim.pwcs)
             or (_nested(sim) and not _nested_walker_ok(sim))):
         return None
+    scheme = sim.scheme
+    probe = scheme.probe_hook()
+    walk_start = scheme.walk_start_hook()
+    walk_end = scheme.walk_end_hook()
+    evict = tlbs.l2_evict_hook
+    host = scheme.host_prefetcher
     mode = None
-    if fast_ok:
-        mode = "plain"
-    else:
-        scheme = sim.scheme
-        probe = scheme.probe_hook()
-        walk_end = scheme.walk_end_hook()
-        if scheme.fill_hook() is not None:
-            return None
-        if walk_end is not None:
-            from repro.schemes.revelator import RevelatorLike
+    if walk_end is not None:
+        from repro.schemes.revelator import RevelatorLike
 
-            if (type(scheme) is RevelatorLike
-                    and getattr(walk_end, "__self__", None) is scheme
-                    and getattr(walk_end, "__func__", None)
-                    is RevelatorLike._walk_end
-                    and scheme._hierarchy is sim.hierarchy
-                    and probe is None and tlbs.l2_evict_hook is None
-                    and scheme.walk_start_hook() is None
-                    and scheme.host_prefetcher is None):
-                mode = "revelator"
-        elif probe is None and tlbs.l2_evict_hook is None:
-            if _asap_prefetchers(sim) is not None:
-                mode = "asap"
-        elif (probe is not None and scheme.walk_start_hook() is None
-              and scheme.host_prefetcher is None):
-            from repro.schemes.victima import VictimaLike
+        if (type(scheme) is RevelatorLike
+                and getattr(walk_end, "__self__", None) is scheme
+                and getattr(walk_end, "__func__", None)
+                is RevelatorLike._walk_end
+                and scheme._hierarchy is sim.hierarchy
+                and probe is None and evict is None
+                and walk_start is None and host is None):
+            mode = "revelator"
+    elif probe is None and evict is None:
+        if walk_start is None and host is None:
+            mode = "plain"
+        elif _asap_prefetchers(sim) is not None:
+            mode = "asap"
+    elif probe is not None and walk_start is None and host is None:
+        from repro.schemes.victima import VictimaLike
 
-            if (type(scheme) is VictimaLike
-                    and getattr(probe, "__self__", None) is scheme
-                    and getattr(probe, "__func__", None)
-                    is VictimaLike._probe
-                    and _park_routes(sim) is not None):
-                mode = "victima"
+        if (type(scheme) is VictimaLike
+                and getattr(probe, "__self__", None) is scheme
+                and getattr(probe, "__func__", None) is VictimaLike._probe
+                and _park_routes(sim) is not None):
+            mode = "victima"
     if mode is None or not _pow2_geometry(sim):
         return None
     return mode if columnar_available() else None
@@ -2178,7 +2170,7 @@ def run_columnar(sim, chunks, warmup: int, collect_service: bool, stats,
     hierarchy = sim.hierarchy
     l1t = tlbs.l1
     l2t = tlbs.l2_plain
-    pwcs = _pwcs(sim)
+    pwcs = sim.pwcs
     c1, c2, c3 = hierarchy.l1, hierarchy.l2, hierarchy.l3
     walker = sim.walker
     vbias = asid_bias(sim.asid)

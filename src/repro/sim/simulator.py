@@ -1,4 +1,5 @@
-"""The native (1D) trace-driven simulator.
+"""The trace-driven simulators' shared record loop, and the native (1D)
+simulator.
 
 Per trace record (one memory operation):
 
@@ -15,6 +16,11 @@ Execution time accumulates ``base + walk + data`` cycles per record, giving
 the Figure 2 / Table 6 fractions; walks are pre-faulted (steady state — the
 paper measures long-running warmed-up services), so page-fault handling
 never pollutes walk-latency measurements.
+
+:class:`TraceSimulation` is that pipeline, written once: the native
+simulator here and the virtualized one (`repro.sim.virt`) differ only in
+the page walk of step 3 — the radix walk or Figure 7's nested 2D walk —
+and in how they populate.
 
 Scheme dispatch is hoisted out of the record loop: each hook is bound
 once per run and a scheme that opts out contributes ``None``, so the
@@ -37,7 +43,7 @@ from repro.mem.hierarchy import CacheHierarchy
 from repro.obs.probe import SimProbe
 from repro.pagetable.constants import level_shift
 from repro.pagetable.pwc import SplitPwc
-from repro.pagetable.walker import PWC_LABEL, PageWalker, WalkOutcome
+from repro.pagetable.walker import PWC_LABEL, PageWalker
 from repro.params import DEFAULT_MACHINE, MachineParams
 from repro.schemes import SchemeSpec, build_scheme
 from repro.sim.order import streaming_first_touch_order
@@ -55,7 +61,7 @@ def detect_runs(trace: np.ndarray,
     Returns ``(starts, counts)``: the index of each run's first record
     and the run's length, where a *run* is a maximal stretch of records
     sharing one cache-line block (``va >> 6``) — hence one page and one
-    data line.  Shared by both simulators' batched front-ends.
+    data line.
     """
     if not n_records:
         return [], []
@@ -68,7 +74,7 @@ def detect_runs(trace: np.ndarray,
 
 
 def drive_batched(run_starts, run_counts, handle, bulk, scalar_only):
-    """Shared batched-loop orchestration for both simulators.
+    """The scalar loop's per-chunk driver.
 
     ``handle(index)`` simulates one record through the scalar pipeline
     and returns its vpn; ``bulk(vpn, first_index, repeats)`` costs a
@@ -110,8 +116,378 @@ def build_native_descriptors(
     return descriptors
 
 
-class NativeSimulation:
+class TraceSimulation:
+    """The record-loop front end both simulators share.
+
+    A subclass builds its machine in ``__init__`` — setting ``machine``,
+    ``hierarchy``, ``tlbs``, ``walker``, ``corunner``, ``asid``,
+    ``kernel`` and ``scheme``, plus ``pwcs`` (its split PWCs),
+    ``_page_table`` (the page table whose translations the TLBs cache),
+    ``_walk_paths`` (its per-vpn walk-path cache) and
+    ``_columnar_paths`` — and supplies ``populate`` and the per-miss
+    walk (:meth:`_miss_walk`).  Everything around the walk is here.
+    """
+
+    #: The simulator's name in the observation log's ``simulate`` span.
+    probe_kind = ""
+
+    # ------------------------------------------------------------------
+    def flush_translation_state(self) -> None:
+        """Flush *every* piece of cached translation state coherently.
+
+        ``TlbHierarchy.flush()`` alone is not a safe mid-run flush: the
+        page-walk caches, the in-flight translation-prefetch MSHRs, the
+        simulator's per-vpn walk paths and any scheme-cached
+        translations (Victima's parked entries) would all survive it and
+        keep serving stale translations.  This is the one entry point
+        that restores every translation structure to its cold state (the
+        shared data caches and all statistics counters are untouched);
+        the multi-tenant scheduler's full-flush switch policy and any
+        shootdown-like event must go through it.
+        """
+        self.tlbs.flush()
+        for pwc in self.pwcs:
+            pwc.flush()
+        self.hierarchy.mshrs.drain()
+        self.flush_private_translation_state()
+
+    def flush_private_translation_state(self) -> None:
+        """The per-process half of :meth:`flush_translation_state`: the
+        walk-path caches and the scheme's own translation state.  The
+        multi-tenant scheduler calls this on the *other* tenants after
+        flushing the shared hardware once through the active one."""
+        self._walk_paths.clear()
+        if self._columnar_paths is not None:
+            self._columnar_paths.clear()
+        self.scheme.on_translation_flush()
+
+    # ------------------------------------------------------------------
+    def run(
+        self,
+        trace,
+        warmup: int = 0,
+        populate: bool = True,
+        collect_service: bool = True,
+        init_order: str = "sequential",
+    ) -> SimStats:
+        """Simulate the trace; statistics cover post-warmup records only.
+
+        ``trace`` is one ndarray (the historical monolithic case — a
+        single execution chunk) or a
+        :class:`~repro.traces.source.TraceSource` streaming execution
+        chunks; peak memory follows the chunk size, never the record
+        count.  All loop state — the clock, warmup baselines, statistics
+        accumulators and the run-detection seam — carries across chunks
+        inside this one call, so SimStats are byte-identical for every
+        chunking of the same records (pinned by tests/test_traces.py).
+
+        With the default kernel the whole call runs in the compiled
+        chunk kernel of `repro.sim.columnar` wherever its
+        ``engine_mode`` allows, byte-identically; otherwise it runs the
+        scalar record loop (:meth:`_scalar_loop`).
+        """
+        #: Observation seam: ``None`` unless a recorder is active
+        #: (``--obs``), in which case the run gets phase spans and one
+        #: counter snapshot per chunk — all at chunk granularity, so
+        #: statistics stay byte-identical (see repro.obs.probe).
+        obs = SimProbe.create(self.probe_kind, warmup)
+        if populate:
+            if obs is not None:
+                obs.phase_begin("populate")
+            self.populate(trace, order=init_order)
+            if obs is not None:
+                obs.phase_end("populate")
+        if self.corunner is not None:
+            self.corunner.prefill(self.hierarchy)
+        stats = SimStats()
+        tlbs = self.tlbs
+        #: ASID bias: ORed into the vpn and into every PWC's tags (a
+        #: nested walk's host PWC too: gPA spaces of different VMs
+        #: collide numerically), so shared TLB/PWC structures keep
+        #: tenants apart.  0 in single-tenant runs — a no-op bit for bit.
+        vbias = asid_bias(self.asid)
+        for pwc in self.pwcs:
+            pwc.asid_bias = vbias
+        tlbs.probe_large[0] = self._page_table.has_large_pages
+        measuring = warmup == 0
+        #: The run-wide loop state ``(now, measuring, acc, data_c,
+        #: walk_c, walk_count, tlb_l1_base, tlb_l2_base)`` both engines
+        #: thread through every chunk.  The hit-counter baselines
+        #: snapshot the current shared counters (not zero), so a
+        #: mid-sequence segment measures only its window.
+        carry = (0, measuring, 0, 0, 0, 0,
+                 tlbs.l1_hits if measuring else 0,
+                 tlbs.l2_hits if measuring else 0)
+        #: The compiled kernel's mode for this call, or None for the
+        #: scalar loop; decided before the obs log names it.
+        mode = None
+        if self.kernel == "columnar":
+            from repro.sim import columnar
+
+            mode = columnar.engine_mode(self)
+        #: The execution-chunk stream; under observation it is re-cut at
+        #: the warmup boundary and sample intervals (chunking-invariant,
+        #: so statistics are unchanged — pinned by tests/test_traces.py).
+        if obs is not None:
+            obs.run_begin(kernel=mode or "scalar")
+            chunk_stream = obs.chunks(iter_trace_chunks(trace))
+        else:
+            chunk_stream = iter_trace_chunks(trace)
+        if mode is not None:
+            carry = columnar.run_columnar(
+                self, chunk_stream, warmup, collect_service, stats, carry,
+                obs_probe=obs, mode=mode)
+        else:
+            # The scalar loop writes the cache lists directly (the
+            # inlined ``access`` closure, the fast sweep), so the
+            # compiled kernel's resident cache images would go stale:
+            # drop them.  The loop allocates only short-lived tuples and
+            # the per-page walk paths; pausing the cyclic collector for
+            # its duration saves pointless generation-0 scans (restored
+            # even on error).
+            self.hierarchy.drop_images()
+            gc_was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                carry = self._scalar_loop(chunk_stream, warmup,
+                                          collect_service, stats, carry, obs)
+            finally:
+                if gc_was_enabled:
+                    gc.enable()
+        (_, _, acc, data_c, walk_c, walk_count,
+         tlb_l1_base, tlb_l2_base) = carry
+        base_cycles = self.machine.core.base_cycles
+        stats.accesses = acc
+        stats.base_cycles = acc * base_cycles
+        stats.data_cycles = data_c
+        stats.walk_cycles = walk_c
+        stats.walks = walk_count
+        stats.cycles = acc * base_cycles + data_c + walk_c
+        stats.tlb_l1_hits = tlbs.l1_hits - tlb_l1_base
+        stats.tlb_l2_hits = tlbs.l2_hits - tlb_l2_base
+        self.scheme.finalize(stats)
+        if obs is not None:
+            obs.run_end(stats)
+        return stats
+
+    def _scalar_loop(self, chunk_stream, warmup: int,
+                     collect_service: bool, stats: SimStats, carry: tuple,
+                     obs) -> tuple:
+        """The scalar record loop, the compiled kernel's oracle: every
+        chunk of ``chunk_stream`` from ``carry`` on; returns the updated
+        carry (see :meth:`run`).
+
+        Each chunk is consumed as *runs* of records sharing one
+        cache-line block (``va >> 6``), detected with one vectorized
+        pass.  A run's first record goes through the full scalar
+        pipeline (``handle``); its repeats are guaranteed L1-TLB + L1-D
+        hits (the first record left both at MRU and nothing else touches
+        them mid-run), so they are costed in bulk (``bulk``) — counter
+        increments and ``count * (base + L1)`` cycles — with
+        byte-identical statistics.  A run that straddles a chunk seam is
+        stitched the same way: the continuation records at the next
+        chunk's head are bulk-costed against the carried vpn, exactly as
+        if the seam were not there.  Any record that can observe or
+        change more state takes the scalar path: the first record of
+        every run (and with it every TLB miss and scheme hook), every
+        record of a co-runner simulation (the co-runner perturbs the
+        shared caches between records), and the warmup boundary (a bulk
+        segment is split so the hit counters are snapshotted at exactly
+        the record where measurement starts).  A chunk without repeats
+        in a hook-free run whose structures fit it goes to the native
+        simulator's ``_fast_native_sweep`` instead.
+        """
+        tlbs = self.tlbs
+        hierarchy = self.hierarchy
+        corunner = self.corunner
+        scheme = self.scheme
+        probe = scheme.probe_hook()
+        walk_start = scheme.walk_start_hook()
+        walk_end = scheme.walk_end_hook()
+        walk = self._miss_walk(collect_service)
+        base_cycles = self.machine.core.base_cycles
+        record_service = stats.service.record_walk
+        lookup = tlbs.lookup
+        tlb_fill = tlbs.fill_fast
+        access = hierarchy.access
+        bulk_tlb = tlbs.bulk_hits
+        bulk_l1 = hierarchy.bulk_l1_hits
+        l1_latency = hierarchy.latency_of("L1")
+        step_cost = base_cycles + l1_latency
+        vbias = asid_bias(self.asid)
+        scalar_only = corunner is not None
+        fast_ok = (not scalar_only and probe is None and walk_start is None
+                   and walk_end is None and tlbs.l2_evict_hook is None
+                   and self._fast_sweep_ok())
+        #: Local accumulators for the per-record statistics; :meth:`run`
+        #: derives the stats from them (base/total cycles too: every
+        #: measured record contributes exactly ``base_cycles`` and its
+        #: translation stall is exactly what walk_cycles collects).
+        (now, measuring, acc, data_c, walk_c, walk_count,
+         tlb_l1_base, tlb_l2_base) = carry
+        #: Chunk cursor: ``addresses`` is rebound per execution chunk and
+        #: ``chunk_base`` is the chunk's global record index, so the
+        #: closures below always see the current chunk through the same
+        #: cells.
+        addresses: list[int] = []
+        chunk_base = 0
+
+        def handle(index: int) -> int:
+            """One record (chunk-local ``index``) through the scalar
+            pipeline; returns its vpn."""
+            nonlocal now, measuring, tlb_l1_base, tlb_l2_base
+            nonlocal acc, data_c, walk_c, walk_count
+            va = addresses[index]
+            if not measuring and chunk_base + index >= warmup:
+                measuring = True
+                tlb_l1_base = tlbs.l1_hits
+                tlb_l2_base = tlbs.l2_hits
+            vpn = (va >> 12) | vbias
+            frame = lookup(vpn)
+            translation = 0
+            if frame is None:
+                offset = 0
+                if probe is not None:
+                    frame, offset = probe(va, vpn, now)
+                if frame is not None:
+                    # Scheme probe hit: the walk is short-circuited.
+                    translation = offset
+                    tlb_fill(vpn, frame)
+                    if measuring:
+                        walk_c += translation
+                else:
+                    start = now + offset
+                    prefetches = None
+                    if walk_start is not None:
+                        prefetches = walk_start(va, start)
+                    frame, large, neighbours, latency, records = walk(
+                        va, vpn, start, prefetches)
+                    translation = offset + latency
+                    if walk_end is not None:
+                        translation = walk_end(va, vpn, now, translation)
+                    tlb_fill(vpn, frame, large=large,
+                             neighbour_frames=neighbours)
+                    if measuring:
+                        walk_c += translation
+                        walk_count += 1
+                        if collect_service:
+                            record_service(records)
+            data_latency = access(((frame << 12) | (va & 0xFFF)) >> 6,
+                                  now + translation)
+            now += base_cycles + translation + data_latency
+            if measuring:
+                acc += 1
+                data_c += data_latency
+            if corunner is not None:
+                corunner.step(hierarchy, now)
+            return vpn
+
+        def bulk(vpn, first_index, repeats):
+            """Cost a run's repeat records (guaranteed L1-TLB/L1-D hits).
+
+            ``first_index`` is chunk-local.  Unmeasured repeats advance
+            state but not statistics; if the warmup boundary lands
+            inside the run, the hit counters are snapshotted exactly
+            there, like the scalar loop would.
+            """
+            nonlocal now, measuring, tlb_l1_base, tlb_l2_base, acc, data_c
+            if not measuring:
+                pre = warmup - chunk_base - first_index
+                if pre >= repeats:
+                    bulk_tlb(vpn, repeats)
+                    bulk_l1(repeats)
+                    now += step_cost * repeats
+                    return
+                if pre > 0:
+                    bulk_tlb(vpn, pre)
+                    bulk_l1(pre)
+                    now += step_cost * pre
+                    repeats -= pre
+                measuring = True
+                tlb_l1_base = tlbs.l1_hits
+                tlb_l2_base = tlbs.l2_hits
+            bulk_tlb(vpn, repeats)
+            bulk_l1(repeats)
+            now += step_cost * repeats
+            acc += repeats
+            data_c += l1_latency * repeats
+
+        #: Run-detection seam state: the cache-line block and (biased)
+        #: vpn of the previous chunk's last record.  A chunk whose first
+        #: record shares that block continues the carried run, and its
+        #: head records are repeats — costed exactly as the monolithic
+        #: loop would have costed them.
+        prev_block = -1
+        prev_vpn = 0
+        for chunk in chunk_stream:
+            n_records = len(chunk)
+            if not n_records:
+                continue
+            addresses = chunk.tolist()
+            run_starts, run_counts = detect_runs(chunk, n_records)
+            lead = 0
+            if prev_block == addresses[0] >> 6:
+                lead = run_counts[0]
+                run_starts = run_starts[1:]
+                run_counts = run_counts[1:]
+                if scalar_only:
+                    for index in range(lead):
+                        handle(index)
+                else:
+                    bulk(prev_vpn, 0, lead)
+            prev_block = addresses[-1] >> 6
+            prev_vpn = (addresses[-1] >> 12) | vbias
+            if run_starts and fast_ok and len(run_starts) == n_records - lead:
+                # The plain-pipeline case: hand the chunk's remaining
+                # records to the fully inlined sweep (byte-equivalent;
+                # see its docstring).
+                local = addresses[lead:] if lead else addresses
+                local_warmup = min(max(warmup - chunk_base - lead, 0),
+                                   len(local))
+                (now, measuring, acc, data_c, walk_c, walk_count,
+                 tlb_l1_base, tlb_l2_base) = self._fast_native_sweep(
+                    local, local_warmup, collect_service, stats,
+                    (now, measuring, acc, data_c, walk_c, walk_count,
+                     tlb_l1_base, tlb_l2_base))
+            else:
+                drive_batched(run_starts, run_counts, handle, bulk,
+                              scalar_only)
+            chunk_base += n_records
+            # Counter owners are current here: the scalar paths update
+            # them per record and the fast sweep flushes its mirrors
+            # before returning.
+            if obs is not None:
+                obs.sample(chunk_base, now=now, accesses=acc,
+                           data_cycles=data_c, walk_cycles=walk_c,
+                           walks=walk_count,
+                           tlb_l1_hits=tlbs.l1_hits,
+                           tlb_l2_hits=tlbs.l2_hits,
+                           tlb_misses=tlbs.stats.misses)
+        return (now, measuring, acc, data_c, walk_c, walk_count,
+                tlb_l1_base, tlb_l2_base)
+
+    # -- what each simulator supplies -----------------------------------
+    def _miss_walk(self, collect_service: bool):
+        """The per-miss walk the scalar loop calls after a TLB (and
+        scheme-probe) miss: ``walk(va, vpn, start, prefetches) -> (frame,
+        large, neighbours, latency, records)``.  It prices the walk of
+        ``va``'s page starting at cycle ``start`` with the walk-start
+        hook's ``prefetches`` folded in, and returns the translation to
+        fill (``neighbours``: the clustered TLB's neighbour frames, or
+        ``None``), the walk's latency, and its per-step service records
+        (``None`` unless ``collect_service``)."""
+        raise NotImplementedError
+
+    def _fast_sweep_ok(self) -> bool:
+        """Whether this simulator's structures fit ``_fast_native_sweep``
+        (the scalar loop checks the hooks and the co-runner itself)."""
+        return False
+
+
+class NativeSimulation(TraceSimulation):
     """Drives one process's trace through the native machine model."""
+
+    probe_kind = "native"
 
     def __init__(
         self,
@@ -137,7 +513,7 @@ class NativeSimulation:
         record-loop engine: ``"columnar"`` (the default) runs each
         ``run()`` through the compiled chunk kernel of
         `repro.sim.columnar` wherever its ``engine_mode`` allows and
-        through the scalar loop below otherwise (no C backend, or a
+        through the scalar loop otherwise (no C backend, or a
         configuration it does not compile); ``"scalar"`` forces that
         loop, the differential oracle.  Both are byte-identical."""
         if asid and (clustered_tlb or infinite_tlb):
@@ -156,54 +532,27 @@ class NativeSimulation:
         )
         self.pwc = pwc or SplitPwc(machine.pwc,
                                    top_level=process.page_table.levels)
+        self.pwcs = (self.pwc,)
         self.walker = walker or PageWalker(self.hierarchy, self.pwc)
         self.corunner = corunner
         self.asid = asid
         self.kernel = kernel
-        #: Per-vpn flattened walk paths (general loop / inlined sweep).
-        #: Instance state so a run can be split into scheduler quanta
-        #: without re-flattening, and so ``flush_translation_state`` can
-        #: clear them coherently with the hardware structures.
-        self._flat_paths: dict[int, tuple] = {}
-        self._fast_paths: dict[int, tuple] = {}
-        #: The columnar kernel's path-row cache (same role as the two
-        #: dicts above, owned by `repro.sim.columnar`); lazily built.
+        self._page_table = process.page_table
+        self._pwc_shifts = tuple(level_shift(level)
+                                 for level, _ in self.pwc.view)
+        #: Per-vpn flattened walk paths (see :meth:`_miss_walk`), shared
+        #: by the general loop and the inlined sweep.  Instance state so a
+        #: run can be split into scheduler quanta without re-flattening,
+        #: and so ``flush_translation_state`` can clear them coherently
+        #: with the hardware structures.
+        self._walk_paths: dict[int, tuple] = {}
+        #: The columnar kernel's path-row cache (same role as the dict
+        #: above, owned by `repro.sim.columnar`); lazily built.
         self._columnar_paths = None
         #: Set by AsapScheme.bind_native for introspection/back-compat.
         self.prefetcher: AsapPrefetcher | None = None
         self.scheme = build_scheme(scheme, asap)
         self.scheme.bind_native(self)
-
-    # ------------------------------------------------------------------
-    def flush_translation_state(self) -> None:
-        """Flush *every* piece of cached translation state coherently.
-
-        ``TlbHierarchy.flush()`` alone is not a safe mid-run flush: the
-        page-walk caches, the in-flight translation-prefetch MSHRs, the
-        simulator's per-vpn flattened walk paths and any scheme-cached
-        translations (Victima's parked entries) would all survive it and
-        keep serving stale translations.  This is the one entry point
-        that restores every translation structure to its cold state (the
-        shared data caches and all statistics counters are untouched);
-        the multi-tenant scheduler's full-flush switch policy and any
-        shootdown-like event must go through it.
-        """
-        self.tlbs.flush()
-        self.pwc.flush()
-        self.hierarchy.mshrs.drain()
-        self.flush_private_translation_state()
-
-    def flush_private_translation_state(self) -> None:
-        """The per-process half of :meth:`flush_translation_state`: the
-        flattened walk-path caches and the scheme's own translation
-        state.  The multi-tenant scheduler calls this on the *other*
-        tenants after flushing the shared hardware once through the
-        active one."""
-        self._flat_paths.clear()
-        self._fast_paths.clear()
-        if self._columnar_paths is not None:
-            self._columnar_paths.clear()
-        self.scheme.on_translation_flush()
 
     # ------------------------------------------------------------------
     def populate(self, trace, order: str = "sequential") -> int:
@@ -229,6 +578,53 @@ class NativeSimulation:
         return faults
 
     # ------------------------------------------------------------------
+    def _miss_walk(self, collect_service: bool):
+        """The radix walk: the page's flat path, priced by
+        ``PageWalker.walk_flat``.
+
+        A page's path is flattened on its first walk and cached under
+        its biased vpn: ``(lines, levels, pwc_tags, leaf_level, frame,
+        large, neighbours)`` — the step lines and levels root first, one
+        ASID-biased tag per :attr:`SplitPwc.view` entry, the leaf level
+        and frame, the 2MB flag and the clustered TLB's neighbour frames
+        (``None`` unless clustered).  The page table cannot change
+        mid-run, so the path is invariant; only the cache/PWC state it
+        is priced against evolves.  The inlined sweep fills the same
+        dict in the same layout."""
+        flat_paths = self._walk_paths
+        flat_walk = self.process.flat_walk
+        cluster_frames = self.process.cluster_frames
+        clustered = self.clustered_tlb
+        pwc_shifts = self._pwc_shifts
+        vbias = asid_bias(self.asid)
+        walk_flat = self.walker.walk_flat
+
+        def walk(va, vpn, start, prefetches):
+            flat = flat_paths.get(vpn)
+            if flat is None:
+                lines, levels, pframe, leaf_level = flat_walk(va)
+                flat = flat_paths[vpn] = (
+                    lines, levels,
+                    tuple([(va >> shift) | vbias for shift in pwc_shifts]),
+                    leaf_level, pframe, leaf_level >= 2,
+                    # vpn == raw vpn here: clustered TLBs are
+                    # single-tenant only (ctor guard).
+                    cluster_frames(vpn)
+                    if clustered and leaf_level == 1 else None)
+            (lines, levels, pwc_tags, leaf_level, frame, large,
+             neighbours) = flat
+            records = [] if collect_service else None
+            latency = walk_flat(lines, levels, pwc_tags, leaf_level, start,
+                                prefetches, records)
+            return frame, large, neighbours, latency, records
+
+        return walk
+
+    def _fast_sweep_ok(self) -> bool:
+        return (not self.tlbs.infinite and not self.clustered_tlb
+                and len(self.pwc.view) == 3)
+
+    # ------------------------------------------------------------------
     def _fast_native_sweep(
         self,
         addresses: list[int],
@@ -239,8 +635,8 @@ class NativeSimulation:
     ) -> tuple:
         """The fully inlined record loop for the plain-pipeline case.
 
-        Preconditions (checked by :meth:`run` before dispatching here):
-        no scheme hooks, no L2-TLB evict hook, no co-runner, plain
+        Preconditions (checked by the record loop before dispatching
+        here): no scheme hooks, no L2-TLB evict hook, no co-runner, plain
         (non-clustered, finite) TLBs, a three-level PWC (4-level page
         table) and a chunk without same-block repeats.  That is exactly
         the baseline-radix configuration every figure sweep runs most,
@@ -256,8 +652,9 @@ class NativeSimulation:
         and returned updated, so a chunk seam is invisible to the clock,
         the warmup baselines and every accumulator.
 
-        It must remain *byte-equivalent* to the general loop in
-        :meth:`run` — same stats, same final structure state.  The
+        It must remain *byte-equivalent* to the general loop of
+        :meth:`TraceSimulation.run` — same stats, same final structure
+        state.  The
         golden-parity suites (tests/test_fast_path.py,
         tests/test_traces.py) pin both paths and every chunking.
         """
@@ -290,9 +687,9 @@ class NativeSimulation:
         p3_stride, p3_nsets, p3_ways = p3.stride, p3.num_sets, p3.ways
         p4_tags, p4_frames, p4_sizes = p4.tags, p4.frames, p4.sizes
         p4_stride, p4_nsets, p4_ways = p4.stride, p4.num_sets, p4.ways
-        s2, s3, s4 = (level_shift(level) for level, _ in pwc.view)
+        s2, s3, s4 = self._pwc_shifts
         flat_walk = self.process.flat_walk
-        flat_paths = self._fast_paths
+        flat_paths = self._walk_paths
         #: ASID bias, hoisted: constant for the whole sweep (one OR per
         #: record; 0 in single-tenant runs leaves every tag unchanged).
         vbias = asid_bias(self.asid)
@@ -422,13 +819,16 @@ class NativeSimulation:
                     # --- page walk (flat-path cache) -----------------
                     flat = flat_paths.get(vpn)
                     if flat is None:
+                        # The general loop's layout (see _miss_walk),
+                        # with no cluster neighbours (plain TLBs).
                         lines, levels, pframe, leaf_level = flat_walk(va)
-                        flat = (lines, levels, (va >> s2) | vbias,
-                                (va >> s3) | vbias, (va >> s4) | vbias,
-                                leaf_level, pframe, leaf_level >= 2)
-                        flat_paths[vpn] = flat
-                    (lines, levels, tg2, tg3, tg4, leaf_level, frame,
-                     large) = flat
+                        flat = flat_paths[vpn] = (
+                            lines, levels,
+                            ((va >> s2) | vbias, (va >> s3) | vbias,
+                             (va >> s4) | vbias),
+                            leaf_level, pframe, leaf_level >= 2, None)
+                    (lines, levels, (tg2, tg3, tg4), leaf_level, frame,
+                     large, _) = flat
                     t = now + pwc_latency
                     pwc_probes += 1
                     records = [] if collect_service else None
@@ -673,356 +1073,3 @@ class NativeSimulation:
         served["L1"] += c1_mru
         return (now, measuring, acc, data_c, walk_c, walk_count,
                 tlb_l1_base, tlb_l2_base)
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        trace,
-        warmup: int = 0,
-        populate: bool = True,
-        collect_service: bool = True,
-        init_order: str = "sequential",
-    ) -> SimStats:
-        """Simulate the trace; statistics cover post-warmup records only.
-
-        ``trace`` is one ndarray (the historical monolithic case — a
-        single execution chunk) or a
-        :class:`~repro.traces.source.TraceSource` streaming execution
-        chunks; peak memory follows the chunk size, never the record
-        count.  All loop state — the clock, warmup baselines, statistics
-        accumulators and the run-detection seam — carries across chunks
-        inside this one call, so SimStats are byte-identical for every
-        chunking of the same records (pinned by tests/test_traces.py).
-
-        Each chunk is consumed as *runs* of records sharing one
-        cache-line block (``va >> 6``), detected with one vectorized
-        pass.  A run's first record goes through the full scalar
-        pipeline; its repeats are guaranteed L1-TLB + L1-D hits (the
-        first record left both at MRU and nothing else touches them
-        mid-run), so they are costed in bulk — counter increments and
-        ``count * (base + L1)`` cycles — with byte-identical statistics.
-        A run that straddles a chunk seam is stitched the same way: the
-        continuation records at the next chunk's head are bulk-costed
-        against the carried vpn, exactly as if the seam were not there.
-        Any record that can observe or change more state takes the
-        scalar path: the first record of every run (and with it every
-        TLB miss, scheme hook and fill), every record of a co-runner
-        simulation (the co-runner perturbs the shared caches between
-        records), and the warmup boundary (a bulk segment is split so
-        the hit counters are snapshotted at exactly the record where
-        measurement starts).
-
-        Per-page walk state (step lines/levels, PWC tags, leaf geometry,
-        cluster neighbours) is flattened once into ``flat_paths`` on the
-        page's first walk and replayed from there afterwards — the page
-        table cannot change mid-run, so the path is invariant; only the
-        cache/PWC state it is priced against evolves.
-        """
-        #: Observation seam: ``None`` unless a recorder is active
-        #: (``--obs``), in which case the run gets phase spans and one
-        #: counter snapshot per chunk — all at chunk granularity, so
-        #: statistics stay byte-identical (see repro.obs.probe).
-        obs = SimProbe.create("native", warmup)
-        if populate:
-            if obs is not None:
-                obs.phase_begin("populate")
-            self.populate(trace, order=init_order)
-            if obs is not None:
-                obs.phase_end("populate")
-        if self.corunner is not None:
-            self.corunner.prefill(self.hierarchy)
-        stats = SimStats()
-        tlbs = self.tlbs
-        hierarchy = self.hierarchy
-        corunner = self.corunner
-        clustered = self.clustered_tlb
-        scheme = self.scheme
-        probe = scheme.probe_hook()
-        walk_start = scheme.walk_start_hook()
-        walk_end = scheme.walk_end_hook()
-        fill_hook = scheme.fill_hook()
-        base_cycles = self.machine.core.base_cycles
-        record_service = stats.service.record_walk
-        lookup = tlbs.lookup
-        tlb_fill = tlbs.fill_fast
-        access = hierarchy.access
-        walk_flat = self.walker.walk_flat
-        flat_walk = self.process.flat_walk
-        cluster_frames = self.process.cluster_frames
-        need_records = collect_service or walk_end is not None
-        l1_latency = hierarchy.latency_of("L1")
-        step_cost = base_cycles + l1_latency
-        pwc_shifts = tuple(level_shift(level) for level, _ in self.pwc.view)
-        flat_paths = self._flat_paths
-        #: ASID bias, hoisted once: ORed into the vpn (and the PWC tags
-        #: baked into cached flat paths) so shared TLB/PWC structures keep
-        #: tenants apart.  0 in single-tenant runs — a no-op bit for bit.
-        vbias = asid_bias(self.asid)
-        self.pwc.asid_bias = vbias
-        tlbs.probe_large[0] = self.process.page_table.has_large_pages
-
-        now = 0
-        measuring = warmup == 0
-        # Baselines snapshot the current shared counters so a
-        # mid-sequence segment measures only its window.
-        tlb_l1_base = tlbs.l1_hits if measuring else 0
-        tlb_l2_base = tlbs.l2_hits if measuring else 0
-        #: Local accumulators for the per-record statistics; flushed into
-        #: ``stats`` once after the loop (base/total cycles are derived:
-        #: every measured record contributes exactly ``base_cycles`` and
-        #: its translation stall is exactly what walk_cycles collects).
-        acc = data_c = walk_c = walk_count = 0
-        #: Chunk cursor: ``addresses`` is rebound per execution chunk and
-        #: ``chunk_base`` is the chunk's global record index, so the closures
-        #: below always see the current chunk through the same cells.
-        addresses: list[int] = []
-        chunk_base = 0
-
-        def handle(index: int) -> int:
-            """One record (chunk-local ``index``) through the scalar
-            pipeline; returns its vpn."""
-            nonlocal now, measuring, tlb_l1_base, tlb_l2_base
-            nonlocal acc, data_c, walk_c, walk_count
-            va = addresses[index]
-            if not measuring and chunk_base + index >= warmup:
-                measuring = True
-                tlb_l1_base = tlbs.l1_hits
-                tlb_l2_base = tlbs.l2_hits
-            vpn = (va >> 12) | vbias
-            frame = lookup(vpn)
-            translation = 0
-            if frame is None:
-                offset = 0
-                if probe is not None:
-                    frame, offset = probe(va, vpn, now)
-                if frame is not None:
-                    # Scheme probe hit: the walk is short-circuited and no
-                    # walk outcome exists on this path (the pre-refactor
-                    # loop left a stale one reachable in scope here).
-                    translation = offset
-                    tlb_fill(vpn, frame)
-                    if fill_hook is not None:
-                        fill_hook(vpn, frame)
-                    if measuring:
-                        walk_c += translation
-                else:
-                    flat = flat_paths.get(vpn)
-                    if flat is None:
-                        lines, levels, pframe, leaf_level = flat_walk(va)
-                        flat = (
-                            lines,
-                            levels,
-                            tuple((va >> shift) | vbias
-                                  for shift in pwc_shifts),
-                            leaf_level,
-                            pframe,
-                            leaf_level >= 2,
-                            # vpn == raw vpn here: clustered TLBs are
-                            # single-tenant only (ctor guard).
-                            cluster_frames(vpn)
-                            if clustered and leaf_level == 1 else None,
-                        )
-                        flat_paths[vpn] = flat
-                    (lines, levels, pwc_tags, leaf_level, frame, large,
-                     neighbours) = flat
-                    prefetches = None
-                    if walk_start is not None:
-                        prefetches = walk_start(va, now + offset)
-                    records = [] if need_records else None
-                    latency = walk_flat(lines, levels, pwc_tags, leaf_level,
-                                        now + offset, prefetches, records)
-                    translation = offset + latency
-                    if walk_end is not None:
-                        translation = walk_end(
-                            va, vpn, now, translation,
-                            WalkOutcome(latency=latency, records=records))
-                    tlb_fill(vpn, frame, large=large,
-                             neighbour_frames=neighbours)
-                    if fill_hook is not None:
-                        fill_hook(vpn, frame)
-                    if measuring:
-                        walk_c += translation
-                        walk_count += 1
-                        if collect_service:
-                            record_service(records)
-            data_latency = access(((frame << 12) | (va & 0xFFF)) >> 6,
-                                  now + translation)
-            now += base_cycles + translation + data_latency
-            if measuring:
-                acc += 1
-                data_c += data_latency
-            if corunner is not None:
-                corunner.step(hierarchy, now)
-            return vpn
-
-        def bulk(vpn, first_index, repeats):
-            """Cost a run's repeat records (guaranteed L1-TLB/L1-D hits).
-
-            ``first_index`` is chunk-local.  Unmeasured repeats advance
-            state but not statistics; if the warmup boundary lands
-            inside the run, the hit counters are snapshotted exactly
-            there, like the scalar loop would.
-            """
-            nonlocal now, measuring, tlb_l1_base, tlb_l2_base, acc, data_c
-            if not measuring:
-                pre = warmup - chunk_base - first_index
-                if pre >= repeats:
-                    bulk_tlb(vpn, repeats)
-                    bulk_l1(repeats)
-                    now += step_cost * repeats
-                    return
-                if pre > 0:
-                    bulk_tlb(vpn, pre)
-                    bulk_l1(pre)
-                    now += step_cost * pre
-                    repeats -= pre
-                measuring = True
-                tlb_l1_base = tlbs.l1_hits
-                tlb_l2_base = tlbs.l2_hits
-            bulk_tlb(vpn, repeats)
-            bulk_l1(repeats)
-            now += step_cost * repeats
-            acc += repeats
-            data_c += l1_latency * repeats
-
-        bulk_ok = corunner is None
-        bulk_tlb = tlbs.bulk_hits
-        bulk_l1 = hierarchy.bulk_l1_hits
-        #: Static fast-sweep preconditions (per-chunk dispatch adds only
-        #: the no-repeats check); see _fast_native_sweep's docstring.
-        fast_ok = (bulk_ok and probe is None and walk_start is None
-                   and walk_end is None and fill_hook is None
-                   and tlbs.l2_evict_hook is None
-                   and not tlbs.infinite and not clustered
-                   and len(self.pwc.view) == 3)
-        #: The compiled kernel's mode for this call, or None for the
-        #: scalar loop below; decided before the obs log names it.
-        mode = None
-        if self.kernel == "columnar":
-            from repro.sim import columnar as _columnar
-
-            mode = _columnar.engine_mode(self, fast_ok)
-        #: The execution-chunk stream; under observation it is re-cut at
-        #: the warmup boundary and sample intervals (chunking-invariant,
-        #: so statistics are unchanged — pinned by tests/test_traces.py).
-        if obs is not None:
-            obs.run_begin(kernel=mode or "scalar")
-            chunk_stream = obs.chunks(iter_trace_chunks(trace))
-        else:
-            chunk_stream = iter_trace_chunks(trace)
-        if mode is not None:
-            # Whole-chunk C engine (byte-identical to the loop below;
-            # see repro.sim.columnar).  Covers the fast-sweep
-            # configuration plus the compiled ASAP, Victima and
-            # Revelator hooks; everything else takes the scalar loop.
-            (now, measuring, acc, data_c, walk_c, walk_count,
-             tlb_l1_base, tlb_l2_base) = _columnar.run_columnar(
-                self, chunk_stream, warmup,
-                collect_service, stats,
-                (now, measuring, acc, data_c, walk_c, walk_count,
-                 tlb_l1_base, tlb_l2_base), obs_probe=obs,
-                mode=mode)
-            stats.accesses = acc
-            stats.base_cycles = acc * base_cycles
-            stats.data_cycles = data_c
-            stats.walk_cycles = walk_c
-            stats.walks = walk_count
-            stats.cycles = acc * base_cycles + data_c + walk_c
-            stats.tlb_l1_hits = tlbs.l1_hits - tlb_l1_base
-            stats.tlb_l2_hits = tlbs.l2_hits - tlb_l2_base
-            scheme.finalize(stats)
-            if obs is not None:
-                obs.run_end(stats)
-            return stats
-        # The scalar paths below write the cache lists directly (the
-        # inlined ``access`` closure, the fast sweep), so the compiled
-        # kernel's resident cache images would go stale: drop them.
-        hierarchy.drop_images()
-        #: Run-detection seam state: the cache-line block and (biased)
-        #: vpn of the previous chunk's last record.  A chunk whose first
-        #: record shares that block continues the carried run, and its
-        #: head records are repeats — bulk-costed exactly as the
-        #: monolithic loop would have costed them.
-        prev_block = -1
-        prev_vpn = 0
-        # The loop allocates only short-lived tuples and the per-page
-        # flat paths; pausing the cyclic collector for its duration saves
-        # pointless generation-0 scans (restored even on error).
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for chunk in chunk_stream:
-                n_records = len(chunk)
-                if not n_records:
-                    continue
-                addresses = chunk.tolist()
-                run_starts, run_counts = detect_runs(chunk, n_records)
-                lead = 0
-                if prev_block == addresses[0] >> 6:
-                    lead = run_counts[0]
-                    run_starts = run_starts[1:]
-                    run_counts = run_counts[1:]
-                    if bulk_ok:
-                        bulk(prev_vpn, 0, lead)
-                    else:
-                        # Co-runner present: repeats replay through the
-                        # scalar pipeline, seam or no seam.
-                        for index in range(lead):
-                            handle(index)
-                prev_block = addresses[-1] >> 6
-                prev_vpn = (addresses[-1] >> 12) | vbias
-                if not run_starts:
-                    chunk_base += n_records
-                    if obs is not None:
-                        obs.sample(chunk_base, now=now, accesses=acc,
-                                   data_cycles=data_c, walk_cycles=walk_c,
-                                   walks=walk_count,
-                                   tlb_l1_hits=tlbs.l1_hits,
-                                   tlb_l2_hits=tlbs.l2_hits,
-                                   tlb_misses=tlbs.stats.misses)
-                    continue
-                if fast_ok and len(run_starts) == n_records - lead:
-                    # The plain-pipeline case: hand the chunk's remaining
-                    # records to the fully inlined sweep
-                    # (byte-equivalent; see its docstring).
-                    local = addresses[lead:] if lead else addresses
-                    local_warmup = min(max(warmup - chunk_base - lead, 0),
-                                       len(local))
-                    (now, measuring, acc, data_c, walk_c, walk_count,
-                     tlb_l1_base, tlb_l2_base) = self._fast_native_sweep(
-                        local, local_warmup, collect_service, stats,
-                        (now, measuring, acc, data_c, walk_c, walk_count,
-                         tlb_l1_base, tlb_l2_base))
-                elif bulk_ok and len(run_starts) == n_records - lead:
-                    # No same-block repeats in the chunk: scalar sweep.
-                    for index in range(lead, n_records):
-                        handle(index)
-                else:
-                    drive_batched(run_starts, run_counts, handle, bulk,
-                                  scalar_only=not bulk_ok)
-                chunk_base += n_records
-                # Counter owners are current here: the scalar paths
-                # update them per record and the fast sweep flushes its
-                # mirrors before returning.
-                if obs is not None:
-                    obs.sample(chunk_base, now=now, accesses=acc,
-                               data_cycles=data_c, walk_cycles=walk_c,
-                               walks=walk_count,
-                               tlb_l1_hits=tlbs.l1_hits,
-                               tlb_l2_hits=tlbs.l2_hits,
-                               tlb_misses=tlbs.stats.misses)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        stats.accesses = acc
-        stats.base_cycles = acc * base_cycles
-        stats.data_cycles = data_c
-        stats.walk_cycles = walk_c
-        stats.walks = walk_count
-        stats.cycles = acc * base_cycles + data_c + walk_c
-        stats.tlb_l1_hits = tlbs.l1_hits - tlb_l1_base
-        stats.tlb_l2_hits = tlbs.l2_hits - tlb_l2_base
-        scheme.finalize(stats)
-        if obs is not None:
-            obs.run_end(stats)
-        return stats

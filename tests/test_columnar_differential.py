@@ -835,12 +835,12 @@ def test_victima_router_needs_a_route_for_every_resident_asid(
     mt = MultiTenantSpec(tenants=2, quantum=700, switch_policy="asid")
     _, sims, _ = _run_mt("victima", mt, "columnar", monkeypatch)
     tlbs = sims[0].tlbs
-    assert columnar.engine_mode(sims[0], False) == "victima"
+    assert columnar.engine_mode(sims[0]) == "victima"
     tlbs.l2_evict_hook = multitenant._victim_router((sims[0].scheme._park,))
     assert max(tlbs.l2_plain.tags) >> (ASID_SHIFT + 1) == 1
-    assert columnar.engine_mode(sims[0], False) is None
+    assert columnar.engine_mode(sims[0]) is None
     tlbs.flush()
-    assert columnar.engine_mode(sims[0], False) == "victima"
+    assert columnar.engine_mode(sims[0]) == "victima"
 
 
 def _mixed_kernel_replay(kernel: str) -> list:
@@ -1052,9 +1052,9 @@ def test_revelator_wrong_path_access_time(lead, cell, monkeypatch):
     walk_ends = []
     walk_end = RevelatorLike._walk_end
 
-    def spying(self, va, vpn, now, translation, outcome):
+    def spying(self, va, vpn, now, translation):
         walk_ends.append((va, vpn, now, translation))
-        return walk_end(self, va, vpn, now, translation, outcome)
+        return walk_end(self, va, vpn, now, translation)
 
     with monkeypatch.context() as patch:
         patch.setattr(RevelatorLike, "_walk_end", spying)
@@ -1100,8 +1100,8 @@ def _subclassed(sim) -> None:
 def _custom_walk_end(sim) -> None:
     walk_end = sim.scheme._walk_end
     sim.scheme.walk_end_hook = lambda: (
-        lambda va, vpn, now, translation, outcome:
-        walk_end(va, vpn, now, translation, outcome))
+        lambda va, vpn, now, translation:
+        walk_end(va, vpn, now, translation))
 
 
 def _foreign_walk_end(sim) -> None:

@@ -39,12 +39,10 @@ def _native_sim(**kwargs):
 def _cached_paths(sim) -> int:
     """How many walk paths the simulator's own kernel has cached: the
     compiled kernel's path rows (nested rows of a virtualized one), or
-    the scalar loop's dicts."""
+    the scalar loop's per-vpn paths."""
     if sim.kernel == "columnar":
         return sim._columnar_paths.count
-    if isinstance(sim, VirtualizedSimulation):
-        return len(sim._nested_paths)
-    return len(sim._fast_paths) + len(sim._flat_paths)
+    return len(sim._walk_paths)
 
 
 def _virt_sim(**kwargs):

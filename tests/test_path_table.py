@@ -215,23 +215,23 @@ def test_engine_mode_needs_a_node_constant_hole_checker(monkeypatch):
     monkeypatch.setattr(columnar, "columnar_available", lambda: True)
     world = _world()
     sim, prefetcher = world.sim, world.prefetcher
-    assert columnar.engine_mode(sim, False) == "asap"
+    assert columnar.engine_mode(sim) == "asap"
     checker = prefetcher.hole_checker
 
     # A custom checker can vary inside a node.
     prefetcher.hole_checker = lambda va, level: bool(va & PAGE)
-    assert columnar.engine_mode(sim, False) is None
+    assert columnar.engine_mode(sim) is None
 
     # So can a subclass, whatever it overrides.
     class Custom(VmaHoleChecker):
         pass
 
     prefetcher.hole_checker = Custom(checker.vmas, checker.layout)
-    assert columnar.engine_mode(sim, False) is None
+    assert columnar.engine_mode(sim) is None
 
     # No checker: no holes, nothing to vary.
     prefetcher.hole_checker = None
-    assert columnar.engine_mode(sim, False) == "asap"
+    assert columnar.engine_mode(sim) == "asap"
 
     # A descriptor spanning two VMAs: the seam node has two verdicts.
     prefetcher.hole_checker = checker
@@ -240,12 +240,12 @@ def test_engine_mode_needs_a_node_constant_hole_checker(monkeypatch):
     left, right = descriptors[0], descriptors[1]
     registers.load([VmaDescriptor(left.start, right.end, left.level_bases)]
                    + descriptors[2:])
-    assert columnar.engine_mode(sim, False) is None
+    assert columnar.engine_mode(sim) is None
 
     # A descriptor that is not page-aligned.
     registers.load([VmaDescriptor(left.start, left.end - 64,
                                   left.level_bases)] + descriptors[1:])
-    assert columnar.engine_mode(sim, False) is None
+    assert columnar.engine_mode(sim) is None
 
     registers.load(descriptors)
-    assert columnar.engine_mode(sim, False) == "asap"
+    assert columnar.engine_mode(sim) == "asap"

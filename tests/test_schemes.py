@@ -118,7 +118,6 @@ class TestSchemeSpec:
         assert scheme.probe_hook() is None
         assert scheme.walk_start_hook() is None
         assert scheme.walk_end_hook() is None
-        assert scheme.fill_hook() is None
 
 
 class TestJobIntegration:

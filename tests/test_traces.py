@@ -237,7 +237,19 @@ class TestMultiTenantStreamedParity:
 class TestChunkSizeSweep:
     """Chunk sizes 1, 7 and 4096 on a deliberately streaky trace:
     same-line streaks and the warmup boundary straddle every kind of
-    seam (chunk size 1 makes *every* record boundary a seam)."""
+    seam (chunk size 1 makes *every* record boundary a seam).
+
+    Both simulators run one record-loop front end.  This class drives
+    the native simulator on the default kernel; the subclasses below
+    repeat every case on the scalar loop and on the virtualized
+    simulator, so the scalar loop's bulk costing and seam stitching are
+    pinned whether or not the compiled backend is present."""
+
+    SIMULATOR = "native"
+    KERNEL = "columnar"
+    #: The virtualized run of each native config: ASAP in both
+    #: dimensions, so the host prefetcher crosses the seams too.
+    VIRT_CONFIGS = {"baseline": cfg.BASELINE, "asap": cfg.FULL_2D}
 
     @staticmethod
     def streaky_trace():
@@ -253,6 +265,30 @@ class TestChunkSizeSweep:
             cursor += take
         return np.concatenate(pieces)[:3_000]
 
+    def simulate(self, trace, kind="baseline", config=cfg.BASELINE,
+                 corunner=False):
+        """``stats_key`` of one run of ``trace`` (an ndarray or a chunked
+        source of the streaky trace) on this class's simulator and
+        kernel, warmup 1000."""
+        from repro.sim.runner import _corunner
+
+        spec = get("mcf")
+        scale = Scale(3_000, 1_000, 3)
+        extra = {"corunner": _corunner(scale)} if corunner else {}
+        if self.SIMULATOR == "virt":
+            config = self.VIRT_CONFIGS[kind]
+            sim = VirtualizedSimulation(
+                build_vm(spec, config, scale), asap=config,
+                scheme=SchemeSpec(kind=kind), kernel=self.KERNEL, **extra)
+        else:
+            process = spec.build_process(asap_levels=config.native_levels,
+                                         seed=scale.seed)
+            sim = NativeSimulation(process, asap=config,
+                                   scheme=SchemeSpec(kind=kind),
+                                   kernel=self.KERNEL, **extra)
+        return stats_key(sim.run(trace, warmup=scale.warmup,
+                                 init_order=spec.init_order))
+
     # warmup 1000 lands mid-streak for this seed; both paths must
     # snapshot the hit counters at exactly that record.
     @pytest.mark.parametrize("chunk_records", (1, 7, 4096))
@@ -260,46 +296,41 @@ class TestChunkSizeSweep:
         ("baseline", cfg.BASELINE), ("asap", cfg.P1_P2)))
     def test_streaky(self, chunk_records, kind, config):
         trace = self.streaky_trace()
-        scale = Scale(len(trace), 1_000, 3)
-        reference = stats_key(run_native_once(
-            kind, config, trace, scale=scale, workload="mcf"))
-        streamed = stats_key(run_native_once(
-            kind, config, ArraySource(trace.copy(), chunk_records),
-            scale=scale, workload="mcf"))
+        reference = self.simulate(trace, kind, config)
+        streamed = self.simulate(ArraySource(trace.copy(), chunk_records),
+                                 kind, config)
         assert streamed == reference
 
     @pytest.mark.parametrize("chunk_records", (1, 7, 4096))
     def test_streaky_with_corunner(self, chunk_records):
         # Co-runner simulations replay repeats through the scalar
         # pipeline; seams must not change that path either.
-        from repro.sim.runner import _corunner
-
         trace = self.streaky_trace()
-        scale = Scale(len(trace), 1_000, 3)
-        spec = get("mcf")
-
-        def run_once(trace_obj):
-            process = spec.build_process(seed=scale.seed)
-            sim = NativeSimulation(process, corunner=_corunner(scale))
-            return sim.run(trace_obj, warmup=scale.warmup,
-                           init_order=spec.init_order)
-
-        reference = stats_key(run_once(trace))
-        streamed = stats_key(run_once(
-            ArraySource(trace.copy(), chunk_records)))
+        reference = self.simulate(trace, corunner=True)
+        streamed = self.simulate(ArraySource(trace.copy(), chunk_records),
+                                 corunner=True)
         assert streamed == reference
 
     def test_warmup_boundary_exactly_on_seam(self):
         trace = self.streaky_trace()
         # A chunk size dividing the warmup puts the measurement start
         # exactly at a chunk boundary.
-        scale = Scale(len(trace), 1_000, 3)
-        reference = stats_key(run_native_once(
-            "baseline", cfg.BASELINE, trace, scale=scale, workload="mcf"))
-        streamed = stats_key(run_native_once(
-            "baseline", cfg.BASELINE, ArraySource(trace.copy(), 500),
-            scale=scale, workload="mcf"))
+        reference = self.simulate(trace)
+        streamed = self.simulate(ArraySource(trace.copy(), 500))
         assert streamed == reference
+
+
+class TestChunkSizeSweepScalar(TestChunkSizeSweep):
+    KERNEL = "scalar"
+
+
+class TestVirtualizedChunkSizeSweep(TestChunkSizeSweep):
+    SIMULATOR = "virt"
+
+
+class TestVirtualizedChunkSizeSweepScalar(TestChunkSizeSweep):
+    SIMULATOR = "virt"
+    KERNEL = "scalar"
 
 
 # ----------------------------------------------------------------------
