@@ -141,50 +141,90 @@ class SetAssociativeCache:
     def install_many(self, lines: np.ndarray) -> None:
         """``install`` every line of ``lines`` in order, victims dropped.
 
-        Installs into different sets commute, so the lines are grouped
-        by set (install order kept) and each set is updated once.  When a
-        set's new lines are distinct and none is resident, LRU leaves the
-        set holding its last ``ways`` new lines, newest first, then its
-        old lines, cut at ``ways`` (everything cut is an eviction).  Any
-        other set takes the per-line path.
+        Installs into different sets commute.  When a set's new lines
+        are distinct and none is resident, LRU leaves the set holding its
+        last ``ways`` new lines, newest first, then its old lines, cut at
+        ``ways`` (everything cut is an eviction).  Those sets are placed
+        at once, in whole-array passes over a ``sets x stride`` grid of
+        the lists; the lines of any other set go through ``install`` one
+        at a time, in order.
         """
         new = np.asarray(lines, dtype=np.int64)
         if not new.size:
             return
         self.image = None
-        # Each temporary goes before the next is built, which keeps the
-        # peak near the per-line loop's (the co-runner prefill feeds a
-        # whole L3's worth of lines).
-        sets = new % self.num_sets
-        counts = np.bincount(sets, minlength=self.num_sets).tolist()
-        order = np.argsort(sets, kind="stable")
-        del sets
-        grouped = new[order]
-        del order
-        grouped = grouped.tolist()
-        store, sizes = self.lines, self.sizes
-        stride, ways = self.stride, self.ways
-        evictions = 0
-        end = 0
-        for set_index, count in enumerate(counts):
-            if not count:
-                continue
-            batch = grouped[end:end + count]
-            end += count
-            base = set_index * stride
-            size = sizes[set_index]
-            old = store[base:base + size]
-            fresh = set(batch)
-            if len(fresh) != count or not fresh.isdisjoint(old):
-                for line in batch:
-                    self.install(line)
-                continue
-            batch.reverse()
-            kept = batch[:ways] + old[:max(ways - count, 0)]
-            store[base:base + len(kept)] = kept
-            sizes[set_index] = len(kept)
-            evictions += size + count - len(kept)
-        self.stats.evictions += evictions
+        nsets, stride, ways = self.num_sets, self.stride, self.ways
+        sets = (new & (nsets - 1) if not nsets & (nsets - 1)
+                else new % nsets)
+        counts = np.bincount(sets, minlength=nsets)
+        old_sizes = np.asarray(self.sizes, dtype=np.int64)
+        occupied = bool(old_sizes.any())
+        if occupied:
+            grid = np.asarray(self.lines, dtype=np.int64).reshape(
+                nsets, stride)
+        else:
+            grid = np.full((nsets, stride), EMPTY, dtype=np.int64)
+        # A set clashes when some line repeats among its new and resident
+        # lines.  A fresh cache filled with a strictly monotone run of
+        # lines (the co-runner prefill) cannot clash, so skip the sort.
+        clash = None
+        steps = np.diff(new)
+        if occupied or not ((steps > 0).all() or (steps < 0).all()):
+            values = np.concatenate((grid[grid != EMPTY], new))
+            values.sort()
+            repeats = values[1:][values[1:] == values[:-1]]
+            del values
+            if repeats.size:
+                clash = np.zeros(nsets, dtype=bool)
+                clash[repeats % nsets] = True
+        del steps
+        placed = counts > 0
+        if clash is not None:
+            placed &= ~clash
+        if occupied:
+            # Old lines move down by their set's new-line count; those
+            # pushed past the last way are evicted.
+            rows = np.flatnonzero(placed & (old_sizes > 0))
+            shift = counts[rows]
+            slot = np.arange(ways)
+            kept = ((slot < old_sizes[rows, None])
+                    & (slot + shift[:, None] < ways))
+            row, col = np.nonzero(kept)
+            grid[rows[row], col + shift[row]] = grid[rows[row], col]
+        # Only a set's last `ways` new lines can stay, so place from the
+        # shortest tail of the batch that holds them for every set.
+        first = max(new.size - nsets * ways, 0)
+        tail_counts = counts
+        if first:
+            tail_counts = np.bincount(sets[first:], minlength=nsets)
+            if not ((tail_counts >= ways) | (tail_counts == counts)).all():
+                first, tail_counts = 0, counts
+        # Group the tail by set in install order (a stable sort; 16-bit
+        # keys make it a radix sort): a line's way is the number of its
+        # set's lines installed after it.
+        tail_sets = sets[first:]
+        order = np.argsort(
+            tail_sets.astype(np.uint16) if nsets <= 1 << 16 else tail_sets,
+            kind="stable")
+        grouped_sets = tail_sets[order]
+        way = (np.cumsum(tail_counts)[grouped_sets] - 1
+               - np.arange(tail_sets.size))
+        keep = way < ways
+        if clash is not None:
+            keep &= ~clash[grouped_sets]
+        grid[grouped_sets[keep], way[keep]] = new[first:][order[keep]]
+        del tail_sets, order, grouped_sets, way, keep
+        sizes = old_sizes + counts
+        fits = np.minimum(sizes, ways)
+        self.stats.evictions += int((sizes - fits)[placed].sum())
+        sizes[placed] = fits[placed]
+        if clash is not None:
+            sizes[clash] = old_sizes[clash]
+        self.lines[:] = grid.ravel().tolist()
+        self.sizes[:] = sizes.tolist()
+        if clash is not None:
+            for line in new[clash[sets]].tolist():
+                self.install(line)
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if present; returns whether it was resident."""

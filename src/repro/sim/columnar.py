@@ -38,6 +38,16 @@ kernel stops before such a walk, ``VirtualMachine.nested_path`` maps
 the page at that point of the host buddy's sequence, and the kernel
 resumes (ARCHITECTURE.md §12).
 
+The co-runner.  A colocated run hands the kernel the SMT co-runner's
+drawn stream (`repro.workloads.corunner`): its int64 line groups, each
+group's line count, the two cursors, ``intensity`` and the step count.
+After each record's data access and clock update the kernel issues the
+record's ``intensity`` groups through the same cache access, at the new
+clock, where the scalar loop calls ``Corunner.step``.  It stops before
+a record whose groups are not drawn yet; ``run_columnar`` draws the
+next batch with ``Corunner._draw_ahead`` (the same generator draws, in
+the same order, as the scalar step's) and resumes at that record.
+
 Resident cache images.  A multi-tenant schedule makes one ``run()``
 call per quantum, and converting the L3 (16,384 sets x 21 slots) to
 numpy and back on every call would cost far more than the few hundred
@@ -86,9 +96,10 @@ walk end: after each walk, native or nested, the kernel replays its
 speculate-and-verify step, with the CRC-32 placement lottery over the
 ASID-biased vpn and the wrong-path access computed in C, so there are
 no extra row columns).  Every scheme of the comparison roster thus
-compiles.  All other configurations (co-runners, infinite or
-clustered TLBs, 5-level page tables, custom hooks, non-power-of-two
-geometries) fall back to the scalar loop, so every cell still runs.
+compiles, with or without a co-runner.  All other configurations
+(``Corunner`` subclasses, infinite or clustered TLBs, 5-level page
+tables, custom hooks, non-power-of-two geometries) fall back to the
+scalar loop, so every cell still runs.
 MSHR state is
 round-tripped in every mode and the C ``cache_access`` has the merge
 branch, so in-flight prefetches straddle chunk seams byte-identically.
@@ -132,6 +143,7 @@ from repro.pagetable.nested import NestedPageWalker
 from repro.sim.order import run_starts
 from repro.tlb.tlb import ASID_SHIFT, asid_bias
 from repro.traces.source import kernel_chunk
+from repro.workloads.corunner import Corunner
 
 #: Valid values of the simulators' ``kernel=`` selector.
 KERNELS = ("scalar", "columnar")
@@ -205,6 +217,10 @@ _CAR_WALK_COUNT = 5
 _CAR_L1_BASE = 6
 _CAR_L2_BASE = 7
 _CARRY_SLOTS = 8
+
+# co-runner slots (mirror the C CO_* enum)
+_CO_CURSOR, _CO_TAKE, _CO_NTAKES, _CO_INTENSITY, _CO_ACCESSES = range(5)
+_CO_SLOTS = 5
 
 #: Figure-9 service histogram: 6 labels per PT level; row = level - 1
 #: for native walks and the guest dimension ("g<level>"), 4 + level - 1
@@ -299,6 +315,10 @@ enum {
     CAR_NOW, CAR_MEASURING, CAR_ACC, CAR_DATA_C,
     CAR_WALK_C, CAR_WALK_COUNT, CAR_L1_BASE, CAR_L2_BASE
 };
+
+/* co-runner slots: the next group's first line and its index, the
+   groups drawn, the groups per record, the co-runner's step count */
+enum { CO_CURSOR, CO_TAKE, CO_NTAKES, CO_INTENSITY, CO_ACCESSES };
 
 /* Guard-slot scan for `tag` in the set segment [base, guard).  Writes
    the tag into the guard slot, scans, restores the EMPTY sentinel (the
@@ -1119,11 +1139,15 @@ static int walk_pending(const mem_t *m, i64 vpn, i64 *t_tags,
 }
 
 /* Replay records [0, n) and return how many ran: n, or fewer when
-   `lazy` is set and the next record would walk a nested row whose path
-   crosses a guest-physical page the host page table does not map yet
-   (the caller maps it, fixes the rows and resumes at that record).
-   Native rows (G_NESTED 0) are PATH_COLS wide; nested rows index the
-   host-chain table `chains` and use the host PWC (h*). */
+   the next record's co-runner groups are not all drawn (the caller
+   draws them and resumes at that record), or when `lazy` is set and
+   the next record would walk a nested row whose path crosses a
+   guest-physical page the host page table does not map yet (the caller
+   maps it, fixes the rows and resumes at that record).  Native rows
+   (G_NESTED 0) are PATH_COLS wide; nested rows index the host-chain
+   table `chains` and use the host PWC (h*).  `co` (CO_* slots) is NULL
+   without a co-runner; with one, every record ends with its
+   CO_INTENSITY groups of `co_lines` (`co_takes` lines each). */
 i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
                   i64 collect_service,
                   const i64 *rowidx, const i64 *paths,
@@ -1140,7 +1164,8 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
                   i64 *c1_lines, i64 *c1_sizes, unsigned char *c1_touched,
                   i64 *c2_lines, i64 *c2_sizes, unsigned char *c2_touched,
                   i64 *c3_lines, i64 *c3_sizes, unsigned char *c3_touched,
-                  i64 *mshr, const park_t *parks, const i64 *route)
+                  i64 *mshr, const park_t *parks, const i64 *route,
+                  const i64 *co_lines, const i64 *co_takes, i64 *co)
 {
     const mem_t m = {
         {c1_lines, c1_sizes, c1_touched, g[G_C1], g[G_C1 + 1], g[G_C1 + 2]},
@@ -1169,6 +1194,8 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
 
     i64 i;
     for (i = 0; i < n; i++) {
+        if (co && co[CO_TAKE] + co[CO_INTENSITY] > co[CO_NTAKES])
+            break;
         const i64 va = va_arr[i];
         const i64 vpn = (va >> 12) | vbias;
         if (lazy && paths[rowidx[i] * NESTED_COLS + R_LAZY]
@@ -1370,6 +1397,22 @@ i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
                 data_c += dlat;
             }
         }
+
+        /* --- Corunner.step: the record's groups at the new now ------ */
+        if (co) {
+            const i64 take = co[CO_TAKE];
+            i64 line = co[CO_CURSOR];
+            i64 stop = line;
+            for (i64 j = 0; j < co[CO_INTENSITY]; j++)
+                stop += co_takes[take + j];
+            for (; line < stop; line++) {
+                i64 level;
+                mem_access(&m, co_lines[line], &level, now);
+            }
+            co[CO_CURSOR] = stop;
+            co[CO_TAKE] = take + co[CO_INTENSITY];
+            co[CO_ACCESSES]++;
+        }
     }
 
     carry[CAR_NOW] = now;
@@ -1406,7 +1449,8 @@ long long col_run_chunk(const long long *va_arr, long long n,
     long long *c1_lines, long long *c1_sizes, unsigned char *c1_touched,
     long long *c2_lines, long long *c2_sizes, unsigned char *c2_touched,
     long long *c3_lines, long long *c3_sizes, unsigned char *c3_touched,
-    long long *mshr, const park_t *parks, const long long *route);
+    long long *mshr, const park_t *parks, const long long *route,
+    const long long *co_lines, const long long *co_takes, long long *co);
 void col_park_load(long long *pool, long long *hash, long long *meta,
     const long long *vpns, const long long *frames, long long n);
 long long col_park_changes(long long *pool, long long *meta,
@@ -1645,14 +1689,18 @@ def engine_mode(sim) -> str | None:
     ``_park`` (:func:`_park_routes`), ``"revelator"`` when the only hook
     is a ``RevelatorLike``'s own bound ``_walk_end`` pricing against
     ``sim.hierarchy`` (a subclass or a custom walk-end hook does not
-    count), and ``None`` otherwise: co-runner, infinite- or
-    clustered-TLB, 5-level and custom-hook cells stay on the scalar
-    loop.  All modes additionally need power-of-two set counts and a
+    count), and ``None`` otherwise: infinite- or clustered-TLB,
+    5-level and custom-hook cells stay on the scalar loop.  Every mode
+    takes a co-runner whose type is exactly ``Corunner`` (the kernel
+    replays its steps; a subclass may step differently and stays
+    scalar).  All modes additionally need power-of-two set counts and a
     compiled backend.  In-flight MSHRs are fine — the kernel carries
     the MSHR file and has the merge branch.
     """
     tlbs = sim.tlbs
-    if (sim.corunner is not None or tlbs.infinite or tlbs.l2_plain is None
+    corunner = sim.corunner
+    if ((corunner is not None and type(corunner) is not Corunner)
+            or tlbs.infinite or tlbs.l2_plain is None
             or any(len(pwc.view) != 3 for pwc in sim.pwcs)
             or (_nested(sim) and not _nested_walker_ok(sim))):
         return None
@@ -2119,6 +2167,22 @@ class _ParkImage:
                           frames[:changed].tolist()))
 
 
+def _load_corunner(corunner, state: np.ndarray) -> tuple:
+    """Copy the co-runner's cursors, drawn group count, intensity and
+    step count into ``state`` (the C ``CO_*`` slots); return pointers to
+    its drawn lines and take counts."""
+    state[:] = (corunner._cursor, corunner._take_cursor,
+                corunner._takes.size, corunner.intensity, corunner.accesses)
+    return _ptr(corunner._lines), _ptr(corunner._takes)
+
+
+def _store_corunner(corunner, state: np.ndarray) -> None:
+    """Write the kernel's cursors and step count back to the co-runner."""
+    corunner._cursor = int(state[_CO_CURSOR])
+    corunner._take_cursor = int(state[_CO_TAKE])
+    corunner.accesses = int(state[_CO_ACCESSES])
+
+
 def _get(owner, name: str) -> int:
     return owner[name] if isinstance(owner, dict) else getattr(owner, name)
 
@@ -2157,6 +2221,9 @@ def run_columnar(sim, chunks, warmup: int, collect_service: bool, stats,
     table does not map yet stops the kernel before that record; the
     page is mapped through ``VirtualMachine.nested_path``, as the scalar
     loop maps it at that walk, and the kernel resumes at the record.
+    So does a record whose co-runner groups are not drawn yet: the
+    co-runner draws its next batch, and the kernel resumes there.  The
+    co-runner's cursors and step count are written back at the end.
 
     ``obs_probe`` (a :class:`repro.obs.probe.SimProbe`, or ``None``)
     snapshots counters at each chunk boundary.  The snapshot reads the
@@ -2316,6 +2383,15 @@ def run_columnar(sim, chunks, warmup: int, collect_service: bool, stats,
     carry_arr[_CAR_MEASURING] = 1 if measuring else 0
     service = np.zeros(_SERVICE_SLOTS, dtype=np.int64)
 
+    # The co-runner: the kernel issues its drawn groups after every
+    # record and stops before a record whose groups are not drawn yet.
+    corunner = sim.corunner
+    co = co_lines = co_takes = ffi.NULL
+    if corunner is not None:
+        co_state = np.zeros(_CO_SLOTS, dtype=np.int64)
+        co = _ptr(co_state)
+        co_lines, co_takes = _load_corunner(corunner, co_state)
+
     state = sim._columnar_paths
     if state is None:
         state = sim._columnar_paths = (_NestedRows() if nested
@@ -2365,9 +2441,20 @@ def run_columnar(sim, chunks, warmup: int, collect_service: bool, stats,
                     1 if state.lazy else 0,
                     _ptr(carry_arr), _ptr(k), _ptr(geom), _ptr(service),
                     *struct_ptrs,
-                    _ptr(mshr_arr), parks, route_arr)
+                    _ptr(mshr_arr), parks, route_arr,
+                    co_lines, co_takes, co)
                 if done == n:
                     break
+                if corunner is not None and (
+                        co_state[_CO_TAKE] + co_state[_CO_INTENSITY]
+                        > co_state[_CO_NTAKES]):
+                    # Draw the next record's groups (the batches its
+                    # scalar step would draw, in the same order) and
+                    # resume at that record.
+                    _store_corunner(corunner, co_state)
+                    corunner._draw_ahead()
+                    co_lines, co_takes = _load_corunner(corunner, co_state)
+                    continue
                 # The next record walks through a guest-physical page
                 # the host page table does not map yet: map it the way
                 # the scalar loop does at this walk, then resume there.
@@ -2406,6 +2493,8 @@ def run_columnar(sim, chunks, warmup: int, collect_service: bool, stats,
         for scheme, pool in zip(schemes, pools):
             pool.write_back(scheme)
             scheme.park_image = pool
+        if corunner is not None:
+            _store_corunner(corunner, co_state)
 
         if collect_service:
             # Each dimension root first (level 4 down), the host one

@@ -53,13 +53,22 @@ class Corunner:
         self.intensity = max(1, intensity)
         self._rng = np.random.default_rng(seed)
         self._batch = batch
-        self._buffer: list[int] = []
-        self._takes: list[int] = []
+        #: The drawn stream not issued yet: line groups ``[data, pt1(,
+        #: pt2)]`` back to back in ``_lines`` and each group's line count
+        #: in ``_takes``; ``_cursor`` and ``_take_cursor`` index the next
+        #: group's first line and its count.  The compiled kernel
+        #: (`repro.sim.columnar`) issues groups straight from these
+        #: arrays; ``step`` from list copies of them (``_lists``, made
+        #: once per refill).
+        self._lines = np.empty(0, dtype=np.int64)
+        self._takes = np.empty(0, dtype=np.int64)
         self._cursor = 0
         self._take_cursor = 0
+        self._lists: tuple[list[int], list[int]] | None = None
         self.accesses = 0
 
     def _refill(self) -> None:
+        """Draw the next ``batch`` groups onto the end of the stream."""
         n = self._batch
         data = self._rng.integers(0, self.footprint_lines, size=n,
                                   dtype=np.int64) + _CORUNNER_LINE_BASE
@@ -83,10 +92,23 @@ class Corunner:
         merged[starts] = data
         merged[starts + 1] = pt1
         merged[starts[extra_mask] + 2] = pt2[extra_mask]
-        self._buffer = merged.tolist()
-        self._takes = takes.tolist()
+        # Appended to the groups not issued yet: the stream is the same
+        # sequence of groups whenever a batch is drawn, since nothing but
+        # this method draws from the co-runner's generator.
+        self._lines = np.concatenate((self._lines[self._cursor:], merged))
+        self._takes = np.concatenate((self._takes[self._take_cursor:],
+                                      takes))
         self._cursor = 0
         self._take_cursor = 0
+        self._lists = None
+
+    def _draw_ahead(self) -> None:
+        """Draw batches until the next step's ``intensity`` groups are
+        all drawn.  ``step`` calls it first; the compiled kernel stops
+        before a record whose groups are not drawn, and its driver calls
+        it there."""
+        while self._take_cursor + self.intensity > self._takes.size:
+            self._refill()
 
     def prefill(self, hierarchy: CacheHierarchy) -> None:
         """Install the co-runner's steady-state cache contents.
@@ -97,30 +119,41 @@ class Corunner:
         reach that state by replay, so colocated runs start from it: every
         cache level begins full of co-runner junk, which the application
         then has to displace — exactly the §4 colocation pressure.
+
+        Each level installs the same lines in the same order, and an
+        install touches only its own level, so each level takes them in
+        one ``install_many``: whole-array passes, with the lists, sizes
+        and eviction counts per-line installs would leave.
         """
         total = hierarchy.params.l3.lines + hierarchy.params.l2.lines
         step = max(1, self.footprint_lines // (total + 1))
         lines = _CORUNNER_LINE_BASE + step * np.arange(total, dtype=np.int64)
-        # Each level installs the same lines in the same order, and an
-        # install touches only its own level.
         for cache in (hierarchy.l1, hierarchy.l2, hierarchy.l3):
             cache.install_many(lines)
 
     def step(self, hierarchy: CacheHierarchy, now: int) -> None:
-        """One co-runner slot (data + walk lines) through the hierarchy.
+        """One co-runner slot: the next ``intensity`` groups (data and
+        walk lines) through the hierarchy at ``now``.
 
         Each line is a demand access (``access_line`` without building
-        the result the co-runner never reads).
+        the result the co-runner never reads).  The scalar record loop
+        calls this after every record; the compiled kernel of
+        `repro.sim.columnar` issues the same groups at the same point
+        itself, so a compiled colocated run never calls it.
         """
         hierarchy.drop_images()
+        if self._take_cursor + self.intensity > self._takes.size:
+            self._draw_ahead()
+        if self._lists is None:
+            self._lists = (self._lines.tolist(), self._takes.tolist())
+        lines, takes = self._lists
+        first = self._take_cursor
+        end = first + self.intensity
+        start = self._cursor
+        stop = start + sum(takes[first:end])
         access = hierarchy.access
-        for _ in range(self.intensity):
-            if self._take_cursor >= len(self._takes):
-                self._refill()
-            take = self._takes[self._take_cursor]
-            cursor = self._cursor
-            for offset in range(take):
-                access(self._buffer[cursor + offset], now)
-            self._cursor = cursor + take
-            self._take_cursor += 1
+        for line in lines[start:stop]:
+            access(line, now)
+        self._cursor = stop
+        self._take_cursor = end
         self.accesses += 1

@@ -12,13 +12,15 @@ boundaries landing on and around chunk seams — and compare whole
 ``==`` covers the Figure 9 distributions too).
 
 Where the columnar engine's preconditions hold (plain baseline, asap,
-victima, revelator; no co-runner, standard TLBs) the suite also asserts
-the C kernel actually *engaged*, naming the mode each ``simulate`` span
-logs, with ``REPRO_REQUIRE_CCORE=1`` making a silent fallback an error;
-co-runner and clustered-TLB cells, a Victima router with a foreign
-hook, and a Revelator subclass, custom walk-end hook or scheme pricing
-against another hierarchy exercise the documented wholesale fallback
-instead.  Virtualized cells also compare the host page table and host
+victima, revelator; standard TLBs, with or without the SMT co-runner)
+the suite also asserts the C kernel actually *engaged*, naming the mode
+each ``simulate`` span logs, with ``REPRO_REQUIRE_CCORE=1`` making a
+silent fallback an error; clustered-TLB cells, a ``Corunner`` subclass,
+a Victima router with a foreign hook, and a Revelator subclass, custom
+walk-end hook or scheme pricing against another hierarchy exercise the
+documented wholesale fallback instead.  Co-runner cells also compare
+the co-runner's step count and the lines its next steps would issue,
+with refills landing inside records and chunks.  Virtualized cells also compare the host page table and host
 buddy a run leaves: the walk that first needs a lazily backed
 guest-physical page maps it, under either kernel.  The scheme-state
 seam tests pin the hardest part of the compiled scheme paths: in-flight
@@ -65,12 +67,14 @@ from repro.sim.multitenant import MultiTenantSpec, round_robin_schedule, \
 from repro.core import config as cfg
 from repro.core.config import AsapConfig
 from repro.kernelsim.hypervisor import VirtualMachine
-from repro.sim.runner import Scale, build_vm, make_trace, run_native
+from repro.sim.runner import CORUNNER_INTENSITY, Scale, build_vm, \
+    make_trace, run_native
 from repro.sim.simulator import NativeSimulation
 from repro.sim.virt import VirtualizedSimulation
 from repro.tlb.hierarchy import TlbHierarchy
 from repro.tlb.tlb import ASID_SHIFT
 from repro.traces.source import ArraySource
+from repro.workloads.corunner import Corunner
 from repro.workloads.suite import get as get_workload
 
 pytestmark = pytest.mark.skipif(
@@ -211,8 +215,11 @@ def test_native_asap_holes_differential(workload, hole_rate, monkeypatch):
     assert col.scheme_stats["wasted_on_hole"] > 0
 
 
-def test_native_corunner_falls_back_identically():
-    scalar, col = _native_pair("baseline", colocated=True)
+def test_native_corunner_compiles_identically(monkeypatch):
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    with capture() as recorder:
+        scalar, col = _native_pair("baseline", colocated=True)
+    assert _simulate_kernels(recorder) == ["scalar", "plain"]
     assert scalar == col
 
 
@@ -266,7 +273,18 @@ def _sim_state(sim) -> dict:
     state["scheme"] = sim.scheme.scheme_stats()
     if nested:
         state["host"] = _host_state(sim.vm)
+    if sim.corunner is not None:
+        state["corunner"] = _corunner_state(sim.corunner)
     return state
+
+
+def _corunner_state(corunner: Corunner) -> tuple:
+    """A co-runner's step count, its drawn but unissued groups and its
+    generator: together, every line its next steps issue."""
+    return (corunner.accesses,
+            corunner._lines[corunner._cursor:].tolist(),
+            corunner._takes[corunner._take_cursor:].tolist(),
+            corunner._rng.bit_generator.state)
 
 
 def _virt_run(kernel: str, name: str = "baseline", *, config=None,
@@ -950,15 +968,22 @@ def test_multitenant_virtualized_four_tenants(policy, monkeypatch):
 # ----------------------------------------------------------------------
 # Revelator: the placement lottery and the wrong-path access in the kernel
 # ----------------------------------------------------------------------
-def _native_run(kernel: str, *, scheme: SchemeSpec, scale: Scale = SCALE,
+def _native_run(kernel: str, name: str = "baseline", *,
+                scheme: SchemeSpec | None = None, scale: Scale = SCALE,
                 chunk_records: int | None = None,
                 collect_service: bool = True, tweak=None):
-    """One native mc80 cell of ``scheme`` on ``kernel``: its statistics,
-    its simulation and the kernel its ``simulate`` span names.
-    ``tweak(sim)`` runs on the built simulation before the run."""
+    """One native mc80 cell on ``kernel``: its statistics, its
+    simulation and the kernel its ``simulate`` span names.  ``scheme``
+    replaces the roster entry's spec, and ``tweak(sim)`` runs on the
+    built simulation before the run."""
+    entry = SCHEMES[name]
+    config = entry.native_config
+    scheme = entry.spec if scheme is None else scheme
     spec = get_workload("mc80")
-    sim = NativeSimulation(spec.build_process(seed=scale.seed),
-                           scheme=scheme, kernel=kernel)
+    process = spec.build_process(asap_levels=config.native_levels,
+                                 seed=scale.seed)
+    sim = NativeSimulation(process, asap=config, scheme=scheme,
+                           kernel=kernel)
     if tweak is not None:
         tweak(sim)
     trace = make_trace(spec, scale)
@@ -1131,6 +1156,122 @@ def test_revelator_lookalikes_fall_back(tweak, monkeypatch):
     assert (s_kernels, c_kernels) == (["scalar"], ["scalar"])
     assert scalar == col
     assert col.walks > 0
+
+
+# ----------------------------------------------------------------------
+# the SMT co-runner: every record's groups issued by the kernel
+# ----------------------------------------------------------------------
+def _colocate(batch: int = 65536):
+    """A tweak giving the simulation the runners' co-runner, drawing
+    ``batch`` groups at a time."""
+    def tweak(sim) -> None:
+        sim.corunner = Corunner(seed=SCALE.seed + 99,
+                                intensity=CORUNNER_INTENSITY, batch=batch)
+    return tweak
+
+
+#: A co-runner cell by where it runs: its runner and fixed arguments.
+CORUNNER_CELLS = {
+    "native-baseline": (_native_run, {}),
+    "native-asap": (_native_run, {"name": "asap"}),
+    "native-victima": (_native_run, {"name": "victima"}),
+    "native-revelator": (_native_run, {"name": "revelator"}),
+    "virt-4k-baseline": (_virt_run, {"host_page_level": 1}),
+    "virt-2m-baseline": (_virt_run, {"host_page_level": 2}),
+    "virt-4k-asap": (_virt_run, {"name": "asap", "host_page_level": 1}),
+    "virt-2m-asap": (_virt_run, {"name": "asap", "host_page_level": 2}),
+}
+
+
+def _assert_corunner_identical(cell: str, batch: int = 65536, **kwargs):
+    """:func:`_assert_identical` over one co-runner cell (the co-runner's
+    step count and next lines included); returns the compiled run's
+    statistics and simulation."""
+    run, fixed = CORUNNER_CELLS[cell]
+    mode = dict(COMPILED)[fixed.get("name", "baseline")]
+    stats, sim = _assert_identical(run, mode, **fixed, **kwargs,
+                                   tweak=_colocate(batch))
+    records = kwargs.get("scale", SCALE).trace_length
+    assert sim.corunner.accesses == records
+    return stats, sim
+
+
+@pytest.mark.parametrize("cell", tuple(CORUNNER_CELLS))
+def test_corunner_differential(cell, monkeypatch):
+    """Each scheme's colocated cell, native and virtualized on 4KB and
+    2MB host pages, runs compiled: the kernel issues every record's
+    co-runner groups after its data access, at the new clock, through
+    the same caches and MSHRs as the scalar ``Corunner.step``."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    stats, sim = _assert_corunner_identical(cell)
+    assert stats.walks > 0
+    assert sim.hierarchy.l3.stats.evictions > 0
+
+
+@pytest.mark.parametrize("chunk_records", (1, 7, 4096))
+def test_corunner_chunk_seams(chunk_records, monkeypatch):
+    """Warmup exactly on a seam: chunked compiled == chunked scalar ==
+    the monolithic scalar run, natively and nested."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    scale = Scale(trace_length=max(3_000, chunk_records + 2_000),
+                  warmup=chunk_records, seed=23)
+    for cell in ("native-baseline", "virt-4k-baseline"):
+        stats, _ = _assert_corunner_identical(
+            cell, scale=scale, chunk_records=chunk_records)
+        run, fixed = CORUNNER_CELLS[cell]
+        monolithic, _, _ = run("scalar", scale=scale, tweak=_colocate(),
+                               **fixed)
+        assert stats == monolithic, cell
+
+
+@pytest.mark.parametrize("batch", (5, 12))
+def test_corunner_refills_inside_records(batch, monkeypatch):
+    """A batch shorter than one record's groups (5) or not a multiple
+    of them (12): refills land inside a record's groups and inside
+    chunks, so the kernel stops before each record whose groups are not
+    drawn, and the driver draws them and resumes there."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    scale = Scale(trace_length=3_000, warmup=600, seed=11)
+    for cell in ("native-victima", "virt-4k-baseline"):
+        _assert_corunner_identical(cell, batch=batch, scale=scale,
+                                   chunk_records=509)
+
+
+def test_corunner_steps_at_the_record_end_clock(monkeypatch):
+    """A miss in flight that completes exactly when the first record
+    ends: the record's walk and data access run before that, so only
+    the co-runner's step, issued at the record's end clock, retires it.
+    Both kernels leave the MSHR file empty; a step issued at the
+    record's start would leave the miss in flight."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+    scale = Scale(trace_length=1, warmup=0, seed=11)
+    first, _, _ = _native_run("scalar", scale=scale, tweak=_colocate())
+    assert first.walks == 1
+
+    def tweak(sim) -> None:
+        _colocate()(sim)
+        assert sim.hierarchy.mshrs.try_allocate(12345, 0, first.cycles)
+
+    _, sim = _assert_identical(_native_run, "plain", scale=scale,
+                               tweak=tweak)
+    assert not sim.hierarchy.mshrs._inflight
+
+
+def test_corunner_subclass_falls_back(monkeypatch):
+    """A ``Corunner`` subclass may step differently: it keeps the scalar
+    loop, with the scalar loop's results."""
+    monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
+
+    class Louder(Corunner):
+        pass
+
+    def tweak(sim) -> None:
+        sim.corunner = Louder(seed=5, intensity=2)
+
+    (scalar, _, s_kernels), (col, _, c_kernels) = [
+        _native_run(kernel, tweak=tweak) for kernel in ("scalar", "columnar")]
+    assert (s_kernels, c_kernels) == (["scalar"], ["scalar"])
+    assert scalar == col
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 import random
 
+import numpy as np
+import pytest
+
 from repro.mem.hierarchy import CacheHierarchy
 from repro.params import CacheParams, HierarchyParams
 from repro.workloads.corunner import _CORUNNER_LINE_BASE, Corunner
@@ -91,6 +94,26 @@ def test_prefill_equals_line_by_line_installs():
         assert _cache_state(fast) == _cache_state(slow), earlier
 
 
+@pytest.mark.parametrize("earlier", ("none", "app"))
+def test_prefill_equals_line_by_line_installs_at_table5(earlier):
+    """At the Table 5 geometry every colocated run prefills (16,384 L3
+    sets), the whole-array prefill leaves each level's lines, sizes and
+    counters, evictions included, exactly as per-line installs do: on a
+    fresh hierarchy, and over application lines (which it shifts down
+    and partly evicts)."""
+    fast, slow = CacheHierarchy(), CacheHierarchy()
+    for hierarchy in (fast, slow):
+        if earlier == "app":
+            rng = random.Random(7)
+            for _ in range(20_000):
+                hierarchy.access_line(rng.randrange(1 << 30))
+    Corunner(seed=3).prefill(fast)
+    _prefill_one_by_one(Corunner(seed=3), slow)
+    assert _cache_state(fast) == _cache_state(slow)
+    assert all(cache.stats.evictions > 0
+               for cache in (fast.l1, fast.l2, fast.l3))
+
+
 def test_prefill_and_step_drop_resident_images():
     """Both write the cache lists, so neither may leave a compiled-kernel
     image behind (repro.sim.columnar)."""
@@ -123,34 +146,69 @@ def test_deterministic_stream():
     assert h1.served == h2.served
 
 
+def _reference_stream(corunner: Corunner, seed: int, batches: int):
+    """The co-runner's stream drawn by the per-element loop the
+    vectorised merge replaced: ``batches`` batches of its generator's
+    draws, as one list of lines and one of take counts."""
+    from repro.workloads import corunner as m
+
+    rng = np.random.default_rng(seed)
+    n = corunner._batch
+    merged, takes = [], []
+    for _ in range(batches):
+        data = rng.integers(0, corunner.footprint_lines, size=n,
+                            dtype=np.int64) + m._CORUNNER_LINE_BASE
+        pt1 = rng.integers(0, corunner.pt_lines, size=n,
+                           dtype=np.int64) + m._CORUNNER_PT_BASE
+        extra = (rng.random(n)
+                 < (corunner.walk_lines_per_access - 1.0)).tolist()
+        pt2 = rng.integers(0, max(1, corunner.pt_lines >> 9), size=n,
+                           dtype=np.int64) + m._CORUNNER_PT_BASE * 3
+        for i in range(n):
+            merged.append(int(data[i]))
+            merged.append(int(pt1[i]))
+            if extra[i]:
+                merged.append(int(pt2[i]))
+                takes.append(3)
+            else:
+                takes.append(2)
+    return merged, takes
+
+
 def test_refill_merge_matches_scalar_reference():
     """The vectorised _refill merge is byte-identical to the per-element
     loop it replaced: same rng draws in the same order, same interleaved
     [data, pt1(, pt2)] stream, same per-slot take counts."""
-    import numpy as np
-
-    from repro.workloads import corunner as m
-
     fast = Corunner(seed=123, batch=4096)
     fast._refill()
+    merged, takes = _reference_stream(fast, 123, 1)
+    assert fast._lines.tolist() == merged
+    assert fast._takes.tolist() == takes
 
-    rng = np.random.default_rng(123)
-    n = 4096
-    data = rng.integers(0, fast.footprint_lines, size=n,
-                        dtype=np.int64) + m._CORUNNER_LINE_BASE
-    pt1 = rng.integers(0, fast.pt_lines, size=n,
-                       dtype=np.int64) + m._CORUNNER_PT_BASE
-    extra = (rng.random(n) < (fast.walk_lines_per_access - 1.0)).tolist()
-    pt2 = rng.integers(0, max(1, fast.pt_lines >> 9), size=n,
-                       dtype=np.int64) + m._CORUNNER_PT_BASE * 3
-    merged, takes = [], []
-    for i in range(n):
-        merged.append(int(data[i]))
-        merged.append(int(pt1[i]))
-        if extra[i]:
-            merged.append(int(pt2[i]))
-            takes.append(3)
-        else:
-            takes.append(2)
-    assert fast._buffer == merged
-    assert fast._takes == takes
+
+@pytest.mark.parametrize("batch", (5, 8, 12))
+def test_steps_issue_every_drawn_group_across_refills(batch):
+    """Each step issues the next ``intensity`` groups of the stream, in
+    order, at its own clock, whether a refill lands inside the step's
+    groups (batch 5 or 12 against intensity 8) or between steps (8):
+    every drawn group is issued once and none is skipped."""
+    corunner = Corunner(seed=17, batch=batch, intensity=8)
+    hierarchy = CacheHierarchy(_SMALL)
+    issued = []
+    access = hierarchy.access
+
+    def recording(line, now=0):
+        issued.append((line, now))
+        return access(line, now)
+
+    hierarchy.access = recording
+    steps = 40
+    for now in range(steps):
+        corunner.step(hierarchy, now)
+    merged, takes = _reference_stream(corunner, 17, -(-steps * 8 // batch))
+    lines = sum(takes[:steps * 8])
+    assert [line for line, _ in issued] == merged[:lines]
+    ends = np.cumsum(takes[:steps * 8]).reshape(steps, 8)[:, -1]
+    assert [now for _, now in issued] == np.repeat(
+        np.arange(steps), np.diff(ends, prepend=0)).tolist()
+    assert corunner.accesses == steps

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import config as cfg
+from repro.obs.events import capture
 from repro.params import DEFAULT_MACHINE, TlbHierarchyParams, TlbParams
 from repro.runtime.job import VIRTUALIZED, Job, execute_job
 from repro.schemes import SchemeSpec
@@ -652,27 +653,79 @@ COLUMNAR_SCENARIOS = {
 }
 
 
+#: The kernel mode each scenario's ``simulate`` spans name under
+#: ``kernel="columnar"``: a compiled mode, or ``scalar`` for the
+#: documented fallbacks (clustered and infinite TLBs, 5-level tables).
+COLUMNAR_MODES = {
+    "allsame-native": "plain",
+    "native-5level-baseline": "scalar",
+    "native-asap": "asap",
+    "native-baseline": "plain",
+    "native-bfs-asap": "asap",
+    "native-clustered-asap": "scalar",
+    "native-clustered-baseline": "scalar",
+    "native-coloc-asap": "asap",
+    "native-coloc-baseline": "plain",
+    "native-coloc-victima": "victima",
+    "native-infinite-baseline": "scalar",
+    "native-mcf-baseline": "plain",
+    "native-revelator": "revelator",
+    "native-victima": "victima",
+    "native-warmup0-baseline": "plain",
+    "streak-native-asap": "asap",
+    "streak-native-baseline": "plain",
+    "streak-native-clustered": "scalar",
+    "streak-native-coloc": "plain",
+    "streak-native-infinite": "scalar",
+    "streak-native-nocollect": "plain",
+    "streak-native-revelator": "revelator",
+    "streak-native-victima": "victima",
+    "streak-native-warmup-mid": "plain",
+    "streak-native-warmup-mid2": "plain",
+    "streak-native-warmup0": "plain",
+    "streak-virt-asap": "asap",
+    "streak-virt-baseline": "plain",
+    "streak-virt-coloc": "plain",
+    "streak-virt-revelator": "revelator",
+    "streak-virt-warmup-mid": "plain",
+    "tiny-native-1rec": "plain",
+    "tiny-native-3rec-samepage": "plain",
+    "tiny-native-run-to-end": "plain",
+    "virt-asap": "asap",
+    "virt-baseline": "plain",
+    "virt-coloc-baseline": "plain",
+    "virt-infinite-baseline": "scalar",
+    "virt-revelator": "revelator",
+    "virt-victima": "victima",
+}
+
+
 class TestColumnarGoldenParity:
     """The columnar chunk kernel against the same pinned goldens.
 
     The goldens above are the scalar oracle; every scenario — engaged
     C kernel and documented scalar fallbacks alike — must land on the
-    identical numbers under ``kernel="columnar"``.  Without a compiled
-    backend a case skips (the scalar cells above still pin its golden);
-    with ``REPRO_REQUIRE_CCORE=1`` already set, as in CI's columnar job,
-    the availability check raises instead, so a compiled case can never
-    pass on a silent scalar fallback."""
+    identical numbers under ``kernel="columnar"``, in the mode
+    ``COLUMNAR_MODES`` pins, so a silent fallback cannot compare the
+    scalar loop with itself.  Without a compiled backend a case skips
+    (the scalar cells above still pin its golden); with
+    ``REPRO_REQUIRE_CCORE=1`` already set, as in CI's columnar job, the
+    availability check raises instead."""
 
     def test_covers_every_golden(self):
-        assert set(COLUMNAR_SCENARIOS) == set(GOLDEN)
+        assert set(COLUMNAR_SCENARIOS) == set(GOLDEN) == set(COLUMNAR_MODES)
 
     @pytest.mark.parametrize("tag", sorted(GOLDEN))
     def test_matches_golden(self, tag, ntrace, vtrace, monkeypatch):
         if not columnar.columnar_available():
             pytest.skip("no C compiler/cffi for the columnar backend")
         monkeypatch.setenv("REPRO_REQUIRE_CCORE", "1")
-        _assert_golden(tag,
-                       COLUMNAR_SCENARIOS[tag](ntrace, vtrace, "columnar"))
+        with capture() as recorder:
+            stats = COLUMNAR_SCENARIOS[tag](ntrace, vtrace, "columnar")
+        modes = {event["args"]["kernel"] for event in recorder.events
+                 if event["type"] == "B" and event["name"] == "simulate"}
+        assert modes == {COLUMNAR_MODES[tag]}, tag
+        _assert_golden(tag, stats)
 
 
 # ----------------------------------------------------------------------
