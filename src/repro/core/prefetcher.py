@@ -56,13 +56,11 @@ class AsapPrefetcher:
         hierarchy: CacheHierarchy,
         registers: RangeRegisterFile,
         levels: tuple[int, ...],
-        require_mshr: bool = True,
         hole_checker: HoleChecker | None = None,
     ) -> None:
         self.hierarchy = hierarchy
         self.registers = registers
         self.levels = tuple(sorted(levels))
-        self.require_mshr = require_mshr
         self.hole_checker = hole_checker
         self.stats = PrefetchStats()
 
@@ -80,9 +78,7 @@ class AsapPrefetcher:
             target = descriptor.entry_addr(va, level)
             if target is None:
                 continue
-            completion = self.hierarchy.prefetch_line(
-                target >> 6, now, require_mshr=self.require_mshr
-            )
+            completion = self.hierarchy.prefetch_line(target >> 6, now)
             if completion is None:
                 self.stats.dropped_no_mshr += 1
                 continue

@@ -270,9 +270,7 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
     # prefetch path (used by ASAP)
     # ------------------------------------------------------------------
-    def prefetch_line(
-        self, line: int, now: int, require_mshr: bool = True
-    ) -> int | None:
+    def prefetch_line(self, line: int, now: int) -> int | None:
         """Issue a best-effort prefetch for ``line`` at time ``now``.
 
         Returns the absolute completion time, or None when the prefetch was
@@ -285,7 +283,7 @@ class CacheHierarchy:
             return now + self._latencies["L1"]
         level = self._serving_level_below_l1(line)
         completion = now + self._latencies[level]
-        if require_mshr and not self.mshrs.try_allocate(line, now, completion):
+        if not self.mshrs.try_allocate(line, now, completion):
             self.prefetches_dropped += 1
             return None
         self._fill(line, level)

@@ -115,8 +115,6 @@ class AsapParams:
     #: Number of VMA descriptors (range-register sets) per hardware thread.
     #: The paper finds 8-16 suffice to cover 99% of the footprint.
     range_registers: int = 16
-    #: Prefetches are dropped (best effort) when no L1-D MSHR is available.
-    require_free_mshr: bool = True
 
 
 @dataclass(frozen=True)

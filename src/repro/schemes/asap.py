@@ -50,7 +50,6 @@ class AsapScheme(TranslationScheme):
             sim.hierarchy,
             registers,
             levels=config.native_levels,
-            require_mshr=sim.machine.asap.require_free_mshr,
             hole_checker=VmaHoleChecker(process.vmas, process.asap_layout),
         )
         sim.prefetcher = prefetcher
@@ -80,7 +79,6 @@ class AsapScheme(TranslationScheme):
                 sim.hierarchy,
                 registers,
                 levels=config.guest_levels,
-                require_mshr=sim.machine.asap.require_free_mshr,
                 hole_checker=VmaHoleChecker(guest.vmas, guest.asap_layout),
             )
             sim.guest_prefetcher = guest_prefetcher
@@ -99,7 +97,6 @@ class AsapScheme(TranslationScheme):
                 sim.hierarchy,
                 registers,
                 levels=config.host_levels,
-                require_mshr=sim.machine.asap.require_free_mshr,
             )
             sim.host_prefetcher = host_prefetcher
             self._prefetchers.append(host_prefetcher)

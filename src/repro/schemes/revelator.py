@@ -73,6 +73,19 @@ class RevelatorLike(TranslationScheme):
     # ------------------------------------------------------------------
     def _walk_end(self, va: int, vpn: int, now: int,
                   translation: int) -> int:
+        """The walk-end hook: what the core stalls for after a walk of
+        ``translation`` cycles that started at ``now``.
+
+        A misprediction's wrong-path access is timed at ``now +
+        spec_latency``, inside the walk, but issued here, after the
+        verification walk's own accesses.  Each of those timed later
+        has already retired every MSHR fill that completes before it,
+        so the wrong-path access never merges with a fill that completes
+        between ``now + spec_latency`` and the walk's last access.  No
+        roster number depends on it: a Revelator run issues no
+        prefetches, and only prefetches hold MSHRs.  The compiled replay
+        issues the access at the same point.
+        """
         self.stats["speculations"] += 1
         if _hash_placed(vpn, self.coverage_pct):
             # The speculative fetch at the predicted (correct) PA ran

@@ -1,14 +1,11 @@
-"""Columnar chunk kernel: the scalar record loop recast as a C loop.
+"""Columnar chunk kernel: the record loop of both simulators, compiled.
 
 Both simulators share one scalar record loop (``TraceSimulation.run``
-in `repro.sim.simulator`).  Its plain-pipeline case,
-``_fast_native_sweep``, is a pure function of the flat-array
-TLB/PWC/cache state plus the page table's translation for each VPN.
-This module compiles an exact transliteration of that sweep, extended
-with the nested walk and the scheme hooks below (via cffi's ABI mode
-and the system C compiler), and drives it one TraceSource chunk at a
-time.  It is the default engine of every ``run()`` it can replay, and
-the scalar loop is its oracle:
+in `repro.sim.simulator`), and it is this kernel's oracle.  The kernel
+replays the same per-record state machine in C (compiled with the
+system C compiler, loaded through cffi's ABI mode) one TraceSource
+chunk at a time.  It is the default engine of every ``run()`` it can
+replay:
 
 * Python precomputes, per chunk, a *path row* for every distinct VPN —
   the page-table node cache lines the walker would touch, the three PWC
@@ -20,6 +17,19 @@ the scalar loop is its oracle:
   steps, TLB fill, and the data access — mutating images of the same
   flat arrays the scalar path uses and accumulating the same counters,
   which are written back at the end of every ``run()`` call.
+
+The boundary.  Every fact the Python glue and the C kernel share is
+declared once, in ``_DECLS``: the structs a call hands the kernel (the
+machine — each TLB and PWC unit with its geometry, the three caches,
+the latencies, the mode, each walk dimension's prefetcher levels, the
+Victima and Revelator parameters, the counters and the MSHR file — plus
+the carry and the co-runner stream), the Victima pool layout, the
+service-histogram columns and the kernel's entry points.  ``ffi.cdef``
+reads that text and the compiler compiles it, so ``run_columnar`` fills
+named fields and no slot index is kept in step by hand.  The row
+columns are the exception: :class:`_PathTable` must build rows without
+cffi, so they are Python constants and the C text is generated from
+them.
 
 The nested walk.  A VirtualizedSimulation's chunks run through the same
 loop with Figure 7's 2D walk in place of the radix walk.  Its rows
@@ -81,14 +91,13 @@ each call.
 Byte-identity with the scalar path is a hard invariant (the scalar
 kernel is the differential oracle; see tests/test_columnar_differential
 and ARCHITECTURE.md §12).  The kernel engages in one of four modes —
-``plain`` (no scheme hooks; the original fast-sweep configuration),
-``asap`` (the only hooks are AsapPrefetchers — the walk-start one and,
-in a nested walk, the host one: the prefetch issue/completion state
-machine is compiled into the chunk loop, with the range-register
-outcome, per-level target lines and hole flags precomputed per page
-into the path rows), ``victima`` (the
-probe is a Victima scheme's and the L2-TLB-eviction hook is a Victima
-park, directly or through the multi-tenant victim router: each
+``plain`` (no scheme hooks), ``asap`` (the only hooks are
+AsapPrefetchers — the walk-start one and, in a nested walk, the host
+one: the prefetch issue/completion state machine is compiled into the
+chunk loop, with the range-register outcome, per-level target lines
+and hole flags precomputed per page into the path rows), ``victima``
+(the probe is a Victima scheme's and the L2-TLB-eviction hook is a
+Victima park, directly or through the multi-tenant victim router: each
 scheme's parked-entry map is carried as a C hash + FIFO pool, the
 TLB-fill victim filter runs inline and parks each victim in its
 owner's pool) and ``revelator`` (the only hook is a RevelatorLike's
@@ -99,10 +108,9 @@ no extra row columns).  Every scheme of the comparison roster thus
 compiles, with or without a co-runner.  All other configurations
 (``Corunner`` subclasses, infinite or clustered TLBs, 5-level page
 tables, custom hooks, non-power-of-two geometries) fall back to the
-scalar loop, so every cell still runs.
-MSHR state is
-round-tripped in every mode and the C ``cache_access`` has the merge
-branch, so in-flight prefetches straddle chunk seams byte-identically.
+scalar loop, so every cell still runs.  MSHR state is round-tripped in
+every mode and the C ``mem_access`` has the merge branch, so in-flight
+prefetches straddle chunk seams byte-identically.
 
 The node-constancy rule.  ``asap`` rows carry the prefetcher's hole
 verdict per target level, and ``_PathTable`` evaluates it once per
@@ -117,14 +125,15 @@ one VMA of the checker's tree, keeps the run on the scalar loop.
 
 Native and virtualized simulations use this kernel by default;
 ``kernel="scalar"`` forces the scalar loop, the differential oracle.
-The backend is
-optional: without a C compiler or cffi every run silently stays
-scalar.  Set ``REPRO_REQUIRE_CCORE=1`` to turn backend unavailability
-into an error (CI does this wherever a job checks compiled runs).
+The backend is optional: without a C compiler or cffi every run
+silently stays scalar.  Set ``REPRO_REQUIRE_CCORE=1`` to turn backend
+unavailability into an error (CI does this wherever a job checks
+compiled runs).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -133,6 +142,7 @@ import tempfile
 import threading
 from collections import deque
 from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -140,6 +150,8 @@ from repro.kernelsim.pt_layout import VmaHoleChecker
 from repro.mem.cache import EMPTY
 from repro.pagetable.constants import node_tag
 from repro.pagetable.nested import NestedPageWalker
+from repro.schemes.revelator import _WRONG_SALT
+from repro.schemes.victima import _PARK_TAG_BASE
 from repro.sim.order import run_starts
 from repro.tlb.tlb import ASID_SHIFT, asid_bias
 from repro.traces.source import kernel_chunk
@@ -148,181 +160,178 @@ from repro.workloads.corunner import Corunner
 #: Valid values of the simulators' ``kernel=`` selector.
 KERNELS = ("scalar", "columnar")
 
-# --- geometry / counter slot layout (mirrors the C enums) -------------
+# --- row columns (the C text's W_*, A_* and R_* enums) ----------------
 
-_G_T = 0          # L1 TLB nsets, stride, ways
-_G_U = 3          # L2 TLB
-_G_P2 = 6         # PWC PL2, PL3, PL4 (6-14)
-_G_C1 = 15        # L1 cache
-_G_C2 = 18        # L2 cache
-_G_C3 = 21        # L3 cache
-_G_LAT1 = 24
-_G_LAT2 = 25
-_G_LAT3 = 26
-_G_LATM = 27
-_G_PWC_LAT = 28
-_G_BASE_CYCLES = 29
-_G_VBIAS = 30
-_G_PROBE_LARGE = 31
-_G_MODE = 32        # 0 plain, 1 asap, 2 victima, 3 revelator
-_G_REQ_MSHR = 33    # asap: require a free MSHR per prefetch
-_G_MSHR_CAP = 34
-_G_PF_N = 35        # asap: number of prefetch-target levels
-_G_PF_L = 36        # asap: the levels themselves (4 slots, 36-39)
-_G_PROBE_LAT = 40   # victima: probe latency (L2 by construction)
-_G_PARK_SELF = 41   # victima: the running scheme's pool (its probes)
-_G_H2 = 42          # nested: host PWC PL2, PL3, PL4 (42-50)
-_G_HPWC_LAT = 51
-_G_NESTED = 52      # 1 for a VirtualizedSimulation's nested rows
-_G_HPF_N = 53       # nested asap: the host prefetcher's levels (54-57)
-_G_HPF_L = 54
-_G_HREQ_MSHR = 58
-_G_REV_COVERAGE = 59  # revelator: placement coverage, in 1/10,000
-_G_REV_SPEC = 60      # revelator: speculation latency
-_G_REV_PENALTY = 61   # revelator: misprediction squash penalty
-_GEOM_SLOTS = 62
+#: A path row's ASAP replay block: the descriptor-hit flag, a target
+#: line per prefetch slot (-1: none) and a hole flag per slot.  Exact
+#: under the node-constancy rule that ``engine_mode`` enforces (module
+#: docstring).
+_A = SimpleNamespace(HIT=0, TARGET=1, HOLE=5, COLS=9)
 
-# park meta slots (mirror the C PM_* enum): count, FIFO head and tail,
-# free-list head, hash tombstones, bound (= capacity), hash capacity,
-# the scheme's `parked` counter, changed flag, removal-log length
-(_PM_COUNT, _PM_HEAD, _PM_TAIL, _PM_FREE, _PM_TOMBS, _PM_MAX, _PM_HCAP,
- _PM_PARKED, _PM_DIRTY, _PM_LOGGED) = range(10)
-_PM_SLOTS = 10
-_PARK_SLOT = 5    # pool slot fields: vpn, frame, prev, next, mark
+#: Path-row columns (a native row, or a host chain of a nested row): the
+#: node line of levels 4 down to 1 (LINES..+3; a 2MB page has no
+#: level-1 line), the PWC tags PL2..PL4 (TG..+2), the leaf level (0:
+#: unmapped, possible only in a host chain), the frame, the large-page
+#: flag and the ASAP block.
+_W = SimpleNamespace(LINES=0, TG=4, LEAF=7, FRAME=8, LARGE=9, ASAP=10,
+                     COLS=10 + _A.COLS)
 
-(K_TH, K_TM, K_L1H, K_L2H, K_LS_H, K_LS_M, K_US_H, K_US_M,
- K_PWC_PROBES, K_PWC_HITS, K_P2_H, K_P2_M, K_P3_H, K_P3_M,
- K_P4_H, K_P4_M, K_WALKS, K_WALK_CYCLES,
- K_C1_H, K_C1_M, K_C1_E, K_C2_H, K_C2_M, K_C2_E,
- K_C3_H, K_C3_M, K_C3_E,
- K_SRV_L1, K_SRV_L2, K_SRV_L3, K_SRV_MEM,
- K_RR_H, K_RR_M, K_PF_ISSUED, K_PF_USEFUL, K_PF_DROPNM,
- K_PF_NODESC, K_PF_HOLE, K_H_PF_ISSUED, K_H_PF_DROP,
- K_MSHR_ALLOC, K_MSHR_REJ, K_MSHR_MERGE,
- K_V_PROBE_H, K_V_PROBE_M, K_V_LOST,
- K_HRR_H, K_HRR_M, K_HPF_ISSUED, K_HPF_USEFUL, K_HPF_DROPNM,
- K_HPF_NODESC, K_HPF_HOLE,
- K_HPWC_PROBES, K_HPWC_HITS, K_H2_H, K_H2_M, K_H3_H, K_H3_M,
- K_H4_H, K_H4_M, K_WALK_ACC,
- K_SPEC, K_SPEC_OK, K_SPEC_MISS) = range(65)
-_COUNTER_SLOTS = 65
+#: Nested-row columns (a guest page of a VirtualizedSimulation): the
+#: guest PWC tags (TG..+2), the guest leaf level, the large flag, the
+#: lazy flag (some page of the path is not mapped by the host page table
+#: yet), the host-chain row of each nested step (CHAIN..+4: guest levels
+#: 4 down to the leaf, then the data page), the guest-physical line of
+#: each guest step's entry (GLINE..+3) and the guest ASAP block.
+_R = SimpleNamespace(TG=0, LEAF=3, LARGE=4, LAZY=5, CHAIN=6, GLINE=11,
+                     ASAP=15, COLS=15 + _A.COLS)
 
-# carry slots (the scalar loop's run-wide state tuple)
-_CAR_NOW = 0
-_CAR_MEASURING = 1
-_CAR_ACC = 2
-_CAR_DATA_C = 3
-_CAR_WALK_C = 4
-_CAR_WALK_COUNT = 5
-_CAR_L1_BASE = 6
-_CAR_L2_BASE = 7
-_CARRY_SLOTS = 8
 
-# co-runner slots (mirror the C CO_* enum)
-_CO_CURSOR, _CO_TAKE, _CO_NTAKES, _CO_INTENSITY, _CO_ACCESSES = range(5)
-_CO_SLOTS = 5
+def _row_empty(columns: SimpleNamespace) -> np.ndarray:
+    """A row before its columns are written: no level-1 line (large
+    pages), no descriptor hit, no prefetch targets (-1), no holes."""
+    row = np.zeros(columns.COLS, dtype=np.int64)
+    row[columns.ASAP + _A.TARGET:columns.ASAP + _A.HOLE] = -1
+    return row
 
-#: Figure-9 service histogram: 6 labels per PT level; row = level - 1
-#: for native walks and the guest dimension ("g<level>"), 4 + level - 1
-#: for the host dimension ("h<level>"); column = index into
-#: SERVICE_LABELS.
-_SERVICE_SLOTS = 48
-_SERVICE_LABELS = ("PWC", "L1", "MSHR", "L2", "L3", "MEM")
 
-#: Path-row layout: lines l4 l3 l2 l1, tg2 tg3 tg4, leaf, pframe, large
-#: (cols 0-9, the plain walk) plus the ASAP replay block (10-18):
-#: descriptor flag, per-slot prefetch target lines or -1, and per-slot
-#: hole flags.  The ASAP columns are exact under the node-constancy
-#: rule that ``engine_mode`` enforces (module docstring).  A row whose
-#: page is unmapped (possible only in a host chain) has leaf 0.
-_PATH_COLS = 19
-_ASAP_COL = 10
+def _c_enum(prefix: str, columns: SimpleNamespace) -> str:
+    return "enum { %s };\n" % ", ".join(
+        f"{prefix}_{name} = {value}" for name, value in vars(columns).items())
 
-#: A path row before its columns are written: no level-1 line (large
-#: pages), no descriptor hit, no prefetch targets (-1), no holes.
-_EMPTY_ROW = np.zeros(_PATH_COLS, dtype=np.int64)
-_EMPTY_ROW[_ASAP_COL + 1:_ASAP_COL + 5] = -1
 
-#: Nested-row layout (a guest page of a VirtualizedSimulation): guest PWC
-#: tags tg2 tg3 tg4 (0-2), guest leaf level (3), large flag (4), lazy
-#: flag (5: some page of the path is not mapped by the host page table
-#: yet), the host-chain row of each nested step (6-10: guest levels 4
-#: down to the leaf, then the data page), the guest-physical line of
-#: each guest step's entry (11-14), and the guest ASAP block (15-23).
-_NESTED_COLS = 24
-_R_LEAF, _R_LAZY, _R_CHAIN, _R_GLINE, _R_ASAP = 3, 5, 6, 11, 15
-_EMPTY_NESTED = np.zeros(_NESTED_COLS, dtype=np.int64)
-_EMPTY_NESTED[_R_ASAP + 1:_R_ASAP + 5] = -1
-
-_C_SOURCE = r"""
-#include <string.h>
-
+#: The declarations the glue and the kernel share: ``ffi.cdef`` reads
+#: exactly this text, and the compiled source embeds it.
+_DECLS = r"""
 typedef long long i64;
-#define EMPTY (-1LL)
 
-/* geometry slots */
-enum {
-    G_T = 0, G_U = 3, G_P2 = 6,
-    G_C1 = 15, G_C2 = 18, G_C3 = 21,
-    G_LAT1 = 24, G_LAT2 = 25, G_LAT3 = 26, G_LATM = 27,
-    G_PWC_LAT = 28, G_BASE_CYCLES = 29, G_VBIAS = 30, G_PROBE_LARGE = 31,
-    G_MODE = 32, G_REQ_MSHR = 33, G_MSHR_CAP = 34,
-    G_PF_N = 35, G_PF_L = 36,
-    G_PROBE_LAT = 40, G_PARK_SELF = 41,
-    G_H2 = 42, G_HPWC_LAT = 51, G_NESTED = 52,
-    G_HPF_N = 53, G_HPF_L = 54, G_HREQ_MSHR = 58,
-    G_REV_COVERAGE = 59, G_REV_SPEC = 60, G_REV_PENALTY = 61
-};
+/* One LRU array: a TLB level or one level of a split PWC.  Set s owns
+   slots [s * stride, s * stride + ways) of tags and frames: its
+   sizes[s] live entries, most recent first, then EMPTY slots.  A tag
+   maps to set tag & (nsets - 1). */
+typedef struct {
+    i64 *tags, *frames, *sizes;
+    i64 nsets, stride, ways;
+} unit_t;
 
-/* counter slots */
-enum {
-    K_TH, K_TM, K_L1H, K_L2H, K_LS_H, K_LS_M, K_US_H, K_US_M,
-    K_PWC_PROBES, K_PWC_HITS, K_P2_H, K_P2_M, K_P3_H, K_P3_M,
-    K_P4_H, K_P4_M, K_WALKS, K_WALK_CYCLES,
-    K_C1_H, K_C1_M, K_C1_E, K_C2_H, K_C2_M, K_C2_E,
-    K_C3_H, K_C3_M, K_C3_E,
-    K_SRV_L1, K_SRV_L2, K_SRV_L3, K_SRV_MEM,
-    K_RR_H, K_RR_M, K_PF_ISSUED, K_PF_USEFUL, K_PF_DROPNM,
-    K_PF_NODESC, K_PF_HOLE, K_H_PF_ISSUED, K_H_PF_DROP,
-    K_MSHR_ALLOC, K_MSHR_REJ, K_MSHR_MERGE,
-    K_V_PROBE_H, K_V_PROBE_M, K_V_LOST,
-    K_HRR_H, K_HRR_M, K_HPF_ISSUED, K_HPF_USEFUL, K_HPF_DROPNM,
-    K_HPF_NODESC, K_HPF_HOLE,
-    K_HPWC_PROBES, K_HPWC_HITS, K_H2_H, K_H2_M, K_H3_H, K_H3_M,
-    K_H4_H, K_H4_M, K_WALK_ACC,
-    K_SPEC, K_SPEC_OK, K_SPEC_MISS
-};
+/* One data cache's resident image (_CacheImage): lines and sizes laid
+   out like a unit's tags, plus one flag per set that every change to
+   the set raises. */
+typedef struct {
+    i64 *lines, *sizes;
+    unsigned char *touched;
+    i64 nsets, stride, ways;
+} cache_t;
 
-/* One prefetcher's counter block (K_RR_H.. for the native or guest
-   prefetcher, K_HRR_H.. for the host one) and one PWC's (K_PWC_PROBES..
-   for the native or guest PWC, K_HPWC_PROBES.. for the host one). */
-enum { PF_RR_H, PF_RR_M, PF_ISSUED, PF_USEFUL, PF_DROPNM, PF_NODESC,
-       PF_HOLE };
-enum { PW_PROBES, PW_HITS, PW_L2_H, PW_L2_M };
+/* One walk dimension: native (or guest), or host. */
+typedef struct {
+    unit_t pwc[3];              /* the split PWC's PL2, PL3, PL4 */
+    i64 pwc_latency;
+    i64 pf_count, pf_levels[4]; /* its AsapPrefetcher's levels; 0: none */
+} dim_t;
 
-/* Walk rows: native path rows (and the host chains of nested rows) are
-   PATH_COLS wide, nested rows NESTED_COLS; column names below. */
-#define PATH_COLS 19
-enum { W_LINES = 0, W_TG = 4, W_LEAF = 7, W_FRAME = 8, W_LARGE = 9,
-       W_ASAP = 10 };
-#define NESTED_COLS 24
-enum { R_TG = 0, R_LEAF = 3, R_LARGE = 4, R_LAZY = 5, R_CHAIN = 6,
-       R_GLINE = 11, R_ASAP = 15 };
-#define PARK_BASE (1LL << 50)
+/* The MSHR file: `count` in-flight lines in insertion order, each with
+   its completion time. */
+typedef struct {
+    i64 count, capacity;
+    i64 *lines, *completions;
+} mshr_t;
 
-/* carry slots */
-enum {
-    CAR_NOW, CAR_MEASURING, CAR_ACC, CAR_DATA_C,
-    CAR_WALK_C, CAR_WALK_COUNT, CAR_L1_BASE, CAR_L2_BASE
-};
+/* One Victima scheme's parked map, an insertion-ordered pool mirroring
+   its `_parked` dict: `capacity` (max_parked) slots chained from head
+   to tail, a free list, an open-addressing hash of pool indices (-1
+   free, -2 tombstone, `tombs` of them), and the vpns of removed entries
+   the dict still holds (`logged` of them in `log`).  Each slot's mark
+   says what the call did to it. */
+typedef struct { i64 vpn, frame, prev, next, mark; } park_slot_t;
+typedef struct {
+    park_slot_t *pool;
+    i64 *hash, *log;
+    i64 count, head, tail, free_head, tombs, capacity, hash_capacity;
+    i64 parked;                 /* the scheme's `parked` counter */
+    i64 dirty, logged;
+} park_t;
 
-/* co-runner slots: the next group's first line and its index, the
-   groups drawn, the groups per record, the co-runner's step count */
-enum { CO_CURSOR, CO_TAKE, CO_NTAKES, CO_INTENSITY, CO_ACCESSES };
+/* Counter blocks.  run_columnar binds each block to one owner and copies
+   every field to and from the owner's attribute or stats key of the
+   same name. */
+typedef struct { i64 hits, misses; } hm_t;
+typedef struct { i64 hits, misses, evictions; } cstat_t;
+typedef struct {
+    struct { i64 probes, hits; } pwc;   /* the SplitPwc */
+    hm_t levels[3];                     /* its PL2, PL3, PL4 units */
+    hm_t registers;                     /* the prefetcher's registers */
+    struct {
+        i64 issued, useful, dropped_no_mshr, no_descriptor, wasted_on_hole;
+    } prefetcher;                       /* AsapPrefetcher.stats */
+} dim_stats_t;
+typedef struct {
+    hm_t tlb;                           /* TlbHierarchy.stats */
+    struct { i64 l1_hits, l2_hits; } tlbs;
+    hm_t l1, l2;                        /* each TLB level's stats */
+    struct { i64 walks, total_latency; } walker;
+    struct { i64 total_accesses; } nested_walker;  /* nested runs */
+    cstat_t c1, c2, c3;
+    struct { i64 L1, L2, L3, MEM; } served;
+    struct { i64 prefetches_issued, prefetches_dropped; } hierarchy;
+    struct { i64 allocations, rejections, merges; } mshrs;
+    dim_stats_t dim[2];
+    struct { i64 probe_hits, probe_misses, parked_lost_to_data; } victima;
+    struct { i64 speculations, correct, mispredicts; } revelator;
+} counters_t;
 
+enum mode { MODE_PLAIN, MODE_ASAP, MODE_VICTIMA, MODE_REVELATOR };
+
+/* The machine one run() call replays, with its counters and MSHR file. */
+typedef struct {
+    unit_t l1, l2;              /* L1 D-TLB, L2 S-TLB */
+    dim_t dim[2];               /* native or guest walk; host walk */
+    cache_t c1, c2, c3;
+    i64 lat_l1, lat_l2, lat_l3, lat_mem;
+    i64 base_cycles, vbias, probe_large, nested, mode;
+    /* victima: the probe's latency, the running scheme's pool, one pool
+       per scheme victims park for, and each ASID's pool (NULL: pool 0
+       takes every victim) */
+    i64 probe_latency, park_self;
+    park_t **parks;
+    const i64 *route;
+    /* revelator: placement coverage in 1/10,000, speculation latency,
+       misprediction penalty */
+    i64 coverage, spec_latency, penalty;
+    counters_t k;
+    mshr_t mshr;
+} machine_t;
+
+/* The scalar loop's carry tuple, field for field. */
+typedef struct {
+    i64 now, measuring, acc, data_c, walk_c, walk_count, l1_base, l2_base;
+} carry_t;
+
+/* The co-runner's drawn stream: line groups back to back, each group's
+   line count, the next group's first line and index, the groups drawn,
+   the groups per record and the co-runner's step count. */
+typedef struct {
+    const i64 *lines, *takes;
+    i64 cursor, take, ntakes, intensity, accesses;
+} corunner_t;
+
+/* The service histogram: SV_ROWS rows of SV_COLS columns, what served
+   each walk step.  Row level - 1 counts native or guest steps, row
+   SV_HOST + level - 1 host steps. */
+enum service { SV_PWC, SV_L1, SV_MSHR, SV_L2, SV_L3, SV_MEM, SV_COLS };
+enum { SV_HOST = 4, SV_ROWS = 8 };
+
+i64 col_run_chunk(machine_t *m, carry_t *carry, corunner_t *co,
+                  i64 *service, const i64 *va_arr, i64 n, i64 warmup,
+                  const i64 *rowidx, const i64 *paths, const i64 *chains,
+                  i64 lazy);
+void col_park_load(park_t *p, const i64 *vpns, const i64 *frames, i64 n);
+i64 col_park_changes(park_t *p, i64 *vpns, i64 *frames);
+"""
+
+_KERNEL = r"""
 /* Guard-slot scan for `tag` in the set segment [base, guard).  Writes
    the tag into the guard slot, scans, restores the EMPTY sentinel (the
-   scalar probes do the same, and writeback byte-identity depends on
+   scalar probes do the same, and write-back byte-identity depends on
    it) and returns the hit position or -1. */
 static i64 lru_scan(i64 *tags, i64 base, i64 guard, i64 tag)
 {
@@ -334,331 +343,286 @@ static i64 lru_scan(i64 *tags, i64 base, i64 guard, i64 tag)
     return pos == guard ? -1 : pos;
 }
 
-/* Promote the entry at `pos` to MRU (slot `base`). */
-static void lru_promote(i64 *tags, i64 *frames, i64 base, i64 pos)
+/* Where `tag` sits in unit u, or -1; *base is its set's first slot. */
+static inline i64 unit_find(const unit_t *u, i64 tag, i64 *base)
 {
-    i64 tag = tags[pos], frame = frames[pos];
-    memmove(tags + base + 1, tags + base, (pos - base) * sizeof(i64));
-    memmove(frames + base + 1, frames + base, (pos - base) * sizeof(i64));
-    tags[base] = tag;
-    frames[base] = frame;
+    const i64 set = tag & (u->nsets - 1);
+    *base = set * u->stride;
+    if (u->tags[*base] == tag)
+        return *base;
+    return lru_scan(u->tags, *base, *base + u->sizes[set], tag);
+}
+
+/* Move the entry at `pos` to MRU (slot `base`). */
+static void unit_promote(const unit_t *u, i64 base, i64 pos)
+{
+    const i64 tag = u->tags[pos], frame = u->frames[pos];
+    memmove(u->tags + base + 1, u->tags + base, (pos - base) * sizeof(i64));
+    memmove(u->frames + base + 1, u->frames + base,
+            (pos - base) * sizeof(i64));
+    u->tags[base] = tag;
+    u->frames[base] = frame;
 }
 
 /* Install a known-absent entry at MRU, shifting the rest down (the LRU
-   victim falls off the segment end when the set is full — discarded,
-   exactly like the scalar fast path's inlined fills). */
-static void lru_install(i64 *tags, i64 *frames, i64 *sizes,
-                        i64 set_index, i64 base, i64 ways,
-                        i64 tag, i64 frame)
+   victim falls off the set's end when the set is full — discarded,
+   exactly like the scalar loop's inlined fills). */
+static void unit_install(const unit_t *u, i64 tag, i64 frame)
 {
-    i64 size = sizes[set_index];
-    i64 count = size >= ways ? ways - 1 : size;
-    memmove(tags + base + 1, tags + base, count * sizeof(i64));
-    memmove(frames + base + 1, frames + base, count * sizeof(i64));
-    if (size < ways)
-        sizes[set_index] = size + 1;
-    tags[base] = tag;
-    frames[base] = frame;
+    const i64 set = tag & (u->nsets - 1);
+    const i64 base = set * u->stride;
+    const i64 size = u->sizes[set];
+    const i64 count = size >= u->ways ? u->ways - 1 : size;
+    memmove(u->tags + base + 1, u->tags + base, count * sizeof(i64));
+    memmove(u->frames + base + 1, u->frames + base, count * sizeof(i64));
+    if (size < u->ways)
+        u->sizes[set] = size + 1;
+    u->tags[base] = tag;
+    u->frames[base] = frame;
 }
 
-/* PWC probe: MRU shortcut, guard scan, promote on scan hit. 1 = hit. */
-static int pwc_probe(i64 *tags, i64 *frames, const i64 *sizes,
-                     i64 nsets, i64 stride, i64 tg)
+/* Tlb.probe of vpn's small tag, then (probe_large) its large tag: the
+   frame, or EMPTY.  Each tag probed counts a hit or a miss in hm, and a
+   hit moves to MRU; with hm NULL the probe only looks. */
+static inline i64 tlb_probe(const unit_t *u, i64 vpn, i64 probe_large,
+                            hm_t *hm)
 {
-    i64 set_index = tg & (nsets - 1);
-    i64 base = set_index * stride;
-    if (tags[base] == tg)
-        return 1;
-    i64 pos = lru_scan(tags, base, base + sizes[set_index], tg);
+    const i64 tags[2] = {vpn << 1, ((vpn >> 9) << 1) | 1};
+    for (i64 x = 0; x <= probe_large; x++) {
+        i64 base;
+        const i64 pos = unit_find(u, tags[x], &base);
+        if (pos >= 0) {
+            const i64 frame = u->frames[pos];
+            if (hm) {
+                hm->hits++;
+                if (pos != base)
+                    unit_promote(u, base, pos);
+            }
+            return frame;
+        }
+        if (hm)
+            hm->misses++;
+    }
+    return EMPTY;
+}
+
+/* PWC probe: a hit moves to MRU.  1 = hit. */
+static int pwc_probe(const unit_t *u, i64 tg)
+{
+    i64 base;
+    const i64 pos = unit_find(u, tg, &base);
     if (pos < 0)
         return 0;
-    lru_promote(tags, frames, base, pos);
+    if (pos != base)
+        unit_promote(u, base, pos);
     return 1;
 }
 
-/* PWC insert (the cached value is always 1): present entries are
-   promoted and refreshed, absent ones installed with LRU eviction. */
-static void pwc_insert(i64 *tags, i64 *frames, i64 *sizes,
-                       i64 nsets, i64 stride, i64 ways, i64 tg)
+/* PWC insert (the cached value is always 1): a present entry moves to
+   MRU and is refreshed, an absent one is installed with LRU eviction. */
+static void pwc_insert(const unit_t *u, i64 tg)
 {
-    i64 set_index = tg & (nsets - 1);
-    i64 base = set_index * stride;
-    if (tags[base] == tg) {
-        frames[base] = 1;
+    i64 base;
+    const i64 pos = unit_find(u, tg, &base);
+    if (pos < 0) {
+        unit_install(u, tg, 1);
         return;
     }
-    i64 size = sizes[set_index];
-    i64 pos = lru_scan(tags, base, base + size, tg);
-    if (pos >= 0) {
-        memmove(tags + base + 1, tags + base, (pos - base) * sizeof(i64));
-        memmove(frames + base + 1, frames + base,
-                (pos - base) * sizeof(i64));
-    } else {
-        i64 count = size >= ways ? ways - 1 : size;
-        memmove(tags + base + 1, tags + base, count * sizeof(i64));
-        memmove(frames + base + 1, frames + base, count * sizeof(i64));
-        if (size < ways)
-            sizes[set_index] = size + 1;
-    }
-    tags[base] = tg;
-    frames[base] = 1;
+    unit_promote(u, base, pos);
+    u->frames[base] = 1;
 }
 
-/* One data cache's resident image: the flat LRU lines/sizes plus one
-   touched flag per set.  Every routine below that changes a set's
-   lines or size raises its flag, so the Python side writes back only
-   the flagged sets (the guard-slot write of a scan is restored before
-   returning and changes nothing). */
-typedef struct {
-    i64 *lines;
-    i64 *sizes;
-    unsigned char *touched;
-    i64 nsets, stride, ways;
-} cache_t;
-
-/* One cache level: MRU shortcut + guard scan + promote.  1 = hit. */
-static int cache_probe(const cache_t *c, i64 line)
+/* Where `line` sits in cache c, or -1; *set and *base locate its set. */
+static inline i64 cache_find(const cache_t *c, i64 line, i64 *set, i64 *base)
 {
-    i64 *lines = c->lines;
-    i64 set_index = line & (c->nsets - 1);
-    i64 base = set_index * c->stride;
-    if (lines[base] == line)
-        return 1;
-    i64 guard = base + c->sizes[set_index];
-    lines[guard] = line;
-    i64 pos = base;
-    while (lines[pos] != line)
-        pos++;
-    lines[guard] = EMPTY;
-    if (pos == guard)
+    *set = line & (c->nsets - 1);
+    *base = *set * c->stride;
+    if (c->lines[*base] == line)
+        return *base;
+    return lru_scan(c->lines, *base, *base + c->sizes[*set], line);
+}
+
+static void cache_promote(const cache_t *c, i64 set, i64 base, i64 pos)
+{
+    const i64 line = c->lines[pos];
+    memmove(c->lines + base + 1, c->lines + base, (pos - base) * sizeof(i64));
+    c->lines[base] = line;
+    c->touched[set] = 1;
+}
+
+/* One cache level's lookup: a hit moves to MRU.  1 = hit. */
+static inline int cache_probe(const cache_t *c, i64 line)
+{
+    i64 set, base;
+    const i64 pos = cache_find(c, line, &set, &base);
+    if (pos < 0)
         return 0;
-    memmove(lines + base + 1, lines + base, (pos - base) * sizeof(i64));
-    lines[base] = line;
-    c->touched[set_index] = 1;
+    if (pos != base)
+        cache_promote(c, set, base, pos);
     return 1;
 }
 
+/* Install a known-absent line at MRU, counting an LRU eviction. */
 static void cache_install(const cache_t *c, i64 line, i64 *evictions)
 {
     i64 *lines = c->lines;
-    i64 set_index = line & (c->nsets - 1);
-    i64 base = set_index * c->stride;
-    i64 size = c->sizes[set_index];
+    const i64 set = line & (c->nsets - 1);
+    const i64 base = set * c->stride;
+    const i64 size = c->sizes[set];
     i64 count;
     if (size >= c->ways) {
         count = c->ways - 1;
         (*evictions)++;
     } else {
         count = size;
-        c->sizes[set_index] = size + 1;
+        c->sizes[set] = size + 1;
     }
     memmove(lines + base + 1, lines + base, count * sizeof(i64));
     lines[base] = line;
-    c->touched[set_index] = 1;
+    c->touched[set] = 1;
 }
 
 /* Cache.install for a line that may already be present (Victima's park
-   path uses the generic Cache.install): promote if found, LRU-evict
+   path uses the generic Cache.install): promote if found, install
    otherwise. */
 static void cache_install_scan(const cache_t *c, i64 line, i64 *evictions)
 {
-    i64 *lines = c->lines;
-    i64 set_index = line & (c->nsets - 1);
-    i64 base = set_index * c->stride;
-    i64 size = c->sizes[set_index];
-    i64 limit = base + size;
-    lines[limit] = line;
-    i64 pos = base;
-    while (lines[pos] != line)
-        pos++;
-    lines[limit] = EMPTY;
-    if (pos != limit) {
-        memmove(lines + base + 1, lines + base, (pos - base) * sizeof(i64));
-    } else if (size >= c->ways) {
-        memmove(lines + base + 1, lines + base,
-                (c->ways - 1) * sizeof(i64));
-        (*evictions)++;
-    } else {
-        memmove(lines + base + 1, lines + base, size * sizeof(i64));
-        c->sizes[set_index] = size + 1;
-    }
-    lines[base] = line;
-    c->touched[set_index] = 1;
+    i64 set, base;
+    const i64 pos = cache_find(c, line, &set, &base);
+    if (pos < 0)
+        cache_install(c, line, evictions);
+    else
+        cache_promote(c, set, base, pos);
 }
 
-/* Cache.invalidate: shift the tail down over the (known-present) line.
-   No stats, exactly like the scalar method. */
+/* Cache.invalidate: shift the tail down over the line.  No stats,
+   exactly like the scalar method. */
 static void cache_invalidate(const cache_t *c, i64 line)
 {
-    i64 *lines = c->lines;
-    i64 set_index = line & (c->nsets - 1);
-    i64 base = set_index * c->stride;
-    i64 size = c->sizes[set_index];
-    i64 limit = base + size;
-    lines[limit] = line;
-    i64 pos = base;
-    while (lines[pos] != line)
-        pos++;
-    lines[limit] = EMPTY;
-    if (pos == limit)
+    i64 set, base;
+    const i64 pos = cache_find(c, line, &set, &base);
+    if (pos < 0)
         return;
-    memmove(lines + pos, lines + pos + 1, (limit - 1 - pos) * sizeof(i64));
-    lines[limit - 1] = EMPTY;
-    c->sizes[set_index] = size - 1;
-    c->touched[set_index] = 1;
+    const i64 last = base + c->sizes[set] - 1;
+    memmove(c->lines + pos, c->lines + pos + 1, (last - pos) * sizeof(i64));
+    c->lines[last] = EMPTY;
+    c->sizes[set]--;
+    c->touched[set] = 1;
 }
 
-/* --- MSHR file: mshr[0] = live count, lines at mshr+1, completion
-   times at mshr+1+cap, insertion order preserved (mirrors the ordered
-   dict in repro.mem.mshr). ---------------------------------------- */
+/* --- MSHR file (repro.mem.mshr's ordered dict) ---------------------- */
 
-static void mshr_retire(i64 *mshr, i64 cap, i64 now)
+static void mshr_retire(mshr_t *f, i64 now)
 {
-    i64 count = mshr[0];
-    i64 *lines = mshr + 1;
-    i64 *times = mshr + 1 + cap;
     i64 out = 0;
-    for (i64 i = 0; i < count; i++) {
-        if (times[i] > now) {
-            lines[out] = lines[i];
-            times[out] = times[i];
+    for (i64 i = 0; i < f->count; i++) {
+        if (f->completions[i] > now) {
+            f->lines[out] = f->lines[i];
+            f->completions[out] = f->completions[i];
             out++;
         }
     }
-    mshr[0] = out;
+    f->count = out;
 }
 
-static i64 mshr_find(const i64 *mshr, i64 line)
+static i64 mshr_find(const mshr_t *f, i64 line)
 {
-    i64 count = mshr[0];
-    const i64 *lines = mshr + 1;
-    for (i64 i = 0; i < count; i++)
-        if (lines[i] == line)
+    for (i64 i = 0; i < f->count; i++)
+        if (f->lines[i] == line)
             return i;
     return -1;
 }
 
 /* MSHRFile.try_allocate: 1 on merge or allocation, 0 on rejection. */
-static int mshr_try_allocate(i64 *mshr, i64 cap, i64 line, i64 now,
-                             i64 completion, i64 *k)
+static int mshr_try_allocate(machine_t *m, i64 line, i64 now, i64 completion)
 {
-    mshr_retire(mshr, cap, now);
-    if (mshr_find(mshr, line) >= 0) {
-        k[K_MSHR_MERGE]++;
+    mshr_t *f = &m->mshr;
+    mshr_retire(f, now);
+    if (mshr_find(f, line) >= 0) {
+        m->k.mshrs.merges++;
         return 1;
     }
-    i64 count = mshr[0];
-    if (count >= cap) {
-        k[K_MSHR_REJ]++;
+    if (f->count >= f->capacity) {
+        m->k.mshrs.rejections++;
         return 0;
     }
-    mshr[1 + count] = line;
-    mshr[1 + cap + count] = completion;
-    mshr[0] = count + 1;
-    k[K_MSHR_ALLOC]++;
+    f->lines[f->count] = line;
+    f->completions[f->count] = completion;
+    f->count++;
+    m->k.mshrs.allocations++;
     return 1;
 }
 
 /* MSHRFile.inflight_completion: completion time or -1. */
-static i64 mshr_inflight(i64 *mshr, i64 cap, i64 line, i64 now, i64 *k)
+static i64 mshr_inflight(machine_t *m, i64 line, i64 now)
 {
-    mshr_retire(mshr, cap, now);
-    i64 idx = mshr_find(mshr, line);
+    mshr_retire(&m->mshr, now);
+    const i64 idx = mshr_find(&m->mshr, line);
     if (idx < 0)
         return -1;
-    k[K_MSHR_MERGE]++;
-    return mshr[1 + cap + idx];
+    m->k.mshrs.merges++;
+    return m->mshr.completions[idx];
 }
 
 /* CacheHierarchy.access, including the MSHR merge branch (a prefetch
    issued by an earlier record can still be in flight).  Returns the
-   latency; *level_out = SERVICE_LABELS column (1 L1, 2 MSHR, 3 L2,
-   4 L3, 5 MEM). */
-static i64 cache_access(const cache_t *c1, const cache_t *c2,
-                        const cache_t *c3, const i64 *g, i64 *k, i64 line,
-                        i64 *level_out, i64 now, i64 *mshr)
+   latency; *level_out is the SV_* column of what served it. */
+static i64 mem_access(machine_t *m, i64 line, i64 *level_out, i64 now)
 {
-    if (cache_probe(c1, line)) {
-        k[K_C1_H]++;
-        k[K_SRV_L1]++;
-        *level_out = 1;
-        return g[G_LAT1];
+    counters_t *k = &m->k;
+    if (cache_probe(&m->c1, line)) {
+        k->c1.hits++;
+        k->served.L1++;
+        *level_out = SV_L1;
+        return m->lat_l1;
     }
-    k[K_C1_M]++;
-    if (mshr[0] > 0) {
-        i64 merged = mshr_inflight(mshr, g[G_MSHR_CAP], line, now, k);
+    k->c1.misses++;
+    if (m->mshr.count > 0) {
+        const i64 merged = mshr_inflight(m, line, now);
         if (merged >= 0 && merged > now) {
             /* the in-flight fill lands in the L1; no served[] credit */
-            cache_install(c1, line, &k[K_C1_E]);
-            *level_out = 2;
+            cache_install(&m->c1, line, &k->c1.evictions);
+            *level_out = SV_MSHR;
             return merged - now;
         }
     }
-    i64 latency, level;
-    if (cache_probe(c2, line)) {
-        k[K_C2_H]++;
-        latency = g[G_LAT2];
-        level = 3;
-        k[K_SRV_L2]++;
+    i64 latency;
+    if (cache_probe(&m->c2, line)) {
+        k->c2.hits++;
+        k->served.L2++;
+        latency = m->lat_l2;
+        *level_out = SV_L2;
     } else {
-        k[K_C2_M]++;
-        if (cache_probe(c3, line)) {
-            k[K_C3_H]++;
-            latency = g[G_LAT3];
-            level = 4;
-            k[K_SRV_L3]++;
+        k->c2.misses++;
+        if (cache_probe(&m->c3, line)) {
+            k->c3.hits++;
+            k->served.L3++;
+            latency = m->lat_l3;
+            *level_out = SV_L3;
         } else {
-            k[K_C3_M]++;
-            latency = g[G_LATM];
-            level = 5;
-            k[K_SRV_MEM]++;
-            cache_install(c3, line, &k[K_C3_E]);
+            k->c3.misses++;
+            k->served.MEM++;
+            latency = m->lat_mem;
+            *level_out = SV_MEM;
+            cache_install(&m->c3, line, &k->c3.evictions);
         }
         /* L3 and MEM serves both refill the L2. */
-        cache_install(c2, line, &k[K_C2_E]);
+        cache_install(&m->c2, line, &k->c2.evictions);
     }
-    cache_install(c1, line, &k[K_C1_E]);
-    *level_out = level;
+    cache_install(&m->c1, line, &k->c1.evictions);
     return latency;
 }
 
-/* --- Victima parked-entry pools.  One pool per Victima scheme this run
-   parks victims for: an insertion-ordered map mirroring that scheme's
-   `_parked` dict.  pool: cap slots of PS_SLOT fields; hash: open
-   addressing (value = pool index, -1 empty, -2 tombstone); meta: the
-   PM_* slots; log: the vpns of loaded entries removed since the last
-   write-back.  Each slot's mark records what this call did to it, so
-   the write-back replays only the changes on the dict. ------------ */
+/* --- Victima parked-entry pools (park_t): one per Victima scheme this
+   run parks victims for.  The write-back replays only what each slot's
+   mark and the removal log say the call changed. ------------------- */
 
 #define SLOT_FREE (-1LL)
 #define SLOT_TOMB (-2LL)
 
-/* Mirrors repro.tlb.tlb.ASID_SHIFT: a biased vpn's owner is vpn >> it. */
-#define ASID_SHIFT 52
-
-/* pool slot fields */
-enum { PS_VPN, PS_FRAME, PS_PREV, PS_NEXT, PS_MARK, PS_SLOT };
-
 /* slot marks: unchanged since the last write-back, re-framed in place,
    inserted since the last write-back */
 enum { MARK_KEPT, MARK_REFRAMED, MARK_NEW };
-
-/* park meta slots */
-enum {
-    PM_COUNT, PM_HEAD, PM_TAIL, PM_FREE, PM_TOMBS,
-    PM_MAX,      /* the scheme's max_parked, also the pool capacity */
-    PM_HCAP,     /* hash capacity (power of two) */
-    PM_PARKED,   /* the scheme's `parked` counter */
-    PM_DIRTY,    /* raised whenever the map changes */
-    PM_LOGGED    /* entries in the removal log */
-};
-
-typedef struct {
-    i64 *pool;
-    i64 *hash;
-    i64 *meta;
-    i64 *log;
-} park_t;
 
 static i64 mix64(i64 x)
 {
@@ -672,125 +636,115 @@ static i64 mix64(i64 x)
 /* Hash slot holding `vpn`, or -1. */
 static i64 park_find(const park_t *p, i64 vpn)
 {
-    const i64 mask = p->meta[PM_HCAP] - 1;
-    i64 s = mix64(vpn) & mask;
-    for (;;) {
-        i64 v = p->hash[s];
+    const i64 mask = p->hash_capacity - 1;
+    for (i64 s = mix64(vpn) & mask;; s = (s + 1) & mask) {
+        const i64 v = p->hash[s];
         if (v == SLOT_FREE)
             return -1;
-        if (v >= 0 && p->pool[v * PS_SLOT + PS_VPN] == vpn)
+        if (v >= 0 && p->pool[v].vpn == vpn)
             return s;
-        s = (s + 1) & mask;
     }
 }
 
 /* Insert a known-absent pool index (first free or tombstone slot). */
-static void park_hash_insert(const park_t *p, i64 idx)
+static void park_hash_insert(park_t *p, i64 idx)
 {
-    const i64 mask = p->meta[PM_HCAP] - 1;
-    i64 s = mix64(p->pool[idx * PS_SLOT + PS_VPN]) & mask;
+    const i64 mask = p->hash_capacity - 1;
+    i64 s = mix64(p->pool[idx].vpn) & mask;
     while (p->hash[s] >= 0)
         s = (s + 1) & mask;
     if (p->hash[s] == SLOT_TOMB)
-        p->meta[PM_TOMBS]--;
+        p->tombs--;
     p->hash[s] = idx;
 }
 
-static void park_rehash(const park_t *p)
+static void park_rehash(park_t *p)
 {
-    for (i64 i = 0; i < p->meta[PM_HCAP]; i++)
+    for (i64 i = 0; i < p->hash_capacity; i++)
         p->hash[i] = SLOT_FREE;
-    p->meta[PM_TOMBS] = 0;
-    for (i64 idx = p->meta[PM_HEAD]; idx >= 0;
-         idx = p->pool[idx * PS_SLOT + PS_NEXT])
+    p->tombs = 0;
+    for (i64 idx = p->head; idx >= 0; idx = p->pool[idx].next)
         park_hash_insert(p, idx);
 }
 
 /* Remove pool index `idx` (at hash slot `slot`) from map and FIFO; an
    entry the dict already holds goes on the removal log. */
-static void park_unlink(const park_t *p, i64 slot, i64 idx)
+static void park_unlink(park_t *p, i64 slot, i64 idx)
 {
-    i64 *pool = p->pool, *meta = p->meta;
-    i64 *entry = pool + idx * PS_SLOT;
+    park_slot_t *entry = &p->pool[idx];
+    const i64 prev = entry->prev, next = entry->next;
     p->hash[slot] = SLOT_TOMB;
-    meta[PM_TOMBS]++;
-    if (entry[PS_MARK] != MARK_NEW)
-        p->log[meta[PM_LOGGED]++] = entry[PS_VPN];
-    i64 prev = entry[PS_PREV];
-    i64 next = entry[PS_NEXT];
-    if (prev >= 0) pool[prev * PS_SLOT + PS_NEXT] = next;
-    else meta[PM_HEAD] = next;
-    if (next >= 0) pool[next * PS_SLOT + PS_PREV] = prev;
-    else meta[PM_TAIL] = prev;
-    entry[PS_NEXT] = meta[PM_FREE];   /* push onto the free list */
-    meta[PM_FREE] = idx;
-    meta[PM_COUNT]--;
-    meta[PM_DIRTY] = 1;
+    p->tombs++;
+    if (entry->mark != MARK_NEW)
+        p->log[p->logged++] = entry->vpn;
+    if (prev >= 0) p->pool[prev].next = next;
+    else p->head = next;
+    if (next >= 0) p->pool[next].prev = prev;
+    else p->tail = prev;
+    entry->next = p->free_head;   /* push onto the free list */
+    p->free_head = idx;
+    p->count--;
+    p->dirty = 1;
 }
 
 /* VictimaLike._park: bound-evict the oldest, insert (or update in
    place, keeping FIFO position), install the parked line in the L2
    data cache, count it. */
-static void park_entry(const park_t *p, i64 *k, i64 vpn, i64 frame,
-                       const cache_t *c2)
+static void park_entry(machine_t *m, park_t *p, i64 vpn, i64 frame)
 {
-    i64 *pool = p->pool, *meta = p->meta;
-    i64 slot = park_find(p, vpn);
+    const i64 slot = park_find(p, vpn);
     if (slot >= 0) {
-        i64 *entry = pool + p->hash[slot] * PS_SLOT;
-        entry[PS_FRAME] = frame;
-        if (entry[PS_MARK] == MARK_KEPT)
-            entry[PS_MARK] = MARK_REFRAMED;
+        park_slot_t *entry = &p->pool[p->hash[slot]];
+        entry->frame = frame;
+        if (entry->mark == MARK_KEPT)
+            entry->mark = MARK_REFRAMED;
     } else {
-        if (meta[PM_COUNT] >= meta[PM_MAX]) {
-            i64 old = meta[PM_HEAD];
-            park_unlink(p, park_find(p, pool[old * PS_SLOT + PS_VPN]), old);
+        if (p->count >= p->capacity) {
+            const i64 old = p->head;
+            park_unlink(p, park_find(p, p->pool[old].vpn), old);
         }
-        i64 idx = meta[PM_FREE];
-        i64 *entry = pool + idx * PS_SLOT;
-        meta[PM_FREE] = entry[PS_NEXT];
-        entry[PS_VPN] = vpn;
-        entry[PS_FRAME] = frame;
-        entry[PS_PREV] = meta[PM_TAIL];
-        entry[PS_NEXT] = -1;
-        entry[PS_MARK] = MARK_NEW;
-        if (meta[PM_TAIL] >= 0) pool[meta[PM_TAIL] * PS_SLOT + PS_NEXT] = idx;
-        else meta[PM_HEAD] = idx;
-        meta[PM_TAIL] = idx;
-        meta[PM_COUNT]++;
+        const i64 idx = p->free_head;
+        park_slot_t *entry = &p->pool[idx];
+        p->free_head = entry->next;
+        entry->vpn = vpn;
+        entry->frame = frame;
+        entry->prev = p->tail;
+        entry->next = -1;
+        entry->mark = MARK_NEW;
+        if (p->tail >= 0) p->pool[p->tail].next = idx;
+        else p->head = idx;
+        p->tail = idx;
+        p->count++;
         park_hash_insert(p, idx);
-        if ((meta[PM_COUNT] + meta[PM_TOMBS]) * 2 >= meta[PM_HCAP])
+        if ((p->count + p->tombs) * 2 >= p->hash_capacity)
             park_rehash(p);
     }
-    meta[PM_DIRTY] = 1;
-    cache_install_scan(c2, PARK_BASE | vpn, &k[K_C2_E]);
-    meta[PM_PARKED]++;
+    p->dirty = 1;
+    cache_install_scan(&m->c2, PARK_BASE | vpn, &m->k.c2.evictions);
+    p->parked++;
 }
 
 /* Seed a pool with the scheme's `n` entries in dict (FIFO) order: link
    the chain and the free list, then build the hash. */
-void col_park_load(i64 *pool, i64 *hash, i64 *meta, const i64 *vpns,
-                   const i64 *frames, i64 n)
+void col_park_load(park_t *p, const i64 *vpns, const i64 *frames, i64 n)
 {
-    const i64 cap = meta[PM_MAX];
     for (i64 i = 0; i < n; i++) {
-        i64 *entry = pool + i * PS_SLOT;
-        entry[PS_VPN] = vpns[i];
-        entry[PS_FRAME] = frames[i];
-        entry[PS_PREV] = i - 1;
-        entry[PS_NEXT] = i + 1 < n ? i + 1 : -1;
-        entry[PS_MARK] = MARK_KEPT;
+        park_slot_t *entry = &p->pool[i];
+        entry->vpn = vpns[i];
+        entry->frame = frames[i];
+        entry->prev = i - 1;
+        entry->next = i + 1 < n ? i + 1 : -1;
+        entry->mark = MARK_KEPT;
     }
-    for (i64 i = n; i < cap; i++)
-        pool[i * PS_SLOT + PS_NEXT] = i + 1 < cap ? i + 1 : -1;
-    meta[PM_COUNT] = n;
-    meta[PM_HEAD] = n ? 0 : -1;
-    meta[PM_TAIL] = n - 1;
-    meta[PM_FREE] = n < cap ? n : -1;
-    meta[PM_DIRTY] = 0;
-    meta[PM_LOGGED] = 0;
-    const park_t p = {pool, hash, meta, 0};
-    park_rehash(&p);
+    for (i64 i = n; i < p->capacity; i++)
+        p->pool[i].next = i + 1 < p->capacity ? i + 1 : -1;
+    p->count = n;
+    p->head = n ? 0 : -1;
+    p->tail = n - 1;
+    p->free_head = n < p->capacity ? n : -1;
+    p->dirty = 0;
+    p->logged = 0;
+    park_rehash(p);
 }
 
 /* The write-back's other half (the removal log is the first): the
@@ -799,274 +753,246 @@ void col_park_load(i64 *pool, i64 *hash, i64 *meta, const i64 *vpns,
    entries in place and appends the new ones, which the chain holds
    after every older entry.  Returns their count; clears the marks, the
    log and the dirty flag. */
-i64 col_park_changes(i64 *pool, i64 *meta, i64 *vpns, i64 *frames)
+i64 col_park_changes(park_t *p, i64 *vpns, i64 *frames)
 {
     i64 n = 0;
-    for (i64 idx = meta[PM_HEAD]; idx >= 0;
-         idx = pool[idx * PS_SLOT + PS_NEXT]) {
-        i64 *entry = pool + idx * PS_SLOT;
-        if (entry[PS_MARK] != MARK_KEPT) {
-            vpns[n] = entry[PS_VPN];
-            frames[n] = entry[PS_FRAME];
-            entry[PS_MARK] = MARK_KEPT;
+    for (i64 idx = p->head; idx >= 0; idx = p->pool[idx].next) {
+        park_slot_t *entry = &p->pool[idx];
+        if (entry->mark != MARK_KEPT) {
+            vpns[n] = entry->vpn;
+            frames[n] = entry->frame;
+            entry->mark = MARK_KEPT;
             n++;
         }
     }
-    meta[PM_DIRTY] = 0;
-    meta[PM_LOGGED] = 0;
+    p->dirty = 0;
+    p->logged = 0;
     return n;
 }
 
-/* TlbHierarchy.fill_fast for a small page: install both levels; in
-   victima mode a small-tag L2 victim is parked in its owner's pool —
+/* TlbHierarchy.fill_fast for a small page: install both levels.  With
+   `park` (victima mode) a small-tag L2 victim parks in its owner's pool:
    route[vpn >> ASID_SHIFT] under the multi-tenant victim router, pool 0
-   when there is no route table (a directly installed park hook, which
-   takes every victim). */
-static void tlb_fill_small(i64 vpn, i64 frame, const i64 *g, i64 *k,
-                           i64 *t_tags, i64 *t_frames, i64 *t_sizes,
-                           i64 *u_tags, i64 *u_frames, i64 *u_sizes,
-                           int vmode, const park_t *parks,
-                           const i64 *route, const cache_t *c2)
+   without a route table (a directly installed park hook takes every
+   victim). */
+static void tlb_fill_small(machine_t *m, i64 vpn, i64 frame, int park)
 {
+    const unit_t *u = &m->l2;
     const i64 stag = vpn << 1;
-    const i64 t_set = stag & (g[G_T] - 1);
-    lru_install(t_tags, t_frames, t_sizes, t_set,
-                t_set * g[G_T + 1], g[G_T + 2], stag, frame);
-    const i64 u_set = stag & (g[G_U] - 1);
-    const i64 base = u_set * g[G_U + 1];
-    const i64 ways = g[G_U + 2];
-    i64 vt = EMPTY, vf = 0;
-    if (u_sizes[u_set] >= ways) {
-        vt = u_tags[base + ways - 1];
-        vf = u_frames[base + ways - 1];
-    }
-    lru_install(u_tags, u_frames, u_sizes, u_set, base, ways, stag, frame);
-    if (vmode && vt != EMPTY && !(vt & 1)) {
-        const i64 victim = vt >> 1;
-        const i64 owner = route ? route[victim >> ASID_SHIFT] : 0;
-        park_entry(&parks[owner], k, victim, vf, c2);
+    const i64 set = stag & (u->nsets - 1);
+    const i64 last = set * u->stride + u->ways - 1;
+    const i64 victim = u->sizes[set] >= u->ways ? u->tags[last] : EMPTY;
+    const i64 vframe = u->frames[last];
+    unit_install(&m->l1, stag, frame);
+    unit_install(u, stag, frame);
+    if (park && victim != EMPTY && !(victim & 1)) {
+        const i64 vvpn = victim >> 1;
+        const i64 owner = m->route ? m->route[vvpn >> ASID_SHIFT] : 0;
+        park_entry(m, m->parks[owner], vvpn, vframe);
     }
 }
 
-/* --- walk helpers.  A memory context bundles what every access needs:
-   the three data caches, geometry, counters and the MSHR file. ------ */
-
-typedef struct {
-    cache_t c1, c2, c3;
-    const i64 *g;
-    i64 *k;
-    i64 *mshr;
-} mem_t;
-
-/* CacheHierarchy.access with the L1 MRU shortcut; *level_out as in
-   cache_access (1 on the shortcut). */
-static i64 mem_access(const mem_t *m, i64 line, i64 *level_out, i64 now)
+/* VictimaLike._probe of the running scheme's pool after an L2 TLB miss:
+   the parked frame while its line is still in the L2 data cache (the
+   entry then leaves the pool and the cache), else EMPTY (an entry whose
+   line data-cache pressure evicted is dropped). */
+static i64 victima_probe(machine_t *m, i64 vpn)
 {
-    const cache_t *c1 = &m->c1;
-    if (c1->lines[(line & (c1->nsets - 1)) * c1->stride] == line) {
-        m->k[K_C1_H]++;
-        m->k[K_SRV_L1]++;
-        *level_out = 1;
-        return m->g[G_LAT1];
+    counters_t *k = &m->k;
+    park_t *own = m->parks[m->park_self];
+    const i64 slot = park_find(own, vpn);
+    if (slot < 0) {
+        k->victima.probe_misses++;
+        return EMPTY;
     }
-    return cache_access(c1, &m->c2, &m->c3, m->g, m->k, line, level_out,
-                        now, m->mshr);
+    const i64 idx = own->hash[slot];
+    const i64 frame = own->pool[idx].frame;
+    const i64 line = PARK_BASE | vpn;
+    park_unlink(own, slot, idx);
+    if (cache_probe(&m->c2, line)) {
+        k->c2.hits++;
+        cache_invalidate(&m->c2, line);
+        k->victima.probe_hits++;
+        return frame;
+    }
+    k->c2.misses++;
+    k->victima.parked_lost_to_data++;
+    k->victima.probe_misses++;
+    return EMPTY;
 }
 
-/* One split PWC: PL2, PL3 and PL4 arrays; geom holds nsets, stride and
-   ways per level, PL2 first. */
-typedef struct {
-    i64 *tags[3], *frames[3], *sizes[3];
-    const i64 *geom;
-} pwc_t;
+/* --- walks ----------------------------------------------------------- */
 
 /* SplitPwc.probe over a walk's three tags (tg[0] PL2 .. tg[2] PL4):
-   the deepest cached level (2..4), or 0; counters in pk[PW_*]. */
-static i64 pwc_walk_probe(const pwc_t *p, const i64 *tg, i64 *pk)
+   the deepest cached level (2..4), or 0. */
+static i64 pwc_walk_probe(const dim_t *d, dim_stats_t *ds, const i64 *tg)
 {
-    pk[PW_PROBES]++;
+    ds->pwc.probes++;
     for (int l = 0; l < 3; l++) {
-        const i64 *geom = p->geom + 3 * l;
-        if (pwc_probe(p->tags[l], p->frames[l], p->sizes[l],
-                      geom[0], geom[1], tg[l])) {
-            pk[PW_HITS]++;
-            pk[PW_L2_H + 2 * l]++;
+        if (pwc_probe(&d->pwc[l], tg[l])) {
+            ds->pwc.hits++;
+            ds->levels[l].hits++;
             return l + 2;
         }
-        pk[PW_L2_M + 2 * l]++;
+        ds->levels[l].misses++;
     }
     return 0;
 }
 
 /* SplitPwc.insert after a walk whose leaf level is `leaf`: the
    intermediate levels leaf+1..4. */
-static void pwc_walk_insert(const pwc_t *p, const i64 *tg, i64 leaf)
+static void pwc_walk_insert(const dim_t *d, const i64 *tg, i64 leaf)
 {
-    for (i64 l = leaf - 1; l < 3; l++) {
-        const i64 *geom = p->geom + 3 * l;
-        pwc_insert(p->tags[l], p->frames[l], p->sizes[l],
-                   geom[0], geom[1], geom[2], tg[l]);
-    }
+    for (i64 l = leaf - 1; l < 3; l++)
+        pwc_insert(&d->pwc[l], tg[l]);
 }
 
 /* AsapPrefetcher.on_tlb_miss at `now`, replayed from a row's ASAP block
-   A: A[0] the range-register hit, A[1 + s] the target line of slot s
-   (-1: none), A[5 + s] its hole flag.  The prefetcher's counters are
-   pf[PF_*]; each useful prefetch's completion lands in comp[level]. */
-static void asap_issue(const mem_t *m, const i64 *A, i64 pf_n,
-                       const i64 *levels, i64 require_mshr, i64 now,
-                       i64 *comp, i64 *pf)
+   A (the A_* columns).  Each useful prefetch's completion lands in
+   comp[level]. */
+static void asap_issue(machine_t *m, const dim_t *d, dim_stats_t *ds,
+                       const i64 *A, i64 now, i64 *comp)
 {
-    const i64 *g = m->g;
-    i64 *k = m->k;
-    if (!A[0]) {
-        pf[PF_RR_M]++;
-        pf[PF_NODESC]++;
+    counters_t *k = &m->k;
+    if (!A[A_HIT]) {
+        ds->registers.misses++;
+        ds->prefetcher.no_descriptor++;
         return;
     }
-    pf[PF_RR_H]++;
-    for (i64 s = 0; s < pf_n; s++) {
-        const i64 pline = A[1 + s];
+    ds->registers.hits++;
+    for (i64 s = 0; s < d->pf_count; s++) {
+        const i64 pline = A[A_TARGET + s];
         if (pline < 0)
             continue;
         i64 completion;
         if (cache_probe(&m->c1, pline)) {
-            k[K_C1_H]++;
-            k[K_SRV_L1]++;
-            completion = now + g[G_LAT1];
+            k->c1.hits++;
+            k->served.L1++;
+            completion = now + m->lat_l1;
         } else {
-            k[K_C1_M]++;
+            k->c1.misses++;
             i64 lvl, lat;
             if (cache_probe(&m->c2, pline)) {
-                k[K_C2_H]++;
-                lvl = 3;
-                lat = g[G_LAT2];
+                k->c2.hits++;
+                lvl = SV_L2;
+                lat = m->lat_l2;
             } else {
-                k[K_C2_M]++;
+                k->c2.misses++;
                 if (cache_probe(&m->c3, pline)) {
-                    k[K_C3_H]++;
-                    lvl = 4;
-                    lat = g[G_LAT3];
+                    k->c3.hits++;
+                    lvl = SV_L3;
+                    lat = m->lat_l3;
                 } else {
-                    k[K_C3_M]++;
-                    lvl = 5;
-                    lat = g[G_LATM];
+                    k->c3.misses++;
+                    lvl = SV_MEM;
+                    lat = m->lat_mem;
                 }
             }
             completion = now + lat;
-            if (require_mshr &&
-                !mshr_try_allocate(m->mshr, g[G_MSHR_CAP], pline, now,
-                                   completion, k)) {
-                k[K_H_PF_DROP]++;
-                pf[PF_DROPNM]++;
+            if (!mshr_try_allocate(m, pline, now, completion)) {
+                k->hierarchy.prefetches_dropped++;
+                ds->prefetcher.dropped_no_mshr++;
                 continue;
             }
-            cache_install(&m->c1, pline, &k[K_C1_E]);
-            if (lvl >= 4)
-                cache_install(&m->c2, pline, &k[K_C2_E]);
-            if (lvl == 5)
-                cache_install(&m->c3, pline, &k[K_C3_E]);
-            if (lvl == 3) k[K_SRV_L2]++;
-            else if (lvl == 4) k[K_SRV_L3]++;
-            else k[K_SRV_MEM]++;
-            k[K_H_PF_ISSUED]++;
+            cache_install(&m->c1, pline, &k->c1.evictions);
+            if (lvl != SV_L2)
+                cache_install(&m->c2, pline, &k->c2.evictions);
+            if (lvl == SV_MEM)
+                cache_install(&m->c3, pline, &k->c3.evictions);
+            if (lvl == SV_L2) k->served.L2++;
+            else if (lvl == SV_L3) k->served.L3++;
+            else k->served.MEM++;
+            k->hierarchy.prefetches_issued++;
         }
-        pf[PF_ISSUED]++;
-        if (A[5 + s]) {
-            pf[PF_HOLE]++;
+        ds->prefetcher.issued++;
+        if (A[A_HOLE + s]) {
+            ds->prefetcher.wasted_on_hole++;
             continue;
         }
-        pf[PF_USEFUL]++;
-        comp[levels[s]] = completion;
+        ds->prefetcher.useful++;
+        comp[d->pf_levels[s]] = completion;
     }
 }
 
-/* The node accesses of one radix walk over a PATH_COLS row W, from step
-   `start` (level 4 - start) down to the leaf, beginning at time t: each
-   access may finish no earlier than an in-flight prefetch of its level
-   (comp, -1 for none).  svc, when not NULL, is the walk dimension's
-   service histogram (row = level - 1); *accesses counts the accesses
-   when not NULL.  Returns the finish time. */
-static i64 walk_lines(const mem_t *m, const i64 *W, i64 start, i64 t,
-                      const i64 *comp, i64 *svc, i64 *accesses)
+/* The start of a walk in dimension `dim`: its prefetcher issues at
+   pf_at from the ASAP block A into comp, and the PWC probe picks the
+   first step to access (step j is level 4 - j); the steps it serves
+   count in svc.  Returns that step. */
+static i64 walk_begin(machine_t *m, int dim, const i64 *A, const i64 *tg,
+                      i64 pf_at, i64 *comp, i64 *svc)
 {
-    const i64 nlines = 5 - W[W_LEAF];
-    for (i64 j = start; j < nlines; j++) {
-        i64 level;
-        t += mem_access(m, W[W_LINES + j], &level, t);
-        if (comp[4 - j] > t)
-            t = comp[4 - j];   /* overlap with prefetch */
-        if (svc)
-            svc[(3 - j) * 6 + level]++;
-        if (accesses)
-            (*accesses)++;
-    }
+    const dim_t *d = &m->dim[dim];
+    dim_stats_t *ds = &m->k.dim[dim];
+    if (d->pf_count)
+        asap_issue(m, d, ds, A, pf_at, comp);
+    const i64 skip = pwc_walk_probe(d, ds, tg);
+    const i64 start = skip ? 5 - skip : 0;
+    if (svc)
+        for (i64 j = 0; j < start; j++)
+            svc[(3 - j) * SV_COLS + SV_PWC]++;
+    return start;
+}
+
+/* Walk step j's access to `line` at t: it finishes no earlier than an
+   in-flight prefetch of its level (comp, -1 for none).  svc, when not
+   NULL, is the dimension's service histogram.  The access counts in
+   nested_walker, which only nested runs write back.  Returns the
+   finish time. */
+static i64 walk_step(machine_t *m, i64 line, i64 t, const i64 *comp, i64 j,
+                     i64 *svc)
+{
+    i64 level;
+    t += mem_access(m, line, &level, t);
+    if (comp[4 - j] > t)
+        t = comp[4 - j];   /* overlap with prefetch */
+    if (svc)
+        svc[(3 - j) * SV_COLS + level]++;
+    m->k.nested_walker.total_accesses++;
     return t;
 }
 
-/* The PWC-served prefix of a walk: steps 0..start-1 (levels 4 down). */
-static void walk_skipped(i64 *svc, i64 start)
+/* One radix walk over path row W in dimension `dim` (0 native, 1 host)
+   from t: walk_begin with the prefetches at pf_at (the native walk-start
+   hook fires at walk start, the host prefetcher once the host PWC has
+   answered), the PWC latency, then the node accesses down to the leaf.
+   Returns the finish time. */
+static i64 radix_walk(machine_t *m, int dim, const i64 *W, i64 t, i64 pf_at,
+                      i64 *svc)
 {
-    if (svc)
-        for (i64 j = 0; j < start; j++)
-            svc[(3 - j) * 6 + 0]++;
-}
-
-/* NestedPageWalker._host_walk over the host chain C of one nested step,
-   starting at t: host PWC probe after its latency, host prefetches at
-   that time, then the host node accesses.  Returns the finish time. */
-static i64 host_walk(const mem_t *m, const pwc_t *hpwc, const i64 *C,
-                     i64 t, i64 *svc)
-{
-    const i64 *g = m->g;
-    t += g[G_HPWC_LAT];
-    const i64 skip = pwc_walk_probe(hpwc, C + W_TG, m->k + K_HPWC_PROBES);
-    const i64 start = skip ? 5 - skip : 0;
-    walk_skipped(svc, start);
     i64 comp[5] = {-1, -1, -1, -1, -1};
-    if (g[G_HPF_N])
-        asap_issue(m, C + W_ASAP, g[G_HPF_N], g + G_HPF_L, g[G_HREQ_MSHR],
-                   t, comp, m->k + K_HRR_H);
-    t = walk_lines(m, C, start, t, comp, svc, &m->k[K_WALK_ACC]);
-    pwc_walk_insert(hpwc, C + W_TG, C[W_LEAF]);
+    const i64 start = walk_begin(m, dim, W + W_ASAP, W + W_TG, pf_at, comp,
+                                 svc);
+    t += m->dim[dim].pwc_latency;
+    for (i64 j = start; j < 5 - W[W_LEAF]; j++)
+        t = walk_step(m, W[W_LINES + j], t, comp, j, svc);
+    pwc_walk_insert(&m->dim[dim], W + W_TG, W[W_LEAF]);
     return t;
 }
 
 /* NestedPageWalker.walk over nested row R at `now` (Figure 7): guest
-   prefetches at walk start, the guest PWC probe, then per nested step
-   the host walk of its guest-physical page and (guest steps) the guest
-   entry's access at its host line.  The last step translates the data
-   page and has no entry access.  svc, when not NULL, is the service
-   histogram (guest rows 0-3, host rows 4-7).  Returns the latency. */
-static i64 nested_walk(const mem_t *m, const pwc_t *gpwc, const pwc_t *hpwc,
-                       const i64 *R, const i64 *chains, i64 now, i64 *svc)
+   prefetches at walk start, the guest PWC probe and its latency, then
+   per nested step the host walk of its guest-physical page and (guest
+   steps) the guest entry's access at its host line.  The last step
+   translates the data page and has no entry access.  svc, when not
+   NULL, is the service histogram.  Returns the latency. */
+static i64 nested_walk(machine_t *m, const i64 *R, const i64 *chains,
+                       i64 now, i64 *svc)
 {
-    const i64 *g = m->g;
     i64 comp[5] = {-1, -1, -1, -1, -1};
-    if (g[G_PF_N])
-        asap_issue(m, R + R_ASAP, g[G_PF_N], g + G_PF_L, g[G_REQ_MSHR],
-                   now, comp, m->k + K_RR_H);
-    i64 t = now + g[G_PWC_LAT];
-    const i64 skip = pwc_walk_probe(gpwc, R + R_TG, m->k + K_PWC_PROBES);
-    const i64 start = skip ? 5 - skip : 0;
+    const i64 start = walk_begin(m, 0, R + R_ASAP, R + R_TG, now, comp, svc);
     const i64 data = 5 - R[R_LEAF];
-    i64 *hsvc = svc ? svc + 24 : 0;
-    walk_skipped(svc, start);
+    const i64 host_latency = m->dim[1].pwc_latency;
+    i64 *hsvc = svc ? svc + SV_HOST * SV_COLS : 0;
+    i64 t = now + m->dim[0].pwc_latency;
     for (i64 j = start;; j++) {
-        const i64 *C = chains + R[R_CHAIN + j] * PATH_COLS;
-        t = host_walk(m, hpwc, C, t, hsvc);
+        const i64 *C = chains + R[R_CHAIN + j] * W_COLS;
+        t = radix_walk(m, 1, C, t, t + host_latency, hsvc);
         if (j == data)
             break;
-        i64 level;
-        const i64 line = (C[W_FRAME] << 6) | (R[R_GLINE + j] & 63);
-        t += mem_access(m, line, &level, t);
-        if (comp[4 - j] > t)
-            t = comp[4 - j];
-        if (svc)
-            svc[(3 - j) * 6 + level]++;
-        m->k[K_WALK_ACC]++;
+        t = walk_step(m, (C[W_FRAME] << 6) | (R[R_GLINE + j] & 63), t, comp,
+                      j, svc);
     }
-    pwc_walk_insert(gpwc, R + R_TG, R[R_LEAF]);
+    pwc_walk_insert(&m->dim[0], R + R_TG, R[R_LEAF]);
     return t - now;
 }
 
@@ -1086,53 +1012,40 @@ static i64 crc32_u64(unsigned long long x)
 /* RevelatorLike._walk_end for the record at `now` whose walk took
    `translation` cycles: the hash-placement lottery over the (biased)
    vpn.  A placed page stalls only for the speculation; a misplaced one
-   fetches the wrong-path line at now + spec_latency and pays the squash
-   penalty after the walk.  Returns the translation latency. */
-static i64 revelator_walk_end(const mem_t *m, i64 va, i64 vpn, i64 now,
+   fetches the wrong-path line at now + spec_latency — issued after the
+   verification walk's own accesses, as the scalar hook issues it — and
+   pays the squash penalty after the walk.  Returns the translation
+   latency. */
+static i64 revelator_walk_end(machine_t *m, i64 va, i64 vpn, i64 now,
                               i64 translation)
 {
-    const i64 *g = m->g;
-    i64 *k = m->k;
-    k[K_SPEC]++;
-    if (crc32_u64(vpn) % 10000 < g[G_REV_COVERAGE]) {
-        k[K_SPEC_OK]++;
-        return g[G_REV_SPEC] < translation ? g[G_REV_SPEC] : translation;
+    counters_t *k = &m->k;
+    k->revelator.speculations++;
+    if (crc32_u64(vpn) % 10000 < m->coverage) {
+        k->revelator.correct++;
+        return m->spec_latency < translation ? m->spec_latency : translation;
     }
-    k[K_SPEC_MISS]++;
-    const i64 wrong_frame = crc32_u64((unsigned long long)vpn ^ 0x5EED);
+    k->revelator.mispredicts++;
+    const i64 wrong_frame = crc32_u64((unsigned long long)vpn ^ WRONG_SALT);
     i64 level;
     mem_access(m, (wrong_frame << 6) | ((va & 0xFFF) >> 6), &level,
-               now + g[G_REV_SPEC]);
-    return translation + g[G_REV_PENALTY];
+               now + m->spec_latency);
+    return translation + m->penalty;
 }
 
 /* Whether the record for `vpn` would reach the page walk: no TLB level
    holds a tag for it and (victima) the running tenant's pool has no
    L2-resident entry for it.  Pure (the scans restore their guard slots
    and move nothing), so the record replays unchanged on resume. */
-static int walk_pending(const mem_t *m, i64 vpn, i64 *t_tags,
-                        const i64 *t_sizes, i64 *u_tags, const i64 *u_sizes,
-                        const park_t *parks)
+static int walk_pending(machine_t *m, i64 vpn)
 {
-    const i64 *g = m->g;
-    const i64 tags[2] = {vpn << 1, ((vpn >> 9) << 1) | 1};
-    const int ntags = g[G_PROBE_LARGE] ? 2 : 1;
-    for (int x = 0; x < ntags; x++) {
-        i64 set = tags[x] & (g[G_T] - 1);
-        i64 base = set * g[G_T + 1];
-        if (lru_scan(t_tags, base, base + t_sizes[set], tags[x]) >= 0)
-            return 0;
-        set = tags[x] & (g[G_U] - 1);
-        base = set * g[G_U + 1];
-        if (lru_scan(u_tags, base, base + u_sizes[set], tags[x]) >= 0)
-            return 0;
-    }
-    if (g[G_MODE] == 2 && park_find(&parks[g[G_PARK_SELF]], vpn) >= 0) {
-        const i64 line = PARK_BASE | vpn;
-        const cache_t *c2 = &m->c2;
-        const i64 base = (line & (c2->nsets - 1)) * c2->stride;
-        if (lru_scan(c2->lines, base,
-                     base + c2->sizes[line & (c2->nsets - 1)], line) >= 0)
+    if (tlb_probe(&m->l1, vpn, m->probe_large, 0) != EMPTY
+            || tlb_probe(&m->l2, vpn, m->probe_large, 0) != EMPTY)
+        return 0;
+    if (m->mode == MODE_VICTIMA
+            && park_find(m->parks[m->park_self], vpn) >= 0) {
+        i64 set, base;
+        if (cache_find(&m->c2, PARK_BASE | vpn, &set, &base) >= 0)
             return 0;
     }
     return 1;
@@ -1143,319 +1056,129 @@ static int walk_pending(const mem_t *m, i64 vpn, i64 *t_tags,
    draws them and resumes at that record), or when `lazy` is set and
    the next record would walk a nested row whose path crosses a
    guest-physical page the host page table does not map yet (the caller
-   maps it, fixes the rows and resumes at that record).  Native rows
-   (G_NESTED 0) are PATH_COLS wide; nested rows index the host-chain
-   table `chains` and use the host PWC (h*).  `co` (CO_* slots) is NULL
-   without a co-runner; with one, every record ends with its
-   CO_INTENSITY groups of `co_lines` (`co_takes` lines each). */
-i64 col_run_chunk(const i64 *va_arr, i64 n, i64 warmup,
-                  i64 collect_service,
-                  const i64 *rowidx, const i64 *paths,
-                  const i64 *chains, i64 lazy,
-                  i64 *carry, i64 *k, const i64 *g, i64 *service,
-                  i64 *t_tags, i64 *t_frames, i64 *t_sizes,
-                  i64 *u_tags, i64 *u_frames, i64 *u_sizes,
-                  i64 *p2_tags, i64 *p2_frames, i64 *p2_sizes,
-                  i64 *p3_tags, i64 *p3_frames, i64 *p3_sizes,
-                  i64 *p4_tags, i64 *p4_frames, i64 *p4_sizes,
-                  i64 *h2_tags, i64 *h2_frames, i64 *h2_sizes,
-                  i64 *h3_tags, i64 *h3_frames, i64 *h3_sizes,
-                  i64 *h4_tags, i64 *h4_frames, i64 *h4_sizes,
-                  i64 *c1_lines, i64 *c1_sizes, unsigned char *c1_touched,
-                  i64 *c2_lines, i64 *c2_sizes, unsigned char *c2_touched,
-                  i64 *c3_lines, i64 *c3_sizes, unsigned char *c3_touched,
-                  i64 *mshr, const park_t *parks, const i64 *route,
-                  const i64 *co_lines, const i64 *co_takes, i64 *co)
+   maps it, fixes the rows and resumes at that record).  Native rows are
+   W_COLS wide; nested rows (m->nested) R_COLS, indexing the host-chain
+   table `chains`.  `co` is NULL without a co-runner; with one, every
+   record ends with its `intensity` groups.  `service` is the service
+   histogram, NULL when the run does not collect it. */
+i64 col_run_chunk(machine_t *m, carry_t *carry, corunner_t *co,
+                  i64 *service, const i64 *va_arr, i64 n, i64 warmup,
+                  const i64 *rowidx, const i64 *paths, const i64 *chains,
+                  i64 lazy)
 {
-    const mem_t m = {
-        {c1_lines, c1_sizes, c1_touched, g[G_C1], g[G_C1 + 1], g[G_C1 + 2]},
-        {c2_lines, c2_sizes, c2_touched, g[G_C2], g[G_C2 + 1], g[G_C2 + 2]},
-        {c3_lines, c3_sizes, c3_touched, g[G_C3], g[G_C3 + 1], g[G_C3 + 2]},
-        g, k, mshr};
-    const pwc_t pwc = {{p2_tags, p3_tags, p4_tags},
-                       {p2_frames, p3_frames, p4_frames},
-                       {p2_sizes, p3_sizes, p4_sizes}, g + G_P2};
-    const pwc_t hpwc = {{h2_tags, h3_tags, h4_tags},
-                        {h2_frames, h3_frames, h4_frames},
-                        {h2_sizes, h3_sizes, h4_sizes}, g + G_H2};
-    const cache_t *c2 = &m.c2;
-    i64 now = carry[CAR_NOW];
-    i64 measuring = carry[CAR_MEASURING];
-    i64 acc = carry[CAR_ACC];
-    i64 data_c = carry[CAR_DATA_C];
-    i64 walk_c = carry[CAR_WALK_C];
-    i64 walk_count = carry[CAR_WALK_COUNT];
-    const i64 vbias = g[G_VBIAS];
-    const i64 probe_large = g[G_PROBE_LARGE];
-    const i64 base_cycles = g[G_BASE_CYCLES];
-    const i64 pwc_lat = g[G_PWC_LAT];
-    const i64 mode = g[G_MODE];
-    const i64 nested = g[G_NESTED];
-
+    counters_t *k = &m->k;
+    carry_t c = *carry;
     i64 i;
     for (i = 0; i < n; i++) {
-        if (co && co[CO_TAKE] + co[CO_INTENSITY] > co[CO_NTAKES])
+        if (co && co->take + co->intensity > co->ntakes)
             break;
         const i64 va = va_arr[i];
-        const i64 vpn = (va >> 12) | vbias;
-        if (lazy && paths[rowidx[i] * NESTED_COLS + R_LAZY]
-                && walk_pending(&m, vpn, t_tags, t_sizes, u_tags, u_sizes,
-                                parks))
+        const i64 vpn = (va >> 12) | m->vbias;
+        if (lazy && paths[rowidx[i] * R_COLS + R_LAZY]
+                && walk_pending(m, vpn))
             break;
-        if (!measuring && i >= warmup) {
-            measuring = 1;
-            carry[CAR_L1_BASE] = k[K_L1H];
-            carry[CAR_L2_BASE] = k[K_L2H];
+        if (!c.measuring && i >= warmup) {
+            c.measuring = 1;
+            c.l1_base = k->tlbs.l1_hits;
+            c.l2_base = k->tlbs.l2_hits;
         }
-        i64 frame = EMPTY;
         i64 translation = 0;
-
-        /* --- L1 D-TLB probe, small then (optional) large tag ------- */
-        {
-            i64 tag = vpn << 1;
-            i64 set_index = tag & (g[G_T] - 1);
-            i64 base = set_index * g[G_T + 1];
-            if (t_tags[base] == tag) {
-                k[K_LS_H]++;
-                frame = t_frames[base];
-            } else {
-                i64 pos = lru_scan(t_tags, base,
-                                   base + t_sizes[set_index], tag);
-                if (pos >= 0) {
-                    k[K_LS_H]++;
-                    frame = t_frames[pos];
-                    lru_promote(t_tags, t_frames, base, pos);
-                } else {
-                    k[K_LS_M]++;
-                    if (probe_large) {
-                        tag = ((vpn >> 9) << 1) | 1;
-                        set_index = tag & (g[G_T] - 1);
-                        base = set_index * g[G_T + 1];
-                        pos = lru_scan(t_tags, base,
-                                       base + t_sizes[set_index], tag);
-                        if (pos >= 0) {
-                            k[K_LS_H]++;
-                            frame = t_frames[pos];
-                            if (pos != base)
-                                lru_promote(t_tags, t_frames, base, pos);
-                        } else {
-                            k[K_LS_M]++;
-                        }
-                    }
-                }
-            }
-        }
+        i64 frame = tlb_probe(&m->l1, vpn, m->probe_large, &k->l1);
         if (frame != EMPTY) {
-            k[K_TH]++;
-            k[K_L1H]++;
+            k->tlb.hits++;
+            k->tlbs.l1_hits++;
+        } else if ((frame = tlb_probe(&m->l2, vpn, m->probe_large, &k->l2))
+                   != EMPTY) {
+            k->tlb.hits++;
+            k->tlbs.l2_hits++;
+            /* an L2 hit refills the L1 with the small tag */
+            unit_install(&m->l1, vpn << 1, frame);
         } else {
-            /* --- L2 S-TLB probe, small then (optional) large tag --- */
-            i64 tag = vpn << 1;
-            i64 set_index = tag & (g[G_U] - 1);
-            i64 base = set_index * g[G_U + 1];
-            i64 pos = lru_scan(u_tags, base,
-                               base + u_sizes[set_index], tag);
-            if (pos >= 0) {
-                k[K_US_H]++;
-                frame = u_frames[pos];
-                if (pos != base)
-                    lru_promote(u_tags, u_frames, base, pos);
+            k->tlb.misses++;
+            if (m->mode == MODE_VICTIMA
+                    && (frame = victima_probe(m, vpn)) != EMPTY) {
+                translation = m->probe_latency;
+                tlb_fill_small(m, vpn, frame, 1);
+                if (c.measuring)
+                    c.walk_c += translation;
             } else {
-                k[K_US_M]++;
-                if (probe_large) {
-                    tag = ((vpn >> 9) << 1) | 1;
-                    set_index = tag & (g[G_U] - 1);
-                    base = set_index * g[G_U + 1];
-                    pos = lru_scan(u_tags, base,
-                                   base + u_sizes[set_index], tag);
-                    if (pos >= 0) {
-                        k[K_US_H]++;
-                        frame = u_frames[pos];
-                        if (pos != base)
-                            lru_promote(u_tags, u_frames, base, pos);
-                    } else {
-                        k[K_US_M]++;
-                    }
-                }
-            }
-            if (frame != EMPTY) {
-                k[K_TH]++;
-                k[K_L2H]++;
-                /* refill the L1 with the small tag (L2 hit path) */
-                const i64 stag = vpn << 1;
-                const i64 t_set = stag & (g[G_T] - 1);
-                lru_install(t_tags, t_frames, t_sizes, t_set,
-                            t_set * g[G_T + 1], g[G_T + 2], stag, frame);
-            }
-        }
-
-        if (frame == EMPTY) {
-            k[K_TM]++;
-            int walked = 1;
-            if (mode == 2) {
-                /* --- Victima probe of the running tenant's pool ---- */
-                const park_t *own = &parks[g[G_PARK_SELF]];
-                i64 slot = park_find(own, vpn);
-                if (slot >= 0) {
-                    const i64 idx = own->hash[slot];
-                    const i64 pline = PARK_BASE | vpn;
-                    if (cache_probe(c2, pline)) {
-                        k[K_C2_H]++;
-                        cache_invalidate(c2, pline);
-                        frame = own->pool[idx * PS_SLOT + PS_FRAME];
-                        park_unlink(own, slot, idx);
-                        k[K_V_PROBE_H]++;
-                        translation = g[G_PROBE_LAT];
-                        tlb_fill_small(vpn, frame, g, k,
-                                       t_tags, t_frames, t_sizes,
-                                       u_tags, u_frames, u_sizes,
-                                       1, parks, route, c2);
-                        if (measuring)
-                            walk_c += translation;
-                        walked = 0;
-                    } else {
-                        /* parked entry lost to data-cache pressure */
-                        k[K_C2_M]++;
-                        park_unlink(own, slot, idx);
-                        k[K_V_LOST]++;
-                        k[K_V_PROBE_M]++;
-                    }
+                /* --- full miss: priced page walk ------------------- */
+                i64 *svc = c.measuring ? service : 0;
+                i64 large;
+                if (m->nested) {
+                    const i64 *R = paths + rowidx[i] * R_COLS;
+                    translation = nested_walk(m, R, chains, c.now, svc);
+                    frame = chains[R[R_CHAIN + 5 - R[R_LEAF]] * W_COLS
+                                   + W_FRAME];
+                    large = R[R_LARGE];
                 } else {
-                    k[K_V_PROBE_M]++;
+                    const i64 *P = paths + rowidx[i] * W_COLS;
+                    translation = radix_walk(m, 0, P, c.now, c.now, svc)
+                        - c.now;
+                    frame = P[W_FRAME];
+                    large = P[W_LARGE];
                 }
-            }
-            if (walked) {
-            /* --- full miss: priced page walk ----------------------- */
-            i64 *svc = (measuring && collect_service) ? service : 0;
-            i64 large;
-            if (nested) {
-                const i64 *R = paths + rowidx[i] * NESTED_COLS;
-                translation = nested_walk(&m, &pwc, &hpwc, R, chains, now,
-                                          svc);
-                frame = chains[R[R_CHAIN + 5 - R[R_LEAF]] * PATH_COLS
-                               + W_FRAME];
-                large = R[R_LARGE];
-            } else {
-                const i64 *P = paths + rowidx[i] * PATH_COLS;
-                i64 comp[5] = {-1, -1, -1, -1, -1};
-                if (mode == 1)
-                    /* ASAP prefetch replay (at `now`, before the PWC
-                       probes, exactly where the scalar walk_start hook
-                       fires) */
-                    asap_issue(&m, P + W_ASAP, g[G_PF_N], g + G_PF_L,
-                               g[G_REQ_MSHR], now, comp, k + K_RR_H);
-                const i64 skip = pwc_walk_probe(&pwc, P + W_TG,
-                                                k + K_PWC_PROBES);
-                const i64 start = skip ? 5 - skip : 0;
-                walk_skipped(svc, start);
-                translation = walk_lines(&m, P, start, now + pwc_lat, comp,
-                                         svc, 0) - now;
-                pwc_walk_insert(&pwc, P + W_TG, P[W_LEAF]);
-                frame = P[W_FRAME];
-                large = P[W_LARGE];
-            }
-            k[K_WALKS]++;
-            k[K_WALK_CYCLES] += translation;
-            if (mode == 3)
-                /* the walker has charged the walk; the hook prices
-                   what the core stalls for, before the TLB fill */
-                translation = revelator_walk_end(&m, va, vpn, now,
-                                                 translation);
-            /* TLB fill — both tags known absent after the full miss.
-               Large fills never hand a victim to the park hook (the
-               generic fill path has no hook); small fills do when in
-               victima mode. */
-            if (large) {
-                const i64 ltag = ((vpn >> 9) << 1) | 1;
-                const i64 t_set = ltag & (g[G_T] - 1);
-                lru_install(t_tags, t_frames, t_sizes, t_set,
-                            t_set * g[G_T + 1], g[G_T + 2], ltag, frame);
-                const i64 u_set = ltag & (g[G_U] - 1);
-                lru_install(u_tags, u_frames, u_sizes, u_set,
-                            u_set * g[G_U + 1], g[G_U + 2], ltag, frame);
-            } else {
-                tlb_fill_small(vpn, frame, g, k,
-                               t_tags, t_frames, t_sizes,
-                               u_tags, u_frames, u_sizes,
-                               mode == 2, parks, route, c2);
-            }
-            if (measuring) {
-                walk_c += translation;
-                walk_count++;
-            }
+                k->walker.walks++;
+                k->walker.total_latency += translation;
+                if (m->mode == MODE_REVELATOR)
+                    /* the walker has charged the walk; the hook prices
+                       what the core stalls for, before the TLB fill */
+                    translation = revelator_walk_end(m, va, vpn, c.now,
+                                                     translation);
+                /* TLB fill, both tags known absent after the full miss.
+                   A large fill never hands a victim to the park hook
+                   (the generic fill path has no hook). */
+                if (large) {
+                    const i64 ltag = ((vpn >> 9) << 1) | 1;
+                    unit_install(&m->l1, ltag, frame);
+                    unit_install(&m->l2, ltag, frame);
+                } else {
+                    tlb_fill_small(m, vpn, frame, m->mode == MODE_VICTIMA);
+                }
+                if (c.measuring) {
+                    c.walk_c += translation;
+                    c.walk_count++;
+                }
             }
         }
 
         /* --- data access ------------------------------------------- */
-        {
-            const i64 line = (frame << 6) | ((va & 0xFFF) >> 6);
-            i64 level;
-            const i64 dlat = mem_access(&m, line, &level, now + translation);
-            now += base_cycles + translation + dlat;
-            if (measuring) {
-                acc++;
-                data_c += dlat;
-            }
+        i64 level;
+        const i64 dlat = mem_access(m, (frame << 6) | ((va & 0xFFF) >> 6),
+                                    &level, c.now + translation);
+        c.now += m->base_cycles + translation + dlat;
+        if (c.measuring) {
+            c.acc++;
+            c.data_c += dlat;
         }
 
         /* --- Corunner.step: the record's groups at the new now ------ */
         if (co) {
-            const i64 take = co[CO_TAKE];
-            i64 line = co[CO_CURSOR];
-            i64 stop = line;
-            for (i64 j = 0; j < co[CO_INTENSITY]; j++)
-                stop += co_takes[take + j];
-            for (; line < stop; line++) {
-                i64 level;
-                mem_access(&m, co_lines[line], &level, now);
-            }
-            co[CO_CURSOR] = stop;
-            co[CO_TAKE] = take + co[CO_INTENSITY];
-            co[CO_ACCESSES]++;
+            i64 stop = co->cursor;
+            for (i64 j = 0; j < co->intensity; j++)
+                stop += co->takes[co->take + j];
+            for (i64 line = co->cursor; line < stop; line++)
+                mem_access(m, co->lines[line], &level, c.now);
+            co->cursor = stop;
+            co->take += co->intensity;
+            co->accesses++;
         }
     }
-
-    carry[CAR_NOW] = now;
-    carry[CAR_MEASURING] = measuring;
-    carry[CAR_ACC] = acc;
-    carry[CAR_DATA_C] = data_c;
-    carry[CAR_WALK_C] = walk_c;
-    carry[CAR_WALK_COUNT] = walk_count;
+    *carry = c;
     return i;
 }
 """
 
-_CDEF = """
-typedef struct {
-    long long *pool;
-    long long *hash;
-    long long *meta;
-    long long *log;
-} park_t;
-long long col_run_chunk(const long long *va_arr, long long n,
-    long long warmup, long long collect_service,
-    const long long *rowidx, const long long *paths,
-    const long long *chains, long long lazy,
-    long long *carry, long long *k, const long long *g,
-    long long *service,
-    long long *t_tags, long long *t_frames, long long *t_sizes,
-    long long *u_tags, long long *u_frames, long long *u_sizes,
-    long long *p2_tags, long long *p2_frames, long long *p2_sizes,
-    long long *p3_tags, long long *p3_frames, long long *p3_sizes,
-    long long *p4_tags, long long *p4_frames, long long *p4_sizes,
-    long long *h2_tags, long long *h2_frames, long long *h2_sizes,
-    long long *h3_tags, long long *h3_frames, long long *h3_sizes,
-    long long *h4_tags, long long *h4_frames, long long *h4_sizes,
-    long long *c1_lines, long long *c1_sizes, unsigned char *c1_touched,
-    long long *c2_lines, long long *c2_sizes, unsigned char *c2_touched,
-    long long *c3_lines, long long *c3_sizes, unsigned char *c3_touched,
-    long long *mshr, const park_t *parks, const long long *route,
-    const long long *co_lines, const long long *co_takes, long long *co);
-void col_park_load(long long *pool, long long *hash, long long *meta,
-    const long long *vpns, const long long *frames, long long n);
-long long col_park_changes(long long *pool, long long *meta,
-    long long *vpns, long long *frames);
-"""
+#: The compiled text: the shared declarations, the constants generated
+#: from their Python owners, then the kernel.
+_C_SOURCE = (
+    "#include <string.h>\n" + _DECLS
+    + _c_enum("A", _A) + _c_enum("W", _W) + _c_enum("R", _R)
+    + f"#define EMPTY ({EMPTY}LL)\n"
+    + f"#define ASID_SHIFT {ASID_SHIFT}\n"
+    + f"#define PARK_BASE ({_PARK_TAG_BASE:#x}LL)\n"
+    + f"#define WRONG_SALT {_WRONG_SALT:#x}\n"
+    + _KERNEL)
 
 _BACKEND = None
 _BACKEND_ERROR: str | None = None
@@ -1477,7 +1200,10 @@ def _build_library():
     import cffi
 
     ffi = cffi.FFI()
-    ffi.cdef(_CDEF)
+    ffi.cdef(_DECLS)
+    # Named after the whole compiled text, declarations included, so a
+    # library built from another layout is never loaded against this
+    # cdef.
     digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
     cache_dir = os.path.join(tempfile.gettempdir(),
                              f"repro-columnar-{digest}")
@@ -1740,15 +1466,16 @@ def engine_mode(sim) -> str | None:
     return mode if columnar_available() else None
 
 
+
 class _PathTable:
     """Per-simulation cache of page-walk rows, keyed by biased VPN.
 
     Each row holds everything the C kernel needs to replay one page
-    walk: the cache line of each page-table node the walker would
-    touch, the three PWC tags, the leaf level, the frame and the
-    large-page flag.  Rows are immutable once built (the page table is
-    static during a run); ``clear()`` drops them on translation flush,
-    coherently with the scalar path caches.
+    walk (the ``_W`` columns): the cache line of each page-table node the
+    walker would touch, the three PWC tags, the leaf level, the frame
+    and the large-page flag.  Rows are immutable once built (the page
+    table is static during a run); ``clear()`` drops them on translation
+    flush, coherently with the scalar path caches.
 
     Rows are built in bulk, with whole-array passes over a chunk's new
     VPNs in sorted order: leaf frames from one dict lookup per VPN, node
@@ -1762,7 +1489,7 @@ class _PathTable:
     """
 
     #: A row before its columns are written (its width is the row's).
-    EMPTY = _EMPTY_ROW
+    EMPTY = _row_empty(_W)
     #: Rows whose walk needs a host mapping made first (nested rows).
     lazy = 0
 
@@ -1845,20 +1572,17 @@ class _PathTable:
                    pt, vbias: int, prefetcher) -> None:
         """Write the walk columns of ``rows`` for the sorted vpns ``raw``,
         which ``pt`` maps (``leaf``/``pframe`` from :meth:`_leaves`)."""
-        rows[:, 0] = cls._node_lines(raw, 4, pt)
-        rows[:, 1] = cls._node_lines(raw, 3, pt)
-        rows[:, 2] = cls._node_lines(raw, 2, pt)
         small = leaf == 1
+        for step, level in enumerate((4, 3, 2)):
+            rows[:, _W.LINES + step] = cls._node_lines(raw, level, pt)
         if small.any():
-            rows[small, 3] = cls._node_lines(raw[small], 1, pt)
-        rows[:, 4] = (raw >> 9) | vbias
-        rows[:, 5] = (raw >> 18) | vbias
-        rows[:, 6] = (raw >> 27) | vbias
-        rows[:, 7] = leaf
-        rows[:, 8] = pframe
-        rows[:, 9] = ~small
+            rows[small, _W.LINES + 3] = cls._node_lines(raw[small], 1, pt)
+        _pwc_tags(rows[:, _W.TG:], raw, vbias)
+        rows[:, _W.LEAF] = leaf
+        rows[:, _W.FRAME] = pframe
+        rows[:, _W.LARGE] = ~small
         if prefetcher is not None:
-            cls._asap_columns(rows[:, _ASAP_COL:], raw << 12, prefetcher)
+            cls._asap_columns(rows[:, _W.ASAP:], raw << 12, prefetcher)
 
     @staticmethod
     def _leaves(raw: np.ndarray, pt) -> tuple[np.ndarray, np.ndarray]:
@@ -1896,15 +1620,14 @@ class _PathTable:
     @staticmethod
     def _asap_columns(block: np.ndarray, vas: np.ndarray,
                       prefetcher) -> None:
-        """The ASAP replay block (descriptor flag, four target lines,
-        four hole flags) for page-base addresses ``vas`` (sorted).
-        Descriptors are sorted and disjoint, so the pages a descriptor
-        covers are one slice of ``vas``: the range-register hit,
-        replayed without touching the register counters (those live in
-        the kernel).  Targets come from the descriptor's own
-        base-plus-offset arithmetic over the slice; hole verdicts once
-        per (descriptor, level, node), which the module's node-constancy
-        rule makes exact."""
+        """The ASAP replay block (the ``_A`` columns) for page-base
+        addresses ``vas`` (sorted).  Descriptors are sorted and
+        disjoint, so the pages a descriptor covers are one slice of
+        ``vas``: the range-register hit, replayed without touching the
+        register counters (those live in the kernel).  Targets come from
+        the descriptor's own base-plus-offset arithmetic over the slice;
+        hole verdicts once per (descriptor, level, node), which the
+        module's node-constancy rule makes exact."""
         levels = prefetcher.levels
         hole_checker = prefetcher.hole_checker
         for descriptor in prefetcher.registers._descriptors:
@@ -1913,18 +1636,25 @@ class _PathTable:
                 continue
             rows = block[lo:hi]
             pages = vas[lo:hi]
-            rows[:, 0] = 1
+            rows[:, _A.HIT] = 1
             for s, level in enumerate(levels):
                 target = descriptor.entry_addr(pages, level)
                 if target is None:
                     continue
-                rows[:, 1 + s] = target >> 6
+                rows[:, _A.TARGET + s] = target >> 6
                 if hole_checker is None:
                     continue
                 first, runs = _runs(node_tag(pages, level))
                 verdicts = [hole_checker(va, level)
                             for va in pages[first].tolist()]
-                rows[:, 5 + s] = np.repeat(verdicts, runs)
+                rows[:, _A.HOLE + s] = np.repeat(verdicts, runs)
+
+
+def _pwc_tags(block: np.ndarray, raw: np.ndarray, vbias: int) -> None:
+    """The PL2, PL3 and PL4 tags of the (raw) vpns, ORed with the ASID
+    bias, into the first three columns of ``block``."""
+    for index in range(3):
+        block[:, index] = (raw >> (9 * (index + 1))) | vbias
 
 
 def _require_mapped(raw: np.ndarray, leaf: np.ndarray, process) -> None:
@@ -1975,7 +1705,7 @@ class _HostChains(_PathTable):
     def remap(self, hpt, vbias: int, prefetcher=None) -> bool:
         """Fill the rows of pages mapped since they were built; returns
         whether there were any."""
-        pending = np.flatnonzero(self.paths[:self.count, 7] == 0)
+        pending = np.flatnonzero(self.paths[:self.count, _W.LEAF] == 0)
         if not pending.size:
             return False
         keys = np.empty(self.count, dtype=np.int64)
@@ -1993,7 +1723,7 @@ class _HostChains(_PathTable):
 
 class _NestedRows(_PathTable):
     """A VirtualizedSimulation's rows, one per guest page (keyed by
-    biased guest VPN), in the nested layout (``_NESTED_COLS``).
+    biased guest VPN), in the nested layout (the ``_R`` columns).
 
     The guest half comes from the same passes over the guest page table
     as a native row; each nested step — guest levels 4 down to the leaf,
@@ -2004,7 +1734,7 @@ class _NestedRows(_PathTable):
     caller can make that mapping where the scalar loop does.
     """
 
-    EMPTY = _EMPTY_NESTED
+    EMPTY = _row_empty(_R)
 
     def __init__(self) -> None:
         super().__init__()
@@ -2033,23 +1763,21 @@ class _NestedRows(_PathTable):
         chains = self.chains.rows_for(pages.ravel(), vm.hpt, vbias,
                                       host_prefetcher).reshape(-1, 5)
         rows = self._grow(new.size)
-        rows[:, 0] = (raw >> 9) | vbias
-        rows[:, 1] = (raw >> 18) | vbias
-        rows[:, 2] = (raw >> 27) | vbias
-        rows[:, _R_LEAF] = leaf
-        rows[:, 4] = ~small
-        rows[:, _R_CHAIN:_R_CHAIN + 5] = chains
-        rows[:, _R_GLINE:_R_GLINE + 4] = glines
+        _pwc_tags(rows[:, _R.TG:], raw, vbias)
+        rows[:, _R.LEAF] = leaf
+        rows[:, _R.LARGE] = ~small
+        rows[:, _R.CHAIN:_R.CHAIN + 5] = chains
+        rows[:, _R.GLINE:_R.GLINE + 4] = glines
         lazy = self._waiting(chains)
-        rows[:, _R_LAZY] = lazy
+        rows[:, _R.LAZY] = lazy
         self.lazy += int(lazy.sum())
         if prefetcher is not None:
-            self._asap_columns(rows[:, _R_ASAP:], raw << 12, prefetcher)
+            self._asap_columns(rows[:, _R.ASAP:], raw << 12, prefetcher)
         return self._commit(new)
 
     def _waiting(self, chains: np.ndarray) -> np.ndarray:
         """Per row of chain ids: whether a chain's page is unmapped."""
-        return (self.chains.paths[chains, 7] == 0).any(axis=1)
+        return (self.chains.paths[chains, _W.LEAF] == 0).any(axis=1)
 
     def remap(self, vm, vbias: int, prefetcher=None,
               host_prefetcher=None) -> None:
@@ -2058,9 +1786,9 @@ class _NestedRows(_PathTable):
         if not self.lazy or not self.chains.remap(vm.hpt, vbias,
                                                   host_prefetcher):
             return
-        lazy = np.flatnonzero(self.paths[:self.count, _R_LAZY])
-        waiting = self._waiting(self.paths[lazy, _R_CHAIN:_R_CHAIN + 5])
-        self.paths[lazy, _R_LAZY] = waiting
+        lazy = np.flatnonzero(self.paths[:self.count, _R.LAZY])
+        waiting = self._waiting(self.paths[lazy, _R.CHAIN:_R.CHAIN + 5])
+        self.paths[lazy, _R.LAZY] = waiting
         self.lazy = int(waiting.sum())
 
 
@@ -2117,70 +1845,71 @@ def _ptr(arr: np.ndarray, offset: int = 0):
     return _BACKEND[0].from_buffer("long long[]", arr) + offset
 
 
+def _shape(struct, unit) -> None:
+    """A unit_t's or cache_t's geometry, from its TLB, PWC or cache."""
+    struct.nsets, struct.stride, struct.ways = (unit.num_sets, unit.stride,
+                                                unit.ways)
+
+
 class _ParkImage:
     """The kernel's resident copy of one Victima scheme's parked map.
 
-    ``pool``/``hash``/``meta``/``log`` are the C FIFO pool (the ``PM_*``
-    slots).  Between calls the image hangs off the scheme as
-    ``scheme.park_image`` and equals its ``_parked`` dict; the scheme's
-    Python mutators drop it, exactly like ``SetAssociativeCache.image``.
-    Neither direction loops over entries in Python: a missing image is
-    seeded with two ``np.fromiter`` passes and one C call, and the
-    write-back replays only what the call changed — the removal log as
-    dict deletions, then the new and re-framed entries as one
+    ``park`` is the C pool (a ``park_t`` over the ``pool``, ``hash`` and
+    ``log`` arrays it owns).  Between calls the image hangs off the
+    scheme as ``scheme.park_image`` and equals its ``_parked`` dict; the
+    scheme's Python mutators drop it, exactly like
+    ``SetAssociativeCache.image``.  Neither direction loops over entries
+    in Python: a missing image is seeded from two lists and one C call,
+    and the write-back replays only what the call changed — the removal
+    log as dict deletions, then the new and re-framed entries as one
     ``dict.update``.
     """
 
-    __slots__ = ("pool", "hash", "meta", "log")
+    __slots__ = ("park", "pool", "hash", "log")
 
     def __init__(self, scheme) -> None:
+        ffi, lib = _BACKEND
         parked = scheme._parked
         cap = scheme.max_parked
-        count = len(parked)
-        self.pool = np.empty(_PARK_SLOT * cap, dtype=np.int64)
-        self.hash = np.empty(1 << max(6, (4 * cap - 1).bit_length()),
-                             dtype=np.int64)
-        self.log = np.empty(cap, dtype=np.int64)
-        self.meta = np.zeros(_PM_SLOTS, dtype=np.int64)
-        self.meta[_PM_MAX] = cap
-        self.meta[_PM_HCAP] = self.hash.size
-        vpns = np.fromiter(parked, dtype=np.int64, count=count)
-        frames = np.fromiter(parked.values(), dtype=np.int64, count=count)
-        _BACKEND[1].col_park_load(_ptr(self.pool), _ptr(self.hash),
-                                  _ptr(self.meta), _ptr(vpns), _ptr(frames),
-                                  count)
+        self.pool = ffi.new("park_slot_t[]", cap)
+        self.hash = ffi.new("i64[]", 1 << max(6, (4 * cap - 1).bit_length()))
+        self.log = ffi.new("i64[]", cap)
+        self.park = ffi.new("park_t *", {
+            "pool": self.pool, "hash": self.hash, "log": self.log,
+            "capacity": cap, "hash_capacity": len(self.hash)})
+        lib.col_park_load(self.park, list(parked), list(parked.values()),
+                          len(parked))
 
     def write_back(self, scheme) -> None:
         """Replay the call's changes on the scheme's dict and counter."""
-        meta = self.meta
-        scheme.stats["parked"] = int(meta[_PM_PARKED])
-        if not meta[_PM_DIRTY]:
+        ffi, lib = _BACKEND
+        park = self.park
+        scheme.stats["parked"] = park.parked
+        if not park.dirty:
             return
         parked = scheme._parked
-        deque(map(parked.__delitem__,
-                  self.log[:meta[_PM_LOGGED]].tolist()), maxlen=0)
-        vpns = np.empty(int(meta[_PM_COUNT]), dtype=np.int64)
-        frames = np.empty_like(vpns)
-        changed = _BACKEND[1].col_park_changes(_ptr(self.pool), _ptr(meta),
-                                               _ptr(vpns), _ptr(frames))
-        parked.update(zip(vpns[:changed].tolist(),
-                          frames[:changed].tolist()))
+        deque(map(parked.__delitem__, ffi.unpack(self.log, park.logged)),
+              maxlen=0)
+        vpns = ffi.new("i64[]", park.count)
+        frames = ffi.new("i64[]", park.count)
+        changed = lib.col_park_changes(park, vpns, frames)
+        parked.update(zip(ffi.unpack(vpns, changed),
+                          ffi.unpack(frames, changed)))
 
 
-def _load_corunner(corunner, state: np.ndarray) -> tuple:
-    """Copy the co-runner's cursors, drawn group count, intensity and
-    step count into ``state`` (the C ``CO_*`` slots); return pointers to
-    its drawn lines and take counts."""
-    state[:] = (corunner._cursor, corunner._take_cursor,
-                corunner._takes.size, corunner.intensity, corunner.accesses)
-    return _ptr(corunner._lines), _ptr(corunner._takes)
+def _load_corunner(corunner, co) -> None:
+    """Point the kernel's ``corunner_t`` at the co-runner's drawn stream
+    and copy its cursors, drawn group count, intensity and step count."""
+    co.lines, co.takes = _ptr(corunner._lines), _ptr(corunner._takes)
+    co.cursor, co.take = corunner._cursor, corunner._take_cursor
+    co.ntakes, co.intensity = corunner._takes.size, corunner.intensity
+    co.accesses = corunner.accesses
 
 
-def _store_corunner(corunner, state: np.ndarray) -> None:
+def _store_corunner(corunner, co) -> None:
     """Write the kernel's cursors and step count back to the co-runner."""
-    corunner._cursor = int(state[_CO_CURSOR])
-    corunner._take_cursor = int(state[_CO_TAKE])
-    corunner.accesses = int(state[_CO_ACCESSES])
+    corunner._cursor, corunner._take_cursor = co.cursor, co.take
+    corunner.accesses = co.accesses
 
 
 def _get(owner, name: str) -> int:
@@ -2192,6 +1921,42 @@ def _set(owner, name: str, value: int) -> None:
         owner[name] = value
     else:
         setattr(owner, name, value)
+
+
+@functools.cache
+def _fields(ctype) -> tuple[str, ...]:
+    """The field names of a counter block's struct type."""
+    return tuple(name for name, _ in ctype.fields)
+
+
+def _counter_owners(sim, m, mode: str, prefetchers: tuple) -> list:
+    """Every counter block of ``m.k`` this run keeps, as ``(block,
+    owner)``: each field of the block is the owner's attribute or stats
+    key of the same name.  Blocks a run's mode does not use are not
+    bound; the kernel leaves them at zero."""
+    k = m.k
+    tlbs, hierarchy, walker = sim.tlbs, sim.hierarchy, sim.walker
+    owners = [
+        (k.tlb, tlbs.stats), (k.tlbs, tlbs),
+        (k.l1, tlbs.l1.stats), (k.l2, tlbs.l2_plain.stats),
+        (k.walker, walker),
+        (k.c1, hierarchy.l1.stats), (k.c2, hierarchy.l2.stats),
+        (k.c3, hierarchy.l3.stats),
+        (k.served, hierarchy.served), (k.hierarchy, hierarchy),
+        (k.mshrs, hierarchy.mshrs),
+    ]
+    for stats, pwc, prefetcher in zip(k.dim, sim.pwcs, prefetchers):
+        owners.append((stats.pwc, pwc))
+        owners += [(level, unit.stats)
+                   for level, (_, unit) in zip(stats.levels, pwc.view)]
+        if prefetcher is not None:
+            owners += [(stats.registers, prefetcher.registers),
+                       (stats.prefetcher, prefetcher.stats)]
+    if _nested(sim):
+        owners.append((k.nested_walker, walker))
+    if mode in ("victima", "revelator"):
+        owners.append((getattr(k, mode), sim.scheme.stats))
+    return owners
 
 
 def run_columnar(sim, chunks, warmup: int, collect_service: bool, stats,
@@ -2227,7 +1992,7 @@ def run_columnar(sim, chunks, warmup: int, collect_service: bool, stats,
 
     ``obs_probe`` (a :class:`repro.obs.probe.SimProbe`, or ``None``)
     snapshots counters at each chunk boundary.  The snapshot reads the
-    live ``k``/``carry_arr`` arrays, not the stats owners — those are
+    live machine and carry structs, not the stats owners — those are
     only written back in the finally block below, so they are stale for
     the whole loop.
     """
@@ -2235,109 +2000,67 @@ def run_columnar(sim, chunks, warmup: int, collect_service: bool, stats,
     nested = _nested(sim)
     tlbs = sim.tlbs
     hierarchy = sim.hierarchy
-    l1t = tlbs.l1
-    l2t = tlbs.l2_plain
-    pwcs = sim.pwcs
-    c1, c2, c3 = hierarchy.l1, hierarchy.l2, hierarchy.l3
-    walker = sim.walker
     vbias = asid_bias(sim.asid)
 
-    geom = np.zeros(_GEOM_SLOTS, dtype=np.int64)
-    placed = [(_G_T, l1t), (_G_U, l2t),
-              (_G_C1, c1), (_G_C2, c2), (_G_C3, c3)]
-    for base, pwc in zip((_G_P2, _G_H2), pwcs):
-        placed += [(base + 3 * index, unit)
-                   for index, (_, unit) in enumerate(pwc.view)]
-    for off, unit in placed:
-        geom[off] = unit.num_sets
-        geom[off + 1] = unit.stride
-        geom[off + 2] = unit.ways
-    for off, pwc in zip((_G_PWC_LAT, _G_HPWC_LAT), pwcs):
-        geom[off] = pwc.params.latency
-    geom[_G_LAT1] = hierarchy.latency_of("L1")
-    geom[_G_LAT2] = hierarchy.latency_of("L2")
-    geom[_G_LAT3] = hierarchy.latency_of("L3")
-    geom[_G_LATM] = hierarchy.latency_of("MEM")
-    geom[_G_BASE_CYCLES] = sim.machine.core.base_cycles
-    geom[_G_VBIAS] = vbias
-    geom[_G_PROBE_LARGE] = 1 if tlbs.probe_large[0] else 0
-    geom[_G_MODE] = {"plain": 0, "asap": 1, "victima": 2,
-                     "revelator": 3}[mode]
-    geom[_G_NESTED] = 1 if nested else 0
+    # `m` holds raw pointers: every array it points at stays referenced
+    # by a local or by its owner until the write-back below has run.
+    m = ffi.new("machine_t *")
+    m.mode = getattr(lib, f"MODE_{mode.upper()}")
+    m.nested = 1 if nested else 0
+    m.vbias = vbias
+    m.probe_large = 1 if tlbs.probe_large[0] else 0
+    m.base_cycles = sim.machine.core.base_cycles
+    m.lat_l1, m.lat_l2, m.lat_l3, m.lat_mem = map(
+        hierarchy.latency_of, ("L1", "L2", "L3", "MEM"))
+
+    # The TLBs and PWCs (the host PWC only in a nested run), each unit's
+    # lists as int64 arrays: loaded here, written back whole at the end.
+    units = [(m.l1, tlbs.l1), (m.l2, tlbs.l2_plain)]
+    for dim, pwc in zip(m.dim, sim.pwcs):
+        dim.pwc_latency = pwc.params.latency
+        units += [(level, unit) for level, (_, unit) in zip(dim.pwc, pwc.view)]
+    unit_arrays = []
+    for struct, unit in units:
+        arrays = (_as_array(unit.tags), _as_array(unit.frames),
+                  _as_array(unit.sizes))
+        struct.tags, struct.frames, struct.sizes = map(_ptr, arrays)
+        _shape(struct, unit)
+        unit_arrays.append(arrays)
+
+    # Reuse each cache's resident image, or build it from the lists.
+    # It stays detached until the write-back below has run, so an
+    # interrupted write-back cannot leave a stale image attached.
+    caches = (hierarchy.l1, hierarchy.l2, hierarchy.l3)
+    images = [cache.image or _CacheImage(cache) for cache in caches]
+    for struct, cache, image in zip((m.c1, m.c2, m.c3), caches, images):
+        cache.image = None
+        struct.lines, struct.sizes = _ptr(image.lines), _ptr(image.sizes)
+        struct.touched = ffi.from_buffer("unsigned char[]", image.touched)
+        _shape(struct, cache)
 
     # The MSHR file rides along in every mode (the kernel has the merge
-    # branch, and ASAP replays allocations into it): [count, lines...,
-    # completion times...], insertion-ordered like the scalar dict.
+    # branch, and ASAP replays allocations into it).
     mshrs = hierarchy.mshrs
-    mshr_cap = int(mshrs.capacity)
-    geom[_G_MSHR_CAP] = mshr_cap
-    mshr_arr = np.zeros(1 + 2 * max(mshr_cap, 1), dtype=np.int64)
-    inflight = list(mshrs._inflight.items())
-    mshr_arr[0] = len(inflight)
-    for i, (line, when) in enumerate(inflight):
-        mshr_arr[1 + i] = line
-        mshr_arr[1 + mshr_cap + i] = when
-
-    # Every counter the kernel keeps, as (slot, owner, attribute or key):
-    # loaded here, written back after the last chunk.
-    counters = [
-        (K_TH, tlbs.stats, "hits"), (K_TM, tlbs.stats, "misses"),
-        (K_L1H, tlbs, "l1_hits"), (K_L2H, tlbs, "l2_hits"),
-        (K_LS_H, l1t.stats, "hits"), (K_LS_M, l1t.stats, "misses"),
-        (K_US_H, l2t.stats, "hits"), (K_US_M, l2t.stats, "misses"),
-        (K_WALKS, walker, "walks"), (K_WALK_CYCLES, walker, "total_latency"),
-        (K_C1_H, c1.stats, "hits"), (K_C1_M, c1.stats, "misses"),
-        (K_C1_E, c1.stats, "evictions"),
-        (K_C2_H, c2.stats, "hits"), (K_C2_M, c2.stats, "misses"),
-        (K_C2_E, c2.stats, "evictions"),
-        (K_C3_H, c3.stats, "hits"), (K_C3_M, c3.stats, "misses"),
-        (K_C3_E, c3.stats, "evictions"),
-        (K_SRV_L1, hierarchy.served, "L1"), (K_SRV_L2, hierarchy.served, "L2"),
-        (K_SRV_L3, hierarchy.served, "L3"),
-        (K_SRV_MEM, hierarchy.served, "MEM"),
-        (K_H_PF_ISSUED, hierarchy, "prefetches_issued"),
-        (K_H_PF_DROP, hierarchy, "prefetches_dropped"),
-        (K_MSHR_ALLOC, mshrs, "allocations"),
-        (K_MSHR_REJ, mshrs, "rejections"), (K_MSHR_MERGE, mshrs, "merges"),
-    ]
-    for base, pwc in zip((K_PWC_PROBES, K_HPWC_PROBES), pwcs):
-        counters += [(base, pwc, "probes"), (base + 1, pwc, "hits")]
-        for index, (_, unit) in enumerate(pwc.view):
-            counters += [(base + 2 + 2 * index, unit.stats, "hits"),
-                         (base + 3 + 2 * index, unit.stats, "misses")]
-    if nested:
-        counters.append((K_WALK_ACC, walker, "total_accesses"))
+    inflight = mshrs._inflight
+    mshr_lines = ffi.new("i64[]", max(mshrs.capacity, 1))
+    mshr_completions = ffi.new("i64[]", max(mshrs.capacity, 1))
+    mshr_lines[0:len(inflight)] = list(inflight)
+    mshr_completions[0:len(inflight)] = list(inflight.values())
+    m.mshr.lines, m.mshr.completions = mshr_lines, mshr_completions
+    m.mshr.count, m.mshr.capacity = len(inflight), mshrs.capacity
 
     # ASAP: the walk-start prefetcher (native or guest dimension) and,
-    # in a nested walk, the host one, each with its own counter block.
-    prefetcher = host_prefetcher = None
-    if mode == "asap":
-        prefetcher, host_prefetcher = _asap_prefetchers(sim)
-    for pf, base, (n_slot, l_slot, mshr_slot) in (
-            (prefetcher, K_RR_H, (_G_PF_N, _G_PF_L, _G_REQ_MSHR)),
-            (host_prefetcher, K_HRR_H, (_G_HPF_N, _G_HPF_L, _G_HREQ_MSHR))):
-        if pf is None:
-            continue
-        geom[mshr_slot] = 1 if pf.require_mshr else 0
-        geom[n_slot] = len(pf.levels)
-        geom[l_slot:l_slot + len(pf.levels)] = pf.levels
-        counters += [
-            (base, pf.registers, "hits"), (base + 1, pf.registers, "misses"),
-            (base + 2, pf.stats, "issued"), (base + 3, pf.stats, "useful"),
-            (base + 4, pf.stats, "dropped_no_mshr"),
-            (base + 5, pf.stats, "no_descriptor"),
-            (base + 6, pf.stats, "wasted_on_hole")]
+    # in a nested walk, the host one.
+    prefetchers = _asap_prefetchers(sim) if mode == "asap" else (None, None)
+    for dim, prefetcher in zip(m.dim, prefetchers):
+        if prefetcher is not None:
+            dim.pf_count = len(prefetcher.levels)
+            dim.pf_levels[0:dim.pf_count] = prefetcher.levels
 
-    # Revelator: the lottery's coverage and the two latencies, and the
-    # scheme's speculation counters.
     if mode == "revelator":
-        rscheme = sim.scheme
-        geom[_G_REV_COVERAGE] = rscheme.coverage_pct
-        geom[_G_REV_SPEC] = rscheme.spec_latency
-        geom[_G_REV_PENALTY] = rscheme.penalty
-        counters += [(K_SPEC, rscheme.stats, "speculations"),
-                     (K_SPEC_OK, rscheme.stats, "correct"),
-                     (K_SPEC_MISS, rscheme.stats, "mispredicts")]
+        scheme = sim.scheme
+        m.coverage, m.spec_latency, m.penalty = (
+            scheme.coverage_pct, scheme.spec_latency, scheme.penalty)
 
     # Victima: one pool per scheme the victims park for.  The running
     # scheme's pool takes its probes (and their counters); each victim
@@ -2346,80 +2069,50 @@ def run_columnar(sim, chunks, warmup: int, collect_service: bool, stats,
     # detached from its scheme until the write-back below has run.
     schemes = ()
     pools: list[_ParkImage] = []
-    parks = route_arr = ffi.NULL
     if mode == "victima":
-        vscheme = sim.scheme
         schemes, route = _park_routes(sim)
-        geom[_G_PROBE_LAT] = vscheme._probe_latency
-        geom[_G_PARK_SELF] = schemes.index(vscheme)
-        counters += [(K_V_PROBE_H, vscheme.stats, "probe_hits"),
-                     (K_V_PROBE_M, vscheme.stats, "probe_misses"),
-                     (K_V_LOST, vscheme.stats, "parked_lost_to_data")]
-        parks = ffi.new("park_t[]", len(schemes))
-        for entry, scheme in zip(parks, schemes):
+        m.probe_latency = sim.scheme._probe_latency
+        m.park_self = schemes.index(sim.scheme)
+        for scheme in schemes:
             pool = scheme.park_image
-            if pool is None or pool.meta[_PM_MAX] != scheme.max_parked:
+            if pool is None or pool.park.capacity != scheme.max_parked:
                 pool = _ParkImage(scheme)
             scheme.park_image = None
-            pool.meta[_PM_PARKED] = scheme.stats["parked"]
+            pool.park.parked = scheme.stats["parked"]
             pools.append(pool)
-            entry.pool = _ptr(pool.pool)
-            entry.hash = _ptr(pool.hash)
-            entry.meta = _ptr(pool.meta)
-            entry.log = _ptr(pool.log)
+        parks = ffi.new("park_t *[]", [pool.park for pool in pools])
+        m.parks = parks
         if route is not None:
-            route_ids = np.array(route, dtype=np.int64)
-            route_arr = _ptr(route_ids)
+            route_ids = ffi.new("i64[]", route)
+            m.route = route_ids
 
-    k = np.zeros(_COUNTER_SLOTS, dtype=np.int64)
-    for slot, owner, name in counters:
-        k[slot] = _get(owner, name)
+    owners = [(block, owner, _fields(ffi.typeof(block)))
+              for block, owner in _counter_owners(sim, m, mode, prefetchers)]
+    for block, owner, names in owners:
+        for name in names:
+            setattr(block, name, _get(owner, name))
 
-    carry_arr = np.zeros(_CARRY_SLOTS, dtype=np.int64)
-    (carry_arr[_CAR_NOW], measuring, carry_arr[_CAR_ACC],
-     carry_arr[_CAR_DATA_C], carry_arr[_CAR_WALK_C],
-     carry_arr[_CAR_WALK_COUNT], carry_arr[_CAR_L1_BASE],
-     carry_arr[_CAR_L2_BASE]) = carry
-    carry_arr[_CAR_MEASURING] = 1 if measuring else 0
-    service = np.zeros(_SERVICE_SLOTS, dtype=np.int64)
+    carry_c = ffi.new("carry_t *", carry)
+    service = (ffi.new("i64[]", lib.SV_ROWS * lib.SV_COLS)
+               if collect_service else ffi.NULL)
 
     # The co-runner: the kernel issues its drawn groups after every
     # record and stops before a record whose groups are not drawn yet.
     corunner = sim.corunner
-    co = co_lines = co_takes = ffi.NULL
+    co = ffi.NULL
     if corunner is not None:
-        co_state = np.zeros(_CO_SLOTS, dtype=np.int64)
-        co = _ptr(co_state)
-        co_lines, co_takes = _load_corunner(corunner, co_state)
+        co = ffi.new("corunner_t *")
+        _load_corunner(corunner, co)
 
     state = sim._columnar_paths
     if state is None:
         state = sim._columnar_paths = (_NestedRows() if nested
                                        else _PathTable())
     if nested:
-        context = (sim.vm, vbias, prefetcher, host_prefetcher)
+        context = (sim.vm, vbias) + prefetchers
         state.remap(*context)
     else:
-        context = (sim.process, vbias, prefetcher)
-
-    # The TLBs and PWCs in the kernel's argument order (the host PWC only
-    # in a nested run), each as tags, frames and sizes.
-    units = [l1t, l2t] + [unit for pwc in pwcs for _, unit in pwc.view]
-    unit_arrays = [(_as_array(unit.tags), _as_array(unit.frames),
-                    _as_array(unit.sizes)) for unit in units]
-    struct_ptrs = [_ptr(array) for arrays in unit_arrays for array in arrays]
-    if not nested:
-        struct_ptrs += [ffi.NULL] * 9
-    # Reuse each cache's resident image, or build it from the lists.
-    # It stays detached until the write-back below has run, so an
-    # interrupted write-back cannot leave a stale image attached.
-    caches = (c1, c2, c3)
-    images = [cache.image or _CacheImage(cache) for cache in caches]
-    for cache in caches:
-        cache.image = None
-    for image in images:
-        struct_ptrs += [_ptr(image.lines), _ptr(image.sizes),
-                        ffi.from_buffer("unsigned char[]", image.touched)]
+        context = (sim.process, vbias, prefetchers[0])
 
     try:
         chunk_base = 0
@@ -2434,45 +2127,36 @@ def run_columnar(sim, chunks, warmup: int, collect_service: bool, stats,
             done = 0
             while True:
                 done += lib.col_run_chunk(
-                    _ptr(addresses, done), n - done,
+                    m, carry_c, co, service, _ptr(addresses, done), n - done,
                     min(max(warmup - chunk_base - done, 0), n - done),
-                    1 if collect_service else 0,
                     _ptr(rowidx, done), _ptr(state.paths), chains,
-                    1 if state.lazy else 0,
-                    _ptr(carry_arr), _ptr(k), _ptr(geom), _ptr(service),
-                    *struct_ptrs,
-                    _ptr(mshr_arr), parks, route_arr,
-                    co_lines, co_takes, co)
+                    1 if state.lazy else 0)
                 if done == n:
                     break
                 if corunner is not None and (
-                        co_state[_CO_TAKE] + co_state[_CO_INTENSITY]
-                        > co_state[_CO_NTAKES]):
+                        co.take + co.intensity > co.ntakes):
                     # Draw the next record's groups (the batches its
                     # scalar step would draw, in the same order) and
                     # resume at that record.
-                    _store_corunner(corunner, co_state)
+                    _store_corunner(corunner, co)
                     corunner._draw_ahead()
-                    co_lines, co_takes = _load_corunner(corunner, co_state)
+                    _load_corunner(corunner, co)
                     continue
                 # The next record walks through a guest-physical page
                 # the host page table does not map yet: map it the way
                 # the scalar loop does at this walk, then resume there.
                 sim.vm.nested_path(int(addresses[done]))
                 state.remap(*context)
-                assert not state.paths[rowidx[done], _R_LAZY]
+                assert not state.paths[rowidx[done], _R.LAZY]
             chunk_base += n
             if obs_probe is not None:
                 obs_probe.sample(
-                    chunk_base,
-                    now=int(carry_arr[_CAR_NOW]),
-                    accesses=int(carry_arr[_CAR_ACC]),
-                    data_cycles=int(carry_arr[_CAR_DATA_C]),
-                    walk_cycles=int(carry_arr[_CAR_WALK_C]),
-                    walks=int(carry_arr[_CAR_WALK_COUNT]),
-                    tlb_l1_hits=int(k[K_L1H]),
-                    tlb_l2_hits=int(k[K_L2H]),
-                    tlb_misses=int(k[K_TM]))
+                    chunk_base, now=carry_c.now, accesses=carry_c.acc,
+                    data_cycles=carry_c.data_c, walk_cycles=carry_c.walk_c,
+                    walks=carry_c.walk_count,
+                    tlb_l1_hits=m.k.tlbs.l1_hits,
+                    tlb_l2_hits=m.k.tlbs.l2_hits,
+                    tlb_misses=m.k.tlb.misses)
     finally:
         # Write every structure image and counter back to its owner, so
         # post-run state is indistinguishable from a scalar run.  The
@@ -2480,40 +2164,45 @@ def run_columnar(sim, chunks, warmup: int, collect_service: bool, stats,
         for cache, image in zip(caches, images):
             image.write_back(cache)
             cache.image = image
-        for unit, (tags, frames, sizes) in zip(units, unit_arrays):
+        for (_, unit), (tags, frames, sizes) in zip(units, unit_arrays):
             unit.tags[:] = tags.tolist()
             unit.frames[:] = frames.tolist()
             unit.sizes[:] = sizes.tolist()
-        for slot, owner, name in counters:
-            _set(owner, name, int(k[slot]))
-        mshrs._inflight.clear()
-        for i in range(int(mshr_arr[0])):
-            mshrs._inflight[int(mshr_arr[1 + i])] = int(
-                mshr_arr[1 + mshr_cap + i])
+        for block, owner, names in owners:
+            for name in names:
+                _set(owner, name, getattr(block, name))
+        inflight.clear()
+        count = m.mshr.count
+        inflight.update(zip(ffi.unpack(mshr_lines, count),
+                            ffi.unpack(mshr_completions, count)))
         for scheme, pool in zip(schemes, pools):
             pool.write_back(scheme)
             scheme.park_image = pool
         if corunner is not None:
-            _store_corunner(corunner, co_state)
-
+            _store_corunner(corunner, co)
         if collect_service:
-            # Each dimension root first (level 4 down), the host one
-            # before the guest one: the order of a cold walk's records.
-            # Insertion order is presentation only; the distribution
-            # compares by value.
-            counts = stats.service._counts
-            dims = ((4, "h"), (0, "g")) if nested else ((0, ""),)
-            for row_base, prefix in dims:
-                for level in (4, 3, 2, 1):
-                    row = (row_base + level - 1) * 6
-                    key = f"{prefix}{level}" if prefix else level
-                    for col, label in enumerate(_SERVICE_LABELS):
-                        value = int(service[row + col])
-                        if value:
-                            bucket = counts.setdefault(key, {})
-                            bucket[label] = bucket.get(label, 0) + value
+            _store_service(stats.service._counts, service, nested)
 
-    return (int(carry_arr[_CAR_NOW]), bool(carry_arr[_CAR_MEASURING]),
-            int(carry_arr[_CAR_ACC]), int(carry_arr[_CAR_DATA_C]),
-            int(carry_arr[_CAR_WALK_C]), int(carry_arr[_CAR_WALK_COUNT]),
-            int(carry_arr[_CAR_L1_BASE]), int(carry_arr[_CAR_L2_BASE]))
+    return (carry_c.now, bool(carry_c.measuring), carry_c.acc,
+            carry_c.data_c, carry_c.walk_c, carry_c.walk_count,
+            carry_c.l1_base, carry_c.l2_base)
+
+
+def _store_service(counts: dict, service, nested: bool) -> None:
+    """Add the kernel's service histogram to a ServiceDistribution's
+    counts.  Each dimension root first (level 4 down), the host one
+    before the guest one: the order of a cold walk's records.  Insertion
+    order is presentation only; the distribution compares by value."""
+    ffi, lib = _BACKEND
+    columns = ffi.typeof("enum service").elements
+    labels = [columns[col][len("SV_"):] for col in range(lib.SV_COLS)]
+    dims = ((lib.SV_HOST, "h"), (0, "g")) if nested else ((0, ""),)
+    for row_base, prefix in dims:
+        for level in (4, 3, 2, 1):
+            row = (row_base + level - 1) * lib.SV_COLS
+            key = f"{prefix}{level}" if prefix else level
+            for col, label in enumerate(labels):
+                value = service[row + col]
+                if value:
+                    bucket = counts.setdefault(key, {})
+                    bucket[label] = bucket.get(label, 0) + value

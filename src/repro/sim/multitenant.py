@@ -21,11 +21,13 @@ Two context-switch policies are modelled:
   TLB/PWC tag (:data:`repro.tlb.tlb.ASID_SHIFT`), and tenants compete
   for TLB/PWC/cache capacity instead.
 
-Scheduling composes with the PR 3 fast path by construction: each
-quantum is one ``run()`` call on the active tenant's simulator, so the
-batched run detection (and, for plain baseline tenants, the fully
-inlined sweep) operates on exactly the per-quantum trace slices — the
-batch split lands precisely on the switch boundary.  With one tenant
+Scheduling composes with the record loop by construction: each quantum
+is one ``run()`` call on the active tenant's simulator, so the compiled
+kernel (`repro.sim.columnar`, which every roster scheme's quanta run)
+or the scalar loop of a fallback cell replays exactly the per-quantum
+trace slice — the split lands precisely on the switch boundary.  The
+kernel keeps the caches' images and Victima's parked pools resident
+between quanta (ARCHITECTURE.md §12).  With one tenant
 and no switching, the whole machinery reduces to a single ``run()``
 over shared-but-singly-owned structures, and the results are
 byte-identical to the single-tenant path (pinned by

@@ -131,8 +131,8 @@ class Tlb:
         A batch is a *query*, not a sequence of accesses — no stats, no
         LRU movement — so probing any permutation of ``batch`` returns
         the permuted scalar results (pinned by the batch-probe property
-        suite).  Columnar-kernel tooling and tests use this to inspect
-        residency without perturbing replacement state.
+        suite).  Tests use this to inspect residency without perturbing
+        replacement state.
         """
         tags = self.tags
         frames = self.frames

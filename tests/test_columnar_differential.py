@@ -92,12 +92,12 @@ COMPILED = (("baseline", "plain"), ("asap", "asap"), ("victima", "victima"),
 
 def _park_image_items(image) -> list:
     """A resident park image's map, walked in FIFO order."""
-    pool = image.pool.reshape(-1, columnar._PARK_SLOT)
     items = []
-    index = int(image.meta[columnar._PM_HEAD])
+    index = image.park.head
     while index >= 0:
-        items.append((int(pool[index, 0]), int(pool[index, 1])))
-        index = int(pool[index, 3])
+        slot = image.park.pool[index]
+        items.append((slot.vpn, slot.frame))
+        index = slot.next
     return items
 
 
@@ -127,7 +127,7 @@ def reused_images(monkeypatch):
             if image is not None:
                 assert _park_image_items(image) == \
                     list(scheme._parked.items())
-                assert not image.meta[columnar._PM_DIRTY]
+                assert not image.park.dirty
         calls.append(tuple(reused))
         return original(sim, *args, **kwargs)
 

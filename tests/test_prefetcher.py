@@ -14,7 +14,7 @@ PL1_BASE = 0x10_0000_0000
 PL2_BASE = 0x20_0000_0000
 
 
-def make_prefetcher(levels=(1, 2), hole_checker=None, require_mshr=True):
+def make_prefetcher(levels=(1, 2), hole_checker=None):
     hierarchy = CacheHierarchy()
     rrf = RangeRegisterFile()
     rrf.load([
@@ -27,7 +27,6 @@ def make_prefetcher(levels=(1, 2), hole_checker=None, require_mshr=True):
         )
     ])
     prefetcher = AsapPrefetcher(hierarchy, rrf, levels=levels,
-                                require_mshr=require_mshr,
                                 hole_checker=hole_checker)
     return prefetcher, hierarchy
 
